@@ -220,6 +220,34 @@ def encircle_points(centers: Sequence[float], radius: float,
                    encircles=(ordered[0] - radius, ordered[-1] + radius))
 
 
+def _node_sum(contour: Contour, size: int,
+              integrand: Callable[[complex], np.ndarray]) -> np.ndarray:
+    """(1/2pi i) sum_nodes w * integrand(z), summed in node order.
+
+    Raises
+    ------
+    NodeFailure
+        Listing every node where the integrand raised, chained from the
+        first such error.
+    """
+    acc = np.zeros((size, size), dtype=complex)
+    failed: list[complex] = []
+    first: Exception | None = None
+    for z, w in contour.nodes:
+        try:
+            value = integrand(z)
+        except Exception as exc:  # collected, re-raised as NodeFailure
+            failed.append(z)
+            if first is None:
+                first = exc
+            continue
+        acc += w * value
+    if failed:
+        raise NodeFailure("Green's matrix evaluation failed",
+                          nodes=failed) from first
+    return acc / (2.0j * math.pi)
+
+
 def contour_matrix(family: Callable[[complex], JacobiOperator],
                    contour: Contour, N: int) -> np.ndarray:
     """Leading N x N block of (1/2pi i) oint G(z) dz for one family.
@@ -241,22 +269,8 @@ def contour_matrix(family: Callable[[complex], JacobiOperator],
     """
     if N < 1:
         raise ValueError(f"block size N must be >= 1, got {N}")
-    acc = np.zeros((N, N), dtype=complex)
-    failed: list[complex] = []
-    first: Exception | None = None
-    for z, w in contour.nodes:
-        try:
-            g = green_submatrix(family(z), N, SheetSelector.PHYSICAL).entries
-        except Exception as exc:  # collected, re-raised as NodeFailure
-            failed.append(z)
-            if first is None:
-                first = exc
-            continue
-        acc += w * g
-    if failed:
-        raise NodeFailure("Green's matrix evaluation failed",
-                          nodes=failed) from first
-    return acc / (2.0j * math.pi)
+    return _node_sum(contour, N, lambda z: green_submatrix(
+        family(z), N, SheetSelector.PHYSICAL).entries)
 
 
 def contour_projection(family: Callable[[complex], JacobiOperator],
@@ -322,23 +336,13 @@ def convolve_greens(J1: Callable[[complex], JacobiOperator],
     if N1 < 1 or N2 < 1:
         raise ValueError(f"block sizes must be >= 1, got ({N1}, {N2})")
     E = complex(E)
-    acc = np.zeros((N1 * N2, N1 * N2), dtype=complex)
-    failed: list[complex] = []
-    first: Exception | None = None
-    for z, w in contour.nodes:
-        try:
-            g1 = green_submatrix(J1(E - z), N1, SheetSelector.PHYSICAL).entries
-            g2 = green_submatrix(J2(z), N2, SheetSelector.PHYSICAL).entries
-        except Exception as exc:  # collected, re-raised as NodeFailure
-            failed.append(z)
-            if first is None:
-                first = exc
-            continue
-        acc += w * np.kron(g1, g2)
-    if failed:
-        raise NodeFailure("Green's matrix evaluation failed",
-                          nodes=failed) from first
-    return acc / (2.0j * math.pi)
+
+    def product(z: complex) -> np.ndarray:
+        g1 = green_submatrix(J1(E - z), N1, SheetSelector.PHYSICAL).entries
+        g2 = green_submatrix(J2(z), N2, SheetSelector.PHYSICAL).entries
+        return np.kron(g1, g2)
+
+    return _node_sum(contour, N1 * N2, product)
 
 
 def merkuriev_zeta(split: MerkurievSplit, x, y):

@@ -35,8 +35,6 @@ __all__ = [
     "eval_backward",
     "eval_forward",
     "forward_approximants",
-    "forward_tables",
-    "modified_approximant",
     "fixed_points",
     "bauer_muir",
     "repeated_bauer_muir",
@@ -236,34 +234,38 @@ def eval_backward(cf: ContinuedFraction, n: int,
     return complex(cf.b0) + t
 
 
-def forward_tables(cf: ContinuedFraction,
-                   *,
-                   renorm_at: float = _RENORM_AT,
-                   ) -> Iterator[tuple[int, complex, complex, complex, complex]]:
-    """Yield the rolling forward-recurrence tables (n, A_n, A_{n-1}, B_n, B_{n-1}).
-
-    Numerators and denominators follow A_n = b_n A_{n-1} + a_n A_{n-2}
-    and the same recursion for B_n, seeded with A_{-1} = 1, A_0 = b0,
-    B_{-1} = 0, B_0 = 1, so that S_n(w) = (A_n + A_{n-1} w)/(B_n + B_{n-1} w)
-    for any tail estimate w. The quadruple is renormalized whenever its
-    magnitude exceeds ``renorm_at``; approximants are invariant under that
-    scaling. Terminates when the coefficient stream ends (finite fraction).
-
-    Raises
-    ------
-    NumericBreakdown
-        If a non-finite value contaminates the recurrence.
+def _approximants(cf: ContinuedFraction,
+                  tail_of: Callable[[tuple[complex, complex] | None], complex],
+                  renorm_at: float, first: int = 0,
+                  ) -> Iterator[tuple[int, complex | None]]:
+    """:func:`forward_approximants` from S_first on, with a tail estimate
+    per term, w_n = tail_of((a_{n+1}, b_{n+1})), or tail_of(None) past the
+    end of a finite fraction. Each pair is fetched once, before S_n is
+    formed, and then drives step n+1.
     """
     a_prev, a_cur = 1.0 + 0.0j, complex(cf.b0)
     b_prev, b_cur = 0.0 + 0.0j, 1.0 + 0.0j
-    yield 0, a_cur, a_prev, b_cur, b_prev
     n = 0
     while True:
-        n += 1
         try:
-            a, b = cf.coefficient(n)
+            pair: tuple[complex, complex] | None = cf.coefficient(n + 1)
         except IndexError:
+            pair = None
+        if n >= first:
+            w = tail_of(pair)
+            num = a_cur + a_prev * w
+            den = b_cur + b_prev * w
+            if abs(den) <= _POLE_THRESHOLD * max(1.0, abs(num)):
+                yield n, None
+            else:
+                s = num / den
+                if _nonfinite(s):
+                    raise NumericBreakdown("non-finite approximant")
+                yield n, s
+        if pair is None:
             return
+        n += 1
+        a, b = pair
         a_cur, a_prev = b * a_cur + a * a_prev, a_cur
         b_cur, b_prev = b * b_cur + a * b_prev, b_cur
         if any(map(_nonfinite, (a_cur, a_prev, b_cur, b_prev))):
@@ -275,27 +277,43 @@ def forward_tables(cf: ContinuedFraction,
             a_prev /= scale
             b_cur /= scale
             b_prev /= scale
-        yield n, a_cur, a_prev, b_cur, b_prev
 
 
-def modified_approximant(a_cur: complex, a_prev: complex,
-                         b_cur: complex, b_prev: complex,
-                         w: complex) -> complex | None:
-    """Form S_n(w) from forward tables; None when the approximant is a pole.
+def _sum_forward(cf: ContinuedFraction, tol: float, max_terms: int,
+                 tail_of: Callable[[tuple[complex, complex] | None], complex],
+                 *, first: int = 0,
+                 renorm_at: float = _RENORM_AT) -> CfResult | None:
+    """Run :func:`_approximants` from S_first until two successive finite
+    approximants agree to tol or the budget is spent.
 
-    Raises
-    ------
-    NumericBreakdown
-        If the quotient is non-finite despite a nonzero denominator.
+    Returns None when a finite fraction ends on a pole approximant (or
+    yields no finite one); the caller chooses the error for that case.
     """
-    num = a_cur + a_prev * w
-    den = b_cur + b_prev * w
-    if abs(den) <= _POLE_THRESHOLD * max(1.0, abs(num)):
+    prev: complex | None = None
+    best: complex | None = None
+    last_delta = math.inf
+    terms = 0
+    ended_on_pole = False
+    for n, s in _approximants(cf, tail_of, renorm_at, first):
+        terms = n
+        if s is None:
+            # approximant pole: require two fresh finite values afterwards
+            prev = None
+            ended_on_pole = True
+        else:
+            ended_on_pole = False
+            if prev is not None:
+                last_delta = abs(s - prev)
+                if last_delta <= tol * max(1.0, abs(s)):
+                    return CfResult(s, n, True, last_delta)
+            best = s
+            prev = s
+        if n >= max_terms:
+            return CfResult(best, n, False, last_delta)
+    # Coefficient stream ended: a finite fraction evaluates exactly.
+    if ended_on_pole or best is None:
         return None
-    s = num / den
-    if _nonfinite(s):
-        raise NumericBreakdown("non-finite approximant")
-    return s
+    return CfResult(best, terms, True, 0.0)
 
 
 def forward_approximants(cf: ContinuedFraction,
@@ -305,9 +323,14 @@ def forward_approximants(cf: ContinuedFraction,
                          ) -> Iterator[tuple[int, complex | None]]:
     """Yield (n, S_n(w)) from the forward recurrence, n = 0, 1, 2, ...
 
-    Yields None in place of S_n when the approximant has a pole at w.
-    Terminates when the coefficient stream ends (finite fraction). See
-    :func:`forward_tables` for the underlying recurrence.
+    Numerators and denominators follow A_n = b_n A_{n-1} + a_n A_{n-2}
+    and the same recursion for B_n, seeded with A_{-1} = 1, A_0 = b0,
+    B_{-1} = 0, B_0 = 1, so that S_n(w) = (A_n + A_{n-1} w)/(B_n + B_{n-1} w).
+    The quadruple is renormalized whenever its magnitude exceeds
+    ``renorm_at``; approximants are invariant under that scaling. Yields
+    None in place of S_n when the approximant has a pole at w.
+    Coefficient n+1 is read before S_n is yielded. Terminates when the
+    coefficient stream ends (finite fraction).
 
     Raises
     ------
@@ -315,9 +338,7 @@ def forward_approximants(cf: ContinuedFraction,
         If a non-finite value contaminates the recurrence.
     """
     w = _tail_w(tail)
-    for n, a_cur, a_prev, b_cur, b_prev in forward_tables(
-            cf, renorm_at=renorm_at):
-        yield n, modified_approximant(a_cur, a_prev, b_cur, b_prev, w)
+    return _approximants(cf, lambda pair: w, renorm_at)
 
 
 def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
@@ -353,43 +374,20 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
     Raises
     ------
     NumericBreakdown
-        If NaN or infinity contaminates the recurrence.
+        If NaN or infinity contaminates the recurrence, or a finite
+        fraction terminates on a pole approximant.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
-    gen = forward_approximants(cf, tail, renorm_at=renorm_at)
-    _, s0 = next(gen)
-    prev: complex | None = s0
-    best: complex = s0
-    last_delta = math.inf
-    terms = 0
-    ended_on_pole = False
-    for n, s in gen:
-        terms = n
-        if s is None:
-            # approximant pole: require two fresh finite values afterwards
-            prev = None
-            ended_on_pole = True
-        else:
-            ended_on_pole = False
-            if prev is not None:
-                last_delta = abs(s - prev)
-                best = s
-                prev = s
-                if last_delta <= tol * max(1.0, abs(s)):
-                    return CfResult(s, n, True, last_delta)
-            else:
-                best = s
-                prev = s
-        if n >= max_terms:
-            return CfResult(best, n, False, last_delta)
-    # Coefficient stream ended: a finite fraction evaluates exactly.
-    if ended_on_pole:
+    w = _tail_w(tail)
+    res = _sum_forward(cf, tol, max_terms, lambda pair: w,
+                       renorm_at=renorm_at)
+    if res is None:
         raise NumericBreakdown(
             "finite fraction terminates on a pole approximant")
-    return CfResult(best, terms, True, 0.0)
+    return res
 
 
 def fixed_points(a: complex, b: complex) -> tuple[TailValue, TailValue]:
@@ -411,6 +409,13 @@ def fixed_points(a: complex, b: complex) -> tuple[TailValue, TailValue]:
         the root with nonnegative imaginary part, then nonnegative real
         part.
     """
+    attractive, repulsive = _fixed_point_pair(a, b)
+    return (TailValue(attractive, TailOrigin.ATTRACTIVE_FIXED_POINT),
+            TailValue(repulsive, TailOrigin.REPULSIVE_FIXED_POINT))
+
+
+def _fixed_point_pair(a: complex, b: complex) -> tuple[complex, complex]:
+    """(attractive, repulsive) fixed points as plain complex numbers."""
     a, b = complex(a), complex(b)
     disc = b * b + 4.0 * a
     s = disc ** 0.5
@@ -428,8 +433,7 @@ def fixed_points(a: complex, b: complex) -> tuple[TailValue, TailValue]:
                                key=lambda z: (z.imag, z.real), reverse=True)
     else:
         first, second = small, big
-    return (TailValue(first, TailOrigin.ATTRACTIVE_FIXED_POINT),
-            TailValue(second, TailOrigin.REPULSIVE_FIXED_POINT))
+    return first, second
 
 
 def _as_w_seq(w_seq) -> Callable[[int], complex]:
@@ -450,8 +454,9 @@ def bauer_muir(cf: ContinuedFraction, w_seq) -> ContinuedFraction:
         d_0 = b_0 + w_0,  c_1 = lambda_1,  d_1 = b_1 + w_1,
         c_i = a_{i-1} q_{i-1},  d_i = b_i + w_i - w_{i-2} q_{i-1}  (i >= 2).
 
-    Coefficients are produced lazily and memoized, so a vanishing
-    lambda_i is detected only when index i is requested.
+    Coefficients are produced on request and kept, filled in index
+    order, so a vanishing lambda_k is detected at the first request of
+    any index >= k.
 
     Parameters
     ----------
@@ -468,49 +473,12 @@ def bauer_muir(cf: ContinuedFraction, w_seq) -> ContinuedFraction:
     Raises
     ------
     DegenerateTransform
-        When lambda_i at the requested index is zero, or so small
-        relative to the terms that formed it that it carries no
-        significant digits (the transform exists iff every lambda_i is
-        nonzero, and a fully cancelled lambda_i is numerically
-        indistinguishable from zero).
+        When lambda_k at a filled index is zero, or so small relative to
+        the terms that formed it that it carries no significant digits
+        (the transform exists iff every lambda_i is nonzero, and a fully
+        cancelled lambda_i is numerically indistinguishable from zero).
     """
-    w = _as_w_seq(w_seq)
-    cache: dict[int, tuple[complex, float]] = {}
-
-    def lam(i: int) -> complex:
-        entry = cache.get(i)
-        if entry is None:
-            a, b = cf.coefficient(i)
-            v = a - w(i - 1) * (b + w(i))
-            scale = max(abs(a), abs(w(i - 1)) * (abs(b) + abs(w(i))))
-            entry = (v, scale)
-            cache[i] = entry
-        v, scale = entry
-        if abs(v) <= _DEGENERATE_REL * max(scale, _ZERO_THRESHOLD):
-            raise DegenerateTransform(i)
-        return v
-
-    coeff_cache: dict[int, tuple[complex, complex]] = {}
-
-    def coeffs(i: int) -> tuple[complex, complex]:
-        # memoized: chained transforms would otherwise re-walk every
-        # lower layer for each index, at cost exponential in the depth
-        got = coeff_cache.get(i)
-        if got is not None:
-            return got
-        if i == 1:
-            c = lam(1)
-            d = cf.coefficient(1)[1] + w(1)
-        else:
-            a_im1 = cf.coefficient(i - 1)[0]
-            a_i, b_i = cf.coefficient(i)
-            q = lam(i) / lam(i - 1)
-            c = a_im1 * q
-            d = b_i + w(i) - w(i - 2) * q
-        coeff_cache[i] = (c, d)
-        return c, d
-
-    return ContinuedFraction(complex(cf.b0) + w(0), coeffs)
+    return _BauerMuirChain(cf, _as_w_seq(w_seq), 1, tag_rounds=False).fraction
 
 
 def repeated_bauer_muir(cf: ContinuedFraction, w: complex,
@@ -534,27 +502,74 @@ def repeated_bauer_muir(cf: ContinuedFraction, w: complex,
     Raises
     ------
     DegenerateTransform
-        Propagated from the failing round with ``round_index`` attached
-        (rounds are numbered from 1).
+        From the failing round with ``round_index`` attached (rounds are
+        numbered from 1).
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
-    out = cf
-    for r in range(1, rounds + 1):
-        out = _tag_round(bauer_muir(out, w), r)
-    return out
+    if rounds == 0:
+        return cf
+    return _BauerMuirChain(cf, _as_w_seq(w), rounds,
+                           tag_rounds=True).fraction
 
 
-def _tag_round(cf: ContinuedFraction, r: int) -> ContinuedFraction:
-    def coeffs(i: int) -> tuple[complex, complex]:
-        try:
-            return cf.coeffs(i)
-        except DegenerateTransform as exc:
-            if exc.round_index is None:
-                raise DegenerateTransform(exc.index, round_index=r) from exc
-            raise
+class _BauerMuirChain:
+    """``rounds`` chained Bauer-Muir transforms of ``cf`` with one
+    modifying sequence, filled index by index.
 
-    return ContinuedFraction(cf.b0, coeffs)
+    ``pairs[i]`` is the last round's (c_i, d_i) and ``w[n]`` is w_n.
+    ``lam[r]`` and ``num[r]`` are round r's lambda_i and input numerator
+    a_i at the last filled index i: all that index i+1 needs of it.
+    """
+
+    def __init__(self, cf: ContinuedFraction, w_of: Callable[[int], complex],
+                 rounds: int, *, tag_rounds: bool):
+        self.cf = cf
+        self.w_of = w_of
+        self.rounds = rounds
+        self.tag_rounds = tag_rounds
+        self.w = [w_of(0)]
+        self.lam = [0.0j] * rounds
+        self.num = [0.0j] * rounds
+        self.pairs: list[tuple[complex, complex]] = [(0.0j, 0.0j)]
+        b0 = complex(cf.b0)
+        for _ in range(rounds):
+            b0 = b0 + self.w[0]
+        self.fraction = ContinuedFraction(b0, self.coeffs)
+
+    def coeffs(self, i: int) -> tuple[complex, complex]:
+        pairs = self.pairs
+        while len(pairs) <= i:
+            self._fill(len(pairs))
+        return pairs[i]
+
+    def _fill(self, i: int) -> None:
+        a, b = self.cf.coefficient(i)
+        ws = self.w
+        if len(ws) == i:
+            ws.append(self.w_of(i))
+        w_i, w_im1 = ws[i], ws[i - 1]
+        w_im2 = ws[i - 2] if i >= 2 else 0.0j
+        # round state is committed only once every round has passed, so
+        # a failed index raises again when it is requested again
+        lam, num = list(self.lam), list(self.num)
+        for r in range(self.rounds):
+            v = a - w_im1 * (b + w_i)
+            scale = max(abs(a), abs(w_im1) * (abs(b) + abs(w_i)))
+            if abs(v) <= _DEGENERATE_REL * max(scale, _ZERO_THRESHOLD):
+                raise DegenerateTransform(
+                    i, round_index=r + 1 if self.tag_rounds else None)
+            if i == 1:
+                c, d = v, b + w_i
+            else:
+                q = v / lam[r]
+                c, d = num[r] * q, b + w_i - w_im2 * q
+            if c == 0:
+                raise ValueError(f"partial numerator a_{i} is zero")
+            lam[r], num[r] = v, a
+            a, b = c, d
+        self.lam, self.num = lam, num
+        self.pairs.append((a, b))
 
 
 def pincherle_ratio(rec: Recurrence, N: int = 0, tol: float = 1e-12,

@@ -26,9 +26,8 @@ import numpy as np
 
 from .contfrac import (
     ContinuedFraction,
-    fixed_points,
-    forward_tables,
-    modified_approximant,
+    _fixed_point_pair,
+    _sum_forward,
     repeated_bauer_muir,
 )
 from .errors import (
@@ -174,19 +173,6 @@ def cf_coefficients(J: JacobiOperator,
     return gen
 
 
-def _tail_picker(sheet: SheetSelector) -> Callable[[complex, complex], complex]:
-    # Physical tracks the attractive branch (ties resolved toward
-    # nonnegative imaginary part, the limit from above the cut);
-    # unphysical tracks the repulsive branch, which analytically
-    # continues the function through the cut.
-    index = 0 if sheet is SheetSelector.PHYSICAL else 1
-
-    def pick(u: complex, d: complex) -> complex:
-        return fixed_points(u, d)[index].w
-
-    return pick
-
-
 def tail_ratio(J: JacobiOperator, n: int,
                sheet: SheetSelector = SheetSelector.AUTO,
                bm_rounds: int | None = None,
@@ -228,10 +214,11 @@ def tail_ratio(J: JacobiOperator, n: int,
     Raises
     ------
     NotConverged
-        If two successive modified approximants never agree to tol.
+        If two successive modified approximants never agree to tol,
+        with ``terms_used`` and ``last_delta`` of the last depth tried.
     SingularRatio
         If the ratio magnitude blows up (leading Green's element at or
-        near a zero).
+        near a zero), or a finite fraction ends on a pole approximant.
     ZeroOffdiagonal, DegenerateTransform
         Propagated from coefficient generation and acceleration.
     """
@@ -242,14 +229,26 @@ def tail_ratio(J: JacobiOperator, n: int,
     cf = ContinuedFraction(0.0 + 0.0j, lambda j: gen(n + j - 1))
 
     if sheet is SheetSelector.ZERO_TAIL:
-        pick = None
         rounds_plan: tuple[int, ...] = (0,)
+
+        def tail_of(pair):
+            return 0.0j
     else:
         if J.limit_coeffs is None:
             raise ValueError(
                 "operator has no limit coefficients; fixed-point tails "
                 "are unavailable (use sheet=ZERO_TAIL)")
-        pick = _tail_picker(sheet)
+        # Physical tracks the attractive branch (ties resolved toward
+        # nonnegative imaginary part, the limit from above the cut);
+        # unphysical tracks the repulsive branch, which analytically
+        # continues the function through the cut.
+        branch = 0 if sheet is SheetSelector.PHYSICAL else 1
+
+        def tail_of(pair):
+            # the tail discarded after term m starts at coefficient m+1;
+            # past the end of a finite fraction it is zero
+            return 0.0j if pair is None else _fixed_point_pair(*pair)[branch]
+
         if bm_rounds is None:
             # isolated energies can stall both the plain fraction and a
             # particular transform depth, so the automatic policy
@@ -259,75 +258,36 @@ def tail_ratio(J: JacobiOperator, n: int,
         else:
             rounds_plan = (int(bm_rounds),)
 
-    failure: Exception | None = None
-    value = None
     for rounds in rounds_plan:
         cf_try = cf
-        if rounds and pick is not None:
-            u_lim, d_lim = J.limit_coeffs
-            w_lim = pick(u_lim, d_lim)
+        if rounds:
+            w_lim = _fixed_point_pair(*J.limit_coeffs)[branch]
             cf_try = repeated_bauer_muir(cf, w_lim, rounds)
         try:
-            value = _eval_local_tail(cf_try, tol, max_terms, pick)
+            # S_0 is the tail estimate alone, so agreement counts from S_1
+            res = _sum_forward(cf_try, tol, max_terms, tail_of, first=1)
+        except DegenerateTransform as exc:
+            failure: Exception = exc
+            continue
+        if res is None:
+            raise SingularRatio(
+                "fraction terminated on a pole approximant; the leading "
+                "Green's element vanishes")
+        if res.converged:
             break
-        except (NotConverged, DegenerateTransform) as exc:
-            failure = exc
-    if value is None:
+        failure = NotConverged(
+            f"tail ratio fraction did not converge in {max_terms} "
+            f"terms (last delta {res.last_delta:.3e})",
+            terms_used=res.terms_used, last_delta=res.last_delta)
+    else:
         raise failure
-    ratio = -value
+    ratio = -res.value
     if not (np.isfinite(ratio.real) and np.isfinite(ratio.imag)) \
             or abs(ratio) > _RATIO_LIMIT:
         raise SingularRatio(
             f"tail ratio magnitude {abs(ratio):.3e} exceeds trust limit; "
             "a leading Green's element is numerically zero")
     return ratio
-
-
-def _eval_local_tail(cf: ContinuedFraction, tol: float, max_terms: int,
-                     pick: Callable[[complex, complex], complex] | None,
-                     ) -> complex:
-    """Forward evaluation with a per-index tail refreshed from the next
-    coefficient pair; pick=None means a zero tail throughout."""
-    tables = forward_tables(cf)
-    next(tables)
-    prev: complex | None = None
-    best: complex | None = None
-    last_delta = float("inf")
-    ended_on_pole = False
-    for n, a_cur, a_prev, b_cur, b_prev in tables:
-        # the tail discarded after term n starts at coefficient n+1
-        try:
-            pair_next: tuple[complex, complex] | None = cf.coefficient(n + 1)
-        except IndexError:
-            pair_next = None
-        if pick is None or pair_next is None:
-            w = 0.0 + 0.0j
-        else:
-            w = pick(*pair_next)
-        s = modified_approximant(a_cur, a_prev, b_cur, b_prev, w)
-        if s is None:
-            # approximant pole: require two fresh finite values afterwards
-            prev = None
-            ended_on_pole = True
-        else:
-            ended_on_pole = False
-            if prev is not None:
-                last_delta = abs(s - prev)
-                if last_delta <= tol * max(1.0, abs(s)):
-                    return s
-            best = s
-            prev = s
-        if n >= max_terms:
-            raise NotConverged(
-                f"tail ratio fraction did not converge in {max_terms} "
-                f"terms (last delta {last_delta:.3e})",
-                terms_used=n, last_delta=last_delta)
-    # exact termination of a finite fraction
-    if ended_on_pole or best is None:
-        raise SingularRatio(
-            "fraction terminated on a pole approximant; the leading "
-            "Green's element vanishes")
-    return best
 
 
 def dense_truncation(J: JacobiOperator, N: int) -> np.ndarray:

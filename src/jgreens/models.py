@@ -201,6 +201,16 @@ class KleinGordon:
         return -0.5 + math.sqrt(arg)
 
 
+def _dirac_root(j: float, zalpha: float) -> float:
+    """sqrt((j+1/2)^2 - (Z alpha)^2), the Dirac angular parameter."""
+    arg = (j + 0.5) ** 2 - zalpha * zalpha
+    if arg < 0:
+        raise InvalidU(
+            f"(Z alpha)^2 = {zalpha * zalpha:.6g} exceeds "
+            f"(j+1/2)^2 = {(j + 0.5) ** 2:.6g}")
+    return math.sqrt(arg)
+
+
 @dataclass(frozen=True)
 class DiracUpper:
     """Upper-component radial Dirac label; carries the total momentum j."""
@@ -208,12 +218,7 @@ class DiracUpper:
     j: float
 
     def u_value(self, zalpha: float) -> float:
-        arg = (self.j + 0.5) ** 2 - zalpha * zalpha
-        if arg < 0:
-            raise InvalidU(
-                f"(Z alpha)^2 = {zalpha * zalpha:.6g} exceeds "
-                f"(j+1/2)^2 = {(self.j + 0.5) ** 2:.6g}")
-        return -1.0 + math.sqrt(arg)
+        return -1.0 + _dirac_root(self.j, zalpha)
 
 
 @dataclass(frozen=True)
@@ -223,12 +228,7 @@ class DiracLower:
     j: float
 
     def u_value(self, zalpha: float) -> float:
-        arg = (self.j + 0.5) ** 2 - zalpha * zalpha
-        if arg < 0:
-            raise InvalidU(
-                f"(Z alpha)^2 = {zalpha * zalpha:.6g} exceeds "
-                f"(j+1/2)^2 = {(self.j + 0.5) ** 2:.6g}")
-        return math.sqrt(arg)
+        return _dirac_root(self.j, zalpha)
 
 
 RelKind = Union[KleinGordon, DiracUpper, DiracLower]

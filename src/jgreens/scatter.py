@@ -367,14 +367,26 @@ def det_equation(p: ScatterProblem, E: complex,
     return complex(np.linalg.det(block - _cached_potential_matrix(p)))
 
 
+def _step_settled(step: float, prev: float, scale: float) -> bool:
+    """Stop rule of the determinant root polishers.
+
+    A step |dx| settles when it falls below 1e-12·scale, or when it is
+    below 1e-9·scale and no smaller than half the step before: the
+    determinant is noisy at that level, so the steps stop shrinking once
+    the root is reached to the attainable accuracy.
+    """
+    return step <= 1e-12 * scale or (
+        step <= 1e-9 * scale and step >= 0.5 * prev)
+
+
 def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
                       n_grid: int = 400) -> list[float]:
     """Real zeros of the determinant below threshold.
 
     Scans an n_grid-point energy grid, brackets sign changes of the real
     part of the determinant where its imaginary part is negligible, and
-    polishes each bracket by a bisection-safeguarded secant iteration to
-    |dE| <= 1e-12 |E|.
+    polishes each bracket by a bisection-safeguarded secant iteration
+    until the step settles (see :func:`_step_settled`, with scale |E|).
 
     Parameters
     ----------
@@ -408,15 +420,22 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
             continue
         x0, x1, f0, f1 = lo, hi, flo, fhi
         f_last = f1
+        prev = math.inf
         for _ in range(200):
+            secant = False
             if f1 == f0:
                 x2 = 0.5 * (lo + hi)
             else:
                 x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-                if not lo < x2 < hi:
+                secant = lo < x2 < hi
+                if not secant:
                     x2 = 0.5 * (lo + hi)
             f2 = f(x2)
-            if f2 == 0.0 or abs(x2 - x1) <= 1e-12 * abs(x2):
+            # bisection halves its steps by construction, so only two
+            # successive secant steps can show the noise floor
+            step = abs(x2 - x1)
+            if f2 == 0.0 or _step_settled(
+                    step, prev if secant else math.inf, abs(x2)):
                 x1, f_last = x2, f2
                 break
             if (f2 > 0) != (fhi > 0):
@@ -425,6 +444,7 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
                 hi = x2
             x0, f0, x1, f1 = x1, f1, x2, f2
             f_last = f2
+            prev = step if secant else math.inf
         # The tail ratio has poles between the true levels; bisection
         # converges onto those sign flips too.  A zero leaves |det|
         # far below the bracket endpoints, a pole far above.
@@ -440,11 +460,8 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
     The tail ratio is forced onto its unphysical continuation, where
     resonance poles live.  Damped Newton iterations (numerical
     derivative, step clipped to half the rectangle diameter) start from
-    a seed grid.  An iteration has converged when its step falls below
-    1e-12 (relative to max(1, |z|)), or when a step below 1e-9 is no
-    smaller than half the one before: the determinant and its
-    difference quotient are noisy at that level, so the steps stop
-    shrinking once the root is reached to the attainable accuracy.
+    a seed grid.  An iteration has converged when its step settles (see
+    :func:`_step_settled`, with scale max(1, |z|)).
     Seeds whose iteration raises a package error (flat determinant,
     budget of 60 steps exhausted, or a failure inside the determinant)
     are dropped silently; converged roots are deduplicated within 1e-8.
@@ -488,10 +505,7 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
                     if abs(step) > cap:
                         step *= cap / abs(step)
                     z += step
-                    scale = max(1.0, abs(z))
-                    if abs(step) <= 1e-12 * scale or (
-                            abs(step) <= 1e-9 * scale
-                            and abs(step) >= 0.5 * prev):
+                    if _step_settled(abs(step), prev, max(1.0, abs(z))):
                         break
                     prev = abs(step)
                 else:

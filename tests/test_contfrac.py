@@ -236,6 +236,13 @@ def test_repeated_bauer_muir_matches_manual_composition():
         ma, mb = manual.coefficient(i)
         assert ca == pytest.approx(ma, abs=1e-14)
         assert cb == pytest.approx(mb, abs=1e-14)
+    # a fresh chain asked from the top index down fills the same values
+    backwards = repeated_bauer_muir(cf, 0.5, 3)
+    for i in range(15, 0, -1):
+        ba, bb = backwards.coefficient(i)
+        ma, mb = manual.coefficient(i)
+        assert ba == pytest.approx(ma, abs=1e-14)
+        assert bb == pytest.approx(mb, abs=1e-14)
 
 
 def test_repeated_bauer_muir_tags_failing_round():

@@ -1,5 +1,7 @@
 """Tests for tridiagonal Green's matrices and tail ratios."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,8 +118,10 @@ def test_tail_ratio_matches_dense_oracle_complex_energy():
 
 def test_tail_ratio_zero_tail_diverges_in_continuum():
     J = perturbed_laplacian(2.0)
-    with pytest.raises(NotConverged):
+    with pytest.raises(NotConverged) as exc:
         tail_ratio(J, 1, SheetSelector.ZERO_TAIL, max_terms=3000)
+    assert exc.value.terms_used == 3000
+    assert math.isfinite(exc.value.last_delta)
 
 
 def test_tail_ratio_unphysical_is_conjugate_on_the_cut():
