@@ -34,7 +34,6 @@ __all__ = [
     "convolve_greens",
     "merkuriev_zeta",
     "split_potential",
-    "gaussian_channel_term",
 ]
 
 _CLOSURE_TOL = 1e-12
@@ -399,26 +398,3 @@ def split_potential(vC: Callable, split: MerkurievSplit
         return vC(x) * (1.0 - merkuriev_zeta(split, x, y))
 
     return v_short, v_long
-
-
-def gaussian_channel_term(strength: float, falloff: float) -> Callable:
-    """Additive Gaussian modifier -strength * exp(-falloff * y**2).
-
-    Optional channel-potential term used to push spurious attractive-tail
-    bound states out of the spectral region of interest; exposed for
-    completeness and not exercised by any solver in this package.
-
-    Parameters
-    ----------
-    strength : float
-        Prefactor Lambda of the Gaussian.
-    falloff : float
-        Positive width parameter kappa.
-    """
-    if falloff <= 0:
-        raise ValueError(f"falloff must be > 0, got {falloff}")
-
-    def term(y):
-        return -strength * np.exp(-falloff * np.square(y))
-
-    return term

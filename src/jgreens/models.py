@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-import scipy.optimize
 
 from .errors import InvalidU, JGreensError, NoConvergence, ZeroOffdiagonal
 from .jacobi import JacobiOperator, SheetSelector, corrected_truncation
-from .special import genlaguerre_table, hyp2f1
+from .special import _laguerre_functions, hyp2f1
 
 __all__ = [
     "CoulombModel",
@@ -690,13 +689,6 @@ def charge_density(model: GenCoulombModel, r: float, *, m: float = 1.0,
 # basis functions and bound-state wave functions
 
 
-def _log_scaled(ln_mag: float, poly: float) -> float:
-    # exp(ln_mag) * poly without intermediate under/overflow
-    if poly == 0.0:
-        return 0.0
-    return math.copysign(math.exp(ln_mag + math.log(abs(poly))), poly)
-
-
 def cs_basis_eval(n: int, l: int, D: int, b: float,
                   r: float) -> tuple[float, float]:
     """Laguerre-type basis function of the Coulomb family and its partner.
@@ -726,17 +718,14 @@ def cs_basis_eval(n: int, l: int, D: int, b: float,
         raise ValueError(f"radius must be >= 0, got {r}")
     p = l + (D - 1) / 2.0
     alpha = 2 * l + D - 2
-    ln_norm = 0.5 * (math.lgamma(n + 1) - math.lgamma(n + 2 * l + D - 1))
     if r == 0.0:
         if p > 1.0:
             return 0.0, 0.0
-        lag0 = float(genlaguerre_table(n, float(alpha), 0.0)[n])
         if p == 1.0:
-            return 0.0, _log_scaled(ln_norm, lag0) * 2.0 * b
+            lag0 = _laguerre_functions(n, alpha, 0.0, 0.0)[n]
+            return 0.0, float(lag0) * 2.0 * b
         return 0.0, math.inf
-    x = 2.0 * b * r
-    lag = float(genlaguerre_table(n, float(alpha), x)[n])
-    phi = _log_scaled(ln_norm - b * r + p * math.log(x), lag)
+    phi = float(_laguerre_functions(n, alpha, 2.0 * b * r, p)[n])
     return phi, phi / r
 
 
@@ -768,17 +757,14 @@ def gcs_basis_eval(model: GenCoulombModel, n: int,
         raise ValueError(f"radius must be >= 0, got {r}")
     rho, beta, theta = model.rho_basis, model.beta, model.theta
     h = gencoulomb_h_of_r(model, r)
-    sqc = math.sqrt(model.C)
     if h == 0.0:
         if theta > 0 or 2.0 * beta > 5.0:
             return 0.0, 0.0
         return 0.0, math.inf
-    ln_norm = 0.5 * (math.lgamma(n + 1) - math.lgamma(n + beta))
-    ln_mag = (ln_norm + 0.25 * math.log(rho * (h + theta))
-              + 0.25 * (2.0 * beta - 1.0) * math.log(rho * h) - 0.5 * rho * h)
-    lag = float(genlaguerre_table(n, beta - 1.0, rho * h)[n])
-    phi = _log_scaled(ln_mag, lag)
-    return phi, phi * sqc / (h + theta)
+    lag = _laguerre_functions(n, beta - 1.0, rho * h,
+                              0.25 * (2.0 * beta - 1.0))
+    phi = (rho * (h + theta)) ** 0.25 * float(lag[n])
+    return phi, phi * math.sqrt(model.C) / (h + theta)
 
 
 def rel_basis_eval(model: RelCoulombModel, n: int,
@@ -807,17 +793,15 @@ def rel_basis_eval(model: RelCoulombModel, n: int,
         raise ValueError(f"radius must be >= 0, got {r}")
     u = model.u
     eta = model.eta_basis
-    ln_norm = 0.5 * (math.lgamma(n + 1) - math.lgamma(n + 2.0 * u + 2.0))
+    alpha = 2.0 * u + 1.0
     if r == 0.0:
         if u > 0:
             return 0.0, 0.0
-        lag0 = float(genlaguerre_table(n, 2.0 * u + 1.0, 0.0)[n])
         if u == 0:
-            return 0.0, _log_scaled(ln_norm, lag0) * 2.0 * eta
+            lag0 = _laguerre_functions(n, alpha, 0.0, 0.0)[n]
+            return 0.0, float(lag0) * 2.0 * eta
         return 0.0, math.inf
-    x = 2.0 * eta * r
-    lag = float(genlaguerre_table(n, 2.0 * u + 1.0, x)[n])
-    phi = _log_scaled(ln_norm + (u + 1.0) * math.log(x) - eta * r, lag)
+    phi = float(_laguerre_functions(n, alpha, 2.0 * eta * r, u + 1.0)[n])
     return phi, phi / r
 
 
@@ -848,16 +832,13 @@ def coulomb_wavefunction(model: CoulombModel, n: int, r: float) -> float:
     if model.Z * model.e2 >= 0:
         raise ValueError("bound states require Z*e2 < 0")
     r0 = model.hbar**2 / (2.0 * model.m * abs(model.Z) * model.e2)
-    a0 = 1.0 / ((n + model.l + (model.D - 1) / 2.0) * r0)
     p = model.l + (model.D - 1) / 2.0
-    alpha = 2 * model.l + model.D - 2
-    ln_norm = (math.log(a0) + 0.5 * (math.log(r0) + math.lgamma(n + 1)
-               - math.log(2.0) - math.lgamma(n + 2 * model.l + model.D - 1)))
+    a0 = 1.0 / ((n + p) * r0)
     x = a0 * r
     if x == 0.0:
         return 0.0
-    lag = float(genlaguerre_table(n, float(alpha), x)[n])
-    return _log_scaled(ln_norm - 0.5 * x + p * math.log(x), lag)
+    lag = _laguerre_functions(n, 2 * model.l + model.D - 2, x, p)
+    return a0 * math.sqrt(0.5 * r0) * float(lag[n])
 
 
 def oscillator_wavefunction(model: OscillatorModel, n: int, r: float,
@@ -890,19 +871,85 @@ def oscillator_wavefunction(model: OscillatorModel, n: int, r: float,
     if freq <= 0:
         raise ValueError(f"frequency must be > 0, got {freq}")
     v = model.m * freq / model.hbar
-    alpha = model.l + model.D / 2.0 - 1.0
-    ln_norm = 0.25 * math.log(v) + 0.5 * (math.log(2.0) + math.lgamma(n + 1)
-                                          - math.lgamma(n + alpha + 1.0))
     x = v * r * r
     if x == 0.0:
         return 0.0
-    p = 0.5 * model.l + (model.D - 1) / 4.0
-    lag = float(genlaguerre_table(n, alpha, x)[n])
-    return _log_scaled(ln_norm - 0.5 * x + p * math.log(x), lag)
+    lag = _laguerre_functions(n, model.l + model.D / 2.0 - 1.0, x,
+                              0.5 * model.l + (model.D - 1) / 4.0)
+    return v ** 0.25 * math.sqrt(2.0) * float(lag[n])
 
 
 # ---------------------------------------------------------------------------
-# pole search
+# real-axis zeros and pole search
+
+
+def _step_settled(step: float, prev: float, scale: float) -> bool:
+    """Stop rule of the determinant root polishers.
+
+    A step |dx| settles when it falls below 1e-12·scale, or when it is
+    below 1e-9·scale and no smaller than half the step before: the
+    determinant is noisy at that level, so the steps stop shrinking once
+    the root is reached to the attainable accuracy.
+    """
+    return step <= 1e-12 * scale or (
+        step <= 1e-9 * scale and step >= 0.5 * prev)
+
+
+def _real_zeros(scan: Callable[[float], float], f: Callable[[float], float],
+                x_min: float, x_max: float, n_points: int) -> list[float]:
+    """Real zeros of a determinant-like f from a grid scan of [x_min, x_max].
+
+    ``scan`` gives the grid values, NaN where f is unusable; only sign
+    changes between two finite neighbours are bracketed.  Each bracket
+    is polished with ``f`` by a bisection-safeguarded secant iteration
+    until the step settles (:func:`_step_settled`, scale |x|).  Poles of
+    a corner term flip the sign too, but leave |f| large: a polished
+    value above 1e-3 of the smaller endpoint magnitude is rejected.  A
+    grid value of exactly zero is a root.  Roots within
+    1e-9·max(1, |x|) of the one below are merged.
+
+    Returns
+    -------
+    list of float
+        The zeros, ascending.
+    """
+    grid = [float(x) for x in np.linspace(x_min, x_max, n_points)]
+    values = [scan(x) for x in grid]
+    roots = [x for x, v in zip(grid, values) if v == 0.0]
+    for lo, hi, flo, fhi in zip(grid, grid[1:], values, values[1:]):
+        if not (math.isfinite(flo) and math.isfinite(fhi)) or flo * fhi >= 0.0:
+            continue
+        x0, x1, f0, f1 = lo, hi, flo, fhi
+        prev = math.inf
+        for _ in range(200):
+            secant = False
+            if f1 == f0:
+                x2 = 0.5 * (lo + hi)
+            else:
+                x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+                secant = lo < x2 < hi
+                if not secant:
+                    x2 = 0.5 * (lo + hi)
+            f2 = f(x2)
+            # bisection halves its steps by construction, so only two
+            # successive secant steps can show the noise floor
+            step = abs(x2 - x1)
+            x0, f0, x1, f1 = x1, f1, x2, f2
+            if f2 == 0.0 or _step_settled(
+                    step, prev if secant else math.inf, abs(x2)):
+                break
+            if (f2 > 0) != (fhi > 0):
+                lo = x2
+            else:
+                hi = x2
+            prev = step if secant else math.inf
+        if abs(f1) <= 1e-3 * min(abs(flo), abs(fhi)):
+            roots.append(x1)
+    merged: list[float] = []
+    for root in sorted(roots):
+        if not merged or root - merged[-1] > 1e-9 * max(1.0, abs(root)):
+            merged.append(root)
+    return merged
 
 
 def det_pole_scan(family: Callable[[float], JacobiOperator],
@@ -915,17 +962,24 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     """Real poles of a family's Green's function inside an interval.
 
     Scans the determinant of the corner-corrected truncation on an
-    n_points grid, brackets its sign changes and polishes each with a
-    bracketed root solve.  The corrected determinant vanishes exactly at
-    the poles, so the located roots do not depend on ``size``;
-    determinants are evaluated through their sign and log magnitude so
-    large entries cannot overflow.  Sign changes caused by poles of the
-    corner term itself (where the determinant diverges instead of
-    vanishing) are rejected by comparing the polished value against the
-    bracket endpoints.  Intended for bound-region scans where the
-    operator entries are real; grid points where the evaluation fails
-    are skipped, and a degenerate-representation energy inside the
-    interval is nudged by one part in 1e13.
+    n_points grid and brackets its sign changes.  The corrected
+    determinant vanishes exactly at the poles, so the located roots do
+    not depend on ``size``; determinants are evaluated through their
+    sign and log magnitude (clamped at e^600) so large entries cannot
+    overflow.  Grid points where the evaluation raises a package error
+    are skipped, and a degenerate-representation energy is nudged by
+    one part in 1e13.  Intended for bound-region scans where the
+    operator entries are real.
+
+    The zeros come from the real-axis finder that
+    :func:`jgreens.scatter.find_bound_states` also uses: each bracket is
+    polished by a bisection-safeguarded secant iteration until the step
+    settles at the determinant's noise floor (relative to |E|).  Sign
+    changes caused by poles of the corner term itself, where the
+    determinant diverges instead of vanishing, are rejected by comparing
+    the polished value against the bracket endpoints.  A grid energy
+    where the determinant is exactly zero is a pole, and poles closer
+    than 1e-9·max(1, |E|) are merged into one.
 
     Parameters
     ----------
@@ -962,34 +1016,10 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
             return float(sign.real) * math.exp(min(logabs, 600.0))
         raise ZeroOffdiagonal(0, "degenerate energy persists after nudge")
 
-    grid = np.linspace(e_min, e_max, n_points)
-    values = np.full(n_points, np.nan)
-    for idx, energy in enumerate(grid):
+    def scanned(energy: float) -> float:
         try:
-            values[idx] = det_at(energy)
+            return det_at(energy)
         except JGreensError:
-            continue
+            return math.nan
 
-    roots: list[float] = []
-    for idx in range(n_points - 1):
-        lo_val, hi_val = values[idx], values[idx + 1]
-        if not (np.isfinite(lo_val) and np.isfinite(hi_val)):
-            continue
-        if lo_val == 0.0:
-            roots.append(float(grid[idx]))
-            continue
-        if lo_val * hi_val >= 0.0:
-            continue
-        root = scipy.optimize.brentq(det_at, grid[idx], grid[idx + 1],
-                                     xtol=1e-15, rtol=1e-15)
-        # a corner-term pole also flips the sign but leaves |det| large
-        if abs(det_at(root)) <= 1e-3 * min(abs(lo_val), abs(hi_val)):
-            roots.append(float(root))
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
-
-    deduped: list[float] = []
-    for root in sorted(roots):
-        if not deduped or abs(root - deduped[-1]) > 1e-9 * max(1.0, abs(root)):
-            deduped.append(root)
-    return deduped
+    return _real_zeros(scanned, det_at, e_min, e_max, n_points)

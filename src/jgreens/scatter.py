@@ -24,10 +24,10 @@ from .errors import (CoulombWaveFailure, GridTooCoarse, JGreensError,
                      NoConvergence, QuadratureSuspect, SingularMatrix)
 from .jacobi import (GreenMatrix, SheetSelector, _checked_inverse,
                      _resolve_sheet, corrected_truncation, green_submatrix)
-from .models import CoulombModel, coulomb_jacobi, wavenumber
-from .special import (coulomb_f, coulomb_f_complex, coulomb_sigma,
-                      gauss_laguerre_scaled, gauss_legendre,
-                      genlaguerre_table)
+from .models import (CoulombModel, _real_zeros, _step_settled,
+                     coulomb_jacobi, wavenumber)
+from .special import (_laguerre_functions, coulomb_f, coulomb_f_complex,
+                      coulomb_sigma, gauss_laguerre_scaled, gauss_legendre)
 
 __all__ = [
     "ShortRangePotential", "SmoothingScheme", "ScatterProblem",
@@ -192,15 +192,8 @@ def sigma_factor(n: int, N: int, alpha: float) -> float:
 
 def _basis_rows(model: CoulombModel, n_top: int, x: np.ndarray) -> np.ndarray:
     """phi_n(x/(2b)) for n = 0..n_top at strictly positive arguments x."""
-    p = model.l + (model.D - 1) / 2.0
-    alpha = 2 * model.l + model.D - 2
-    norms = np.array([
-        math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + alpha + 1)))
-        for n in range(n_top + 1)])
-    lag = genlaguerre_table(n_top, float(alpha), x)
-    with np.errstate(under="ignore"):
-        envelope = np.exp(p * np.log(x) - 0.5 * x)
-    return norms[:, None] * lag * envelope[None, :]
+    return _laguerre_functions(n_top, 2 * model.l + model.D - 2, x,
+                               model.l + (model.D - 1) / 2.0)
 
 
 def _potential_values(v: Callable[[float], float], r: np.ndarray) -> np.ndarray:
@@ -367,26 +360,22 @@ def det_equation(p: ScatterProblem, E: complex,
     return complex(np.linalg.det(block - _cached_potential_matrix(p)))
 
 
-def _step_settled(step: float, prev: float, scale: float) -> bool:
-    """Stop rule of the determinant root polishers.
-
-    A step |dx| settles when it falls below 1e-12·scale, or when it is
-    below 1e-9·scale and no smaller than half the step before: the
-    determinant is noisy at that level, so the steps stop shrinking once
-    the root is reached to the attainable accuracy.
-    """
-    return step <= 1e-12 * scale or (
-        step <= 1e-9 * scale and step >= 0.5 * prev)
-
-
 def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
                       n_grid: int = 400) -> list[float]:
     """Real zeros of the determinant below threshold.
 
-    Scans an n_grid-point energy grid, brackets sign changes of the real
-    part of the determinant where its imaginary part is negligible, and
-    polishes each bracket by a bisection-safeguarded secant iteration
-    until the step settles (see :func:`_step_settled`, with scale |E|).
+    Scans an n_grid-point energy grid and brackets sign changes of the
+    real part of the determinant where its imaginary part is negligible
+    (at most 1e-9 of |det|).  The zeros come from the real-axis finder
+    that :func:`jgreens.models.det_pole_scan` also uses: each bracket is
+    polished by a bisection-safeguarded secant iteration until the step
+    settles at the determinant's noise floor (relative to |E|).  The
+    tail ratio has poles between the true levels, and they flip the
+    sign too; a polished |det| above 1e-3 of the smaller bracket
+    endpoint marks such a pole and is rejected.  A grid energy where the
+    determinant is exactly zero is a root, and roots closer than
+    1e-9·max(1, |E|) are merged into one.  Errors of the determinant
+    propagate.
 
     Parameters
     ----------
@@ -403,54 +392,15 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     """
     if not E_min < E_max:
         raise ValueError(f"need E_min < E_max, got [{E_min}, {E_max}]")
-    grid = np.linspace(E_min, E_max, n_grid)
-    vals = np.empty(n_grid)
-    for i, e in enumerate(grid):
+
+    def real_part(e: float) -> float:
         d = det_equation(p, complex(e))
-        vals[i] = d.real if abs(d.imag) <= 1e-9 * abs(d) else math.nan
+        return d.real if abs(d.imag) <= 1e-9 * abs(d) else math.nan
 
     def f(e: float) -> float:
         return det_equation(p, complex(e)).real
 
-    roots: list[float] = []
-    for i in range(n_grid - 1):
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo, fhi = vals[i], vals[i + 1]
-        if math.isnan(flo) or math.isnan(fhi) or flo * fhi > 0.0:
-            continue
-        x0, x1, f0, f1 = lo, hi, flo, fhi
-        f_last = f1
-        prev = math.inf
-        for _ in range(200):
-            secant = False
-            if f1 == f0:
-                x2 = 0.5 * (lo + hi)
-            else:
-                x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-                secant = lo < x2 < hi
-                if not secant:
-                    x2 = 0.5 * (lo + hi)
-            f2 = f(x2)
-            # bisection halves its steps by construction, so only two
-            # successive secant steps can show the noise floor
-            step = abs(x2 - x1)
-            if f2 == 0.0 or _step_settled(
-                    step, prev if secant else math.inf, abs(x2)):
-                x1, f_last = x2, f2
-                break
-            if (f2 > 0) != (fhi > 0):
-                lo = x2
-            else:
-                hi = x2
-            x0, f0, x1, f1 = x1, f1, x2, f2
-            f_last = f2
-            prev = step if secant else math.inf
-        # The tail ratio has poles between the true levels; bisection
-        # converges onto those sign flips too.  A zero leaves |det|
-        # far below the bracket endpoints, a pole far above.
-        if abs(f_last) < 1e-3 * min(abs(flo), abs(fhi)):
-            roots.append(x1)
-    return sorted(roots)
+    return _real_zeros(real_part, f, E_min, E_max, n_grid)
 
 
 def find_resonances(p: ScatterProblem, region: tuple[complex, complex],

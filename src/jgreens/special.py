@@ -430,6 +430,49 @@ def genlaguerre_table(n_max, alpha, x):
     return out
 
 
+def _laguerre_functions(n_top, alpha, x, p):
+    """sqrt(n!/Gamma(n+alpha+1)) x^p e^{-x/2} L_n^(alpha)(x) for n = 0..n_top.
+
+    The Laguerre-type basis functions of every model family.  Where the
+    envelope x^p e^{-x/2} is a normal double the three factors are
+    multiplied; where it underflows, norm, power and exponential are
+    summed with log|L_n| in the log domain, so a large polynomial value
+    is not lost with the envelope.  p = 0 gives the x -> 0 limit at
+    x = 0.
+
+    Parameters
+    ----------
+    n_top : int
+        Highest index.
+    alpha : float
+        Laguerre parameter, > -1.
+    x : array_like
+        Evaluation points, >= 0.
+    p : float
+        Power of x, >= 0.
+
+    Returns
+    -------
+    ndarray, shape (n_top + 1,) + x.shape
+    """
+    x = np.asarray(x, dtype=float)
+    lag = genlaguerre_table(n_top, alpha, x)
+    ln_norm = [0.5 * (math.lgamma(n + 1) - math.lgamma(n + alpha + 1))
+               for n in range(n_top + 1)]
+    column = (-1,) + (1,) * x.ndim
+    norms = np.array([math.exp(v) for v in ln_norm]).reshape(column)
+    with np.errstate(divide="ignore", under="ignore"):
+        ln_env = (p * np.log(x) if p else 0.0) - 0.5 * x
+        env = np.exp(ln_env)
+        out = norms * lag * env
+        lost = env < np.finfo(float).tiny
+        if np.any(lost):
+            ln_mag = (np.reshape(ln_norm, column) + ln_env
+                      + np.log(np.abs(lag)))
+            out = np.where(lost, np.copysign(np.exp(ln_mag), lag), out)
+    return out
+
+
 @lru_cache(maxsize=None)
 def gauss_laguerre_scaled(order):
     """Gauss-Laguerre rule with the exponential weight folded back in.

@@ -23,7 +23,6 @@ from jgreens.composite import (
     contour_projection,
     convolve_greens,
     encircle_points,
-    gaussian_channel_term,
     merkuriev_zeta,
     split_potential,
 )
@@ -357,8 +356,6 @@ def test_merkuriev_validation():
     split = MerkurievSplit(x0=1.0, y0=1.0, nu=2.5)
     with pytest.raises(ValueError):
         merkuriev_zeta(split, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        gaussian_channel_term(5.0, 0.0)
 
 
 def test_split_potential_sums_exactly():
@@ -369,10 +366,3 @@ def test_split_potential_sums_exactly():
         for y in (0.0, 2.0, 77.0):
             total = v_short(x, y) + v_long(x, y)
             assert abs(total - v(x)) <= 1e-15 * abs(v(x))
-
-
-def test_gaussian_channel_term_values():
-    term = gaussian_channel_term(5.0, 0.25)
-    assert term(0.0) == -5.0
-    assert abs(term(2.0) + 5.0 * math.exp(-1.0)) <= 1e-15
-    assert abs(term(40.0)) < 1e-100

@@ -607,6 +607,9 @@ def test_cs_basis_small_r_behaviour():
 def test_cs_basis_log_domain_stability():
     phi, _ = cs_basis_eval(40, 0, 3, 1.0, 400.0)
     assert np.isfinite(phi) and abs(phi) < 1e-100
+    # e^{-800} underflows on its own; the log-domain sum keeps the value
+    phi, _ = cs_basis_eval(40, 0, 3, 1.0, 800.0)
+    assert np.isfinite(phi) and phi != 0.0
 
 
 def test_gcs_orthonormality_by_quadrature():

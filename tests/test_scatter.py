@@ -22,7 +22,8 @@ import scipy.integrate
 from jgreens.errors import GridTooCoarse, QuadratureSuspect
 from jgreens.jacobi import SheetSelector, corrected_truncation, \
     green_submatrix
-from jgreens.models import CoulombModel, coulomb_jacobi, wavenumber
+from jgreens.models import (CoulombModel, coulomb_jacobi, det_pole_scan,
+                            wavenumber)
 from jgreens.scatter import (ScatterProblem, ShortRangePotential,
                              SmoothingScheme, _amplitude_point, _basis_rows,
                              _overlap_vector_complex, _support_radius,
@@ -386,6 +387,11 @@ def test_zero_potential_attractive_charge_recovers_coulomb_levels():
     want = sorted(-0.25 / n**2 for n in range(1, 7))
     assert len(got) == 6
     assert max(abs(g - w) for g, w in zip(got, want)) < 1e-10
+    # the pole scan of the bare Coulomb block finds the same zeros
+    scanned = det_pole_scan(lambda E: coulomb_jacobi(model, E), -0.3, -0.006,
+                            size=21)
+    assert len(scanned) == 6
+    assert max(abs(s - g) for s, g in zip(scanned, got)) <= 1e-12
 
 
 def test_det_equation_sheet_validation():
