@@ -22,7 +22,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GeometryError, NodeFailure
-from .jacobi import JacobiOperator, SheetSelector, green_submatrix
+from .jacobi import JacobiOperator, _green_blocks
+# Not called here: the node loop uses _green_blocks. The name stays bound
+# because perfbench/tracer.py wraps green_submatrix at this module, and
+# the benchmark's tests require every traced name to exist.
+from .jacobi import green_submatrix  # noqa: F401
 
 __all__ = [
     "Contour",
@@ -219,37 +223,80 @@ def encircle_points(centers: Sequence[float], radius: float,
                    encircles=(ordered[0] - radius, ordered[-1] + radius))
 
 
-def _node_sum(contour: Contour, size: int,
-              integrand: Callable[[complex], np.ndarray]) -> np.ndarray:
-    """(1/2pi i) sum_nodes w * integrand(z), summed in node order.
+def _node_sum(contour: Contour,
+              factors: Sequence[tuple[Callable[[complex], JacobiOperator],
+                                      int, Callable[[complex], complex]]],
+              ) -> np.ndarray:
+    """(1/2pi i) sum_nodes w * (G_1 kron G_2 kron ...) over the contour.
+
+    Each factor is (family, N, energy_at): its block at node z is the
+    physical-sheet Green's block of ``family(energy_at(z))``, truncated
+    to N x N. Each factor is evaluated once per contour, as one batch of
+    lanes over the nodes (``jacobi._green_blocks``); every lane gives the
+    values and errors of ``green_submatrix`` at its node. A node whose
+    factor fails skips the later factors, as a per-node loop would. The
+    terms w * (G_1 kron G_2 ...) are then added one by one in node
+    order, the order of a per-node loop, so the sum is reproducible.
 
     Raises
     ------
     NodeFailure
-        Listing every node where the integrand raised, chained from the
-        first such error.
+        Listing every node where a family or a block raised, in node
+        order, chained from the first such error (an earlier factor's
+        error before a later one's at the same node).
     """
-    acc = np.zeros((size, size), dtype=complex)
-    failed: list[complex] = []
-    first: Exception | None = None
-    for z, w in contour.nodes:
-        try:
-            value = integrand(z)
-        except Exception as exc:  # collected, re-raised as NodeFailure
-            failed.append(z)
-            if first is None:
-                first = exc
-            continue
-        acc += w * value
+    zs = [z for z, _ in contour.nodes]
+    errors: list[Exception | None] = [None] * len(zs)
+    product = np.ones((len(zs), 1, 1), dtype=complex)
+    for family, n, energy_at in factors:
+        blocks = _node_blocks(family, n, [energy_at(z) for z in zs], errors)
+        size = product.shape[1] * n
+        product = (product[:, :, None, :, None]
+                   * blocks[:, None, :, None, :]).reshape(len(zs), size, size)
+    failed = [k for k, exc in enumerate(errors) if exc is not None]
     if failed:
         raise NodeFailure("Green's matrix evaluation failed",
-                          nodes=failed) from first
+                          nodes=[zs[k] for k in failed]) from errors[failed[0]]
+    product *= np.array([w for _, w in contour.nodes])[:, None, None]
+    acc = np.zeros(product.shape[1:], dtype=complex)
+    for term in product:
+        acc += term
     return acc / (2.0j * math.pi)
+
+
+def _node_blocks(family: Callable[[complex], JacobiOperator], N: int,
+                 energies: list[complex],
+                 errors: list[Exception | None]) -> np.ndarray:
+    """(L, N, N) stack of ``green_submatrix(family(E), N, PHYSICAL)``.
+
+    Lanes whose ``errors`` entry is set are skipped; the failure of any
+    other lane, in ``family`` or in its block, is recorded there.
+    """
+    ops, lanes = [], []
+    for k, E in enumerate(energies):
+        if errors[k] is not None:
+            continue
+        try:
+            ops.append(family(E))
+        except Exception as exc:  # collected, re-raised as NodeFailure
+            errors[k] = exc
+            continue
+        lanes.append(k)
+    blocks = np.zeros((len(energies), N, N), dtype=complex)
+    blocks[lanes], lane_errors = _green_blocks(ops, N)
+    for k, exc in zip(lanes, lane_errors):
+        if exc is not None:
+            errors[k] = exc
+    return blocks
 
 
 def contour_matrix(family: Callable[[complex], JacobiOperator],
                    contour: Contour, N: int) -> np.ndarray:
     """Leading N x N block of (1/2pi i) oint G(z) dz for one family.
+
+    The Green's blocks at all nodes are evaluated as one batch (see
+    :func:`_node_sum`), each equal to ``green_submatrix(family(z), N,
+    PHYSICAL)``, and summed in node order.
 
     Parameters
     ----------
@@ -265,11 +312,16 @@ def contour_matrix(family: Callable[[complex], JacobiOperator],
     numpy.ndarray
         Complex (N, N) matrix; encloses a sum of residue projectors when
         poles are inside, the zero matrix when none are.
+
+    Raises
+    ------
+    NodeFailure
+        Listing every node where the family or its block raised, in node
+        order, chained from the first such error.
     """
     if N < 1:
         raise ValueError(f"block size N must be >= 1, got {N}")
-    return _node_sum(contour, N, lambda z: green_submatrix(
-        family(z), N, SheetSelector.PHYSICAL).entries)
+    return _node_sum(contour, [(family, N, lambda z: z)])
 
 
 def contour_projection(family: Callable[[complex], JacobiOperator],
@@ -306,7 +358,10 @@ def convolve_greens(J1: Callable[[complex], JacobiOperator],
     Evaluates (1/2pi i) sum_nodes w * (G1(E - z') kron G2(z')) with both
     truncated Green's matrices on the physical sheet; the contour must
     encircle the relevant spectrum of h2 while E - z' stays away from the
-    spectrum of h1 for every enclosed z'.
+    spectrum of h1 for every enclosed z'. Each family is evaluated once
+    per contour, as one batch over the nodes (see :func:`_node_sum`),
+    and every node's block equals ``green_submatrix`` there. The terms
+    w * (G1 kron G2) are summed one by one in node order.
 
     Parameters
     ----------
@@ -324,24 +379,20 @@ def convolve_greens(J1: Callable[[complex], JacobiOperator],
     -------
     numpy.ndarray
         Complex (N1*N2, N1*N2) matrix in the tensor-product index
-        ordering (i1*N2 + i2, j1*N2 + j2); the summation order over
-        nodes is fixed for reproducibility.
+        ordering (i1*N2 + i2, j1*N2 + j2).
 
     Raises
     ------
     NodeFailure
-        Listing every node where either factor evaluation failed.
+        Listing every node where either factor failed, in node order,
+        chained from the first failure; at one node a failure of the
+        first factor counts, and J2 is then not evaluated there.
     """
     if N1 < 1 or N2 < 1:
         raise ValueError(f"block sizes must be >= 1, got ({N1}, {N2})")
     E = complex(E)
-
-    def product(z: complex) -> np.ndarray:
-        g1 = green_submatrix(J1(E - z), N1, SheetSelector.PHYSICAL).entries
-        g2 = green_submatrix(J2(z), N2, SheetSelector.PHYSICAL).entries
-        return np.kron(g1, g2)
-
-    return _node_sum(contour, N1 * N2, product)
+    return _node_sum(contour, [(J1, N1, lambda z: E - z),
+                               (J2, N2, lambda z: z)])
 
 
 def merkuriev_zeta(split: MerkurievSplit, x, y):

@@ -26,7 +26,14 @@ from jgreens.composite import (
     merkuriev_zeta,
     split_potential,
 )
-from jgreens.errors import GeometryError, NodeFailure
+from jgreens.errors import GeometryError, NodeFailure, ZeroOffdiagonal
+from jgreens.jacobi import (
+    JacobiOperator,
+    SheetSelector,
+    _bm_depths,
+    _green_blocks,
+    green_submatrix,
+)
 from jgreens.models import (
     CoulombModel,
     OscillatorModel,
@@ -326,6 +333,75 @@ def test_convolve_greens_node_failure():
     assert info.value.__cause__ is boom
     with pytest.raises(ValueError):
         convolve_greens(fam, fam, 0.5, rings, 0, 2)
+
+    # a zero off-diagonal inside the tail at the nodes with Im z > 0: the
+    # first of them in node order breaks at J_{2,3}, the others at J_{3,4}
+    upper = [z for z, _ in rings.nodes if z.imag > 0]
+
+    def cut(z):
+        op = fam(z)
+        if z.imag <= 0:
+            return op
+        at = 2 if z == upper[0] else 3
+        return JacobiOperator(
+            op.diag, lambda i: 0.0 if i == at else op.offdiag(i),
+            op.energy, op.limit_coeffs)
+
+    for run in (lambda: convolve_greens(fam, cut, 0.5, rings, 2, 2),
+                lambda: contour_matrix(cut, rings, 2)):
+        with pytest.raises(NodeFailure) as info:
+            run()
+        assert info.value.nodes == upper
+        assert isinstance(info.value.__cause__, ZeroOffdiagonal)
+        assert info.value.__cause__.index == 2
+
+
+def _green_block_lanes(case):
+    """(operators, N) of one contour node batch; see the parity test."""
+    osc = OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3)
+    bound = CoulombModel(Z=-1.0, l=0, D=3, b=1.0)
+    free = CoulombModel(Z=0.0, l=0, D=3, b=1.0)
+    ellipse = build_contour(-0.5, 0.0, margin=0.05, n_points=96, t_max=-0.02)
+    rings = encircle_points([1.5, 3.5, 5.5], 0.1, 40)
+    if case == "oscillator rings":
+        return [oscillator_jacobi(osc, 7.9 - z) for z, _ in rings.nodes], 3
+    if case == "coulomb bound ellipse":
+        return [coulomb_jacobi(bound, z) for z, _ in ellipse.nodes], 4
+    if case == "coulomb free ellipse":
+        return [coulomb_jacobi(free, -1.3 - z) for z, _ in ellipse.nodes], 4
+    if case == "coulomb crossing Re z = 0":
+        crossing = build_contour(-0.6, 0.0, margin=0.05, n_points=64,
+                                 t_max=0.6)
+        return [coulomb_jacobi(bound, z) for z, _ in crossing.nodes], 4
+    equal = OscillatorModel(omega=1.0, omega_basis=1.0, l=0, D=3)
+    return [oscillator_jacobi(equal, z) for z, _ in rings.nodes], 3
+
+
+@pytest.mark.parametrize("case", [
+    "oscillator rings", "coulomb bound ellipse", "coulomb free ellipse",
+    "coulomb crossing Re z = 0", "equal frequencies"])
+def test_green_blocks_match_green_submatrix(case):
+    ops, N = _green_block_lanes(case)
+    depths = {_bm_depths(op.energy)[0] for op in ops}
+    expected_depths = {"oscillator rings": {8},
+                       "coulomb bound ellipse": {0},
+                       "coulomb free ellipse": {0},
+                       "coulomb crossing Re z = 0": {0, 8}}
+    if case == "equal frequencies":
+        assert all(op.limit_coeffs is None for op in ops)
+    else:
+        assert depths == expected_depths[case]
+    blocks, errors = _green_blocks(ops, N)
+    assert blocks.shape == (len(ops), N, N)
+    for op, block, error in zip(ops, blocks, errors):
+        try:
+            scalar = green_submatrix(op, N, SheetSelector.PHYSICAL).entries
+        except Exception as exc:
+            assert type(error) is type(exc) and str(error) == str(exc)
+            continue
+        assert error is None
+        scale = np.max(np.abs(scalar))
+        assert np.max(np.abs(block - scalar)) <= 1e-13 * scale
 
 
 def test_merkuriev_zeta_values_and_limits():

@@ -285,6 +285,13 @@ def test_truncated_inverse_random_tridiagonals_against_dense():
 def test_truncated_inverse_singular_matrix_detected():
     with pytest.raises(SingularMatrix):
         truncated_inverse([1.0, 1.0], [1.0], 0.0, 0.0)
+    # a non-finite entry is screened before the condition estimate, whose
+    # SVD would otherwise fail with numpy's LinAlgError
+    nan_corner = JacobiOperator(
+        diag=lambda i: math.nan if i == 0 else 2.5, offdiag=lambda i: -1.0,
+        energy=0.5, limit_coeffs=(-1.0, 2.5))
+    with pytest.raises(SingularMatrix):
+        green_submatrix(nan_corner, 3, SheetSelector.PHYSICAL)
 
 
 def test_green_matrix_records_context():
