@@ -18,16 +18,18 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf, erfc
+from scipy.special import erf, erfc, loggamma
 
-from .errors import (CoulombWaveFailure, GridTooCoarse, JGreensError,
-                     NoConvergence, QuadratureSuspect, SingularMatrix)
+from .errors import (GridTooCoarse, JGreensError, NoConvergence,
+                     QuadratureSuspect, SingularMatrix)
 from .jacobi import (GreenMatrix, SheetSelector, _checked_inverse,
                      _resolve_sheet, corrected_truncation, green_submatrix)
 from .models import (CoulombModel, _real_zeros, _step_settled,
                      coulomb_jacobi, wavenumber)
-from .special import (_laguerre_functions, coulomb_f, coulomb_f_complex,
-                      coulomb_sigma, gauss_laguerre_scaled, gauss_legendre)
+from .special import (_laguerre_functions, coulomb_sigma,
+                      gauss_laguerre_scaled)
+# Uncalled; kept bound because perfbench/tracer.py wraps them at this module.
+from .special import coulomb_f, coulomb_f_complex  # noqa: F401
 
 __all__ = [
     "ShortRangePotential", "SmoothingScheme", "ScatterProblem",
@@ -40,8 +42,6 @@ __all__ = [
 # Radius at which the heuristic decay check samples the potential.
 _DECAY_R1 = 100.0
 _DECAY_R2 = 200.0
-# Basis weight e^{-br} drops below 1e-16 beyond R = _LOG_WEIGHT_CUT / b.
-_LOG_WEIGHT_CUT = -math.log(1e-16)
 # Unwrapped consecutive phases must differ by less than pi/2; jumps within
 # this margin of the half-period are ambiguous between branches.
 _PHASE_JUMP_LIMIT = math.pi / 2.0 - 1e-6
@@ -149,7 +149,9 @@ class PhaseShiftPoint:
     """Phase shift, Coulomb phase and amplitude at one energy.
 
     delta is the continuity-tracked phase in radians (not reduced mod
-    pi); amplitude is a_l = (1/k) e^{i(2 eta + delta)} sin(delta), so
+    pi); eta is the Coulomb phase arg Gamma(lam + 1 + i gamma) at
+    lam = l + (D-3)/2 and Sommerfeld parameter gamma; amplitude is
+    a_l = (1/k) e^{i(2 eta + delta)} sin(delta), so
     |1 + 2ik a_l e^{-2i eta}| = 1 for a real potential.
     """
 
@@ -308,15 +310,17 @@ def _inverse_green_block(p: ScatterProblem, E: complex,
 
     On the physical and zero-tail branches this is the corner-corrected
     truncation.  The unphysical branch is built from the physical one by
-    the rank-one spectral jump G^II = G^I - (4im/hbar^2 k) Phi Phi^T
-    with Phi the free overlaps at complex energy and k the principal
-    wavenumber, inverted in closed form:
+    the rank-one spectral jump G^II = G^I - (4im/hbar^2 k) Phi Phi^T,
+    inverted in closed form:
 
         (G^II)^{-1} = T + c (T Phi)(T Phi)^T / (1 - c Phi^T T Phi),
 
-    where T = (G^I)^{-1}.  The corner-corrected tail continues the
-    corner ratio only within a strip below the cut; the jump form is
-    exact at any depth, and no extra matrix inversion appears.
+    where T = (G^I)^{-1} and k is the principal wavenumber.  Phi is
+    :func:`free_overlap` at the same complex E: the regular solution of
+    the recurrence of J = E - H, on the same branch of k.  The
+    corner-corrected tail continues the corner ratio only within a strip
+    below the cut; the jump form is exact at any depth, and no extra
+    matrix inversion appears.
     """
     energy = complex(E)
     resolved = _resolve_sheet(sheet, energy)
@@ -324,7 +328,7 @@ def _inverse_green_block(p: ScatterProblem, E: complex,
     if resolved is not SheetSelector.UNPHYSICAL:
         return corrected_truncation(op, p.N + 1, resolved), resolved
     block = corrected_truncation(op, p.N + 1, SheetSelector.PHYSICAL)
-    phi = _overlap_vector_complex(p.model, energy, p.N)
+    phi = free_overlap(p.model, energy, p.N)
     k = wavenumber(p.model, energy)
     c = 4j * p.model.m / (p.model.hbar**2 * k)
     y = block @ phi
@@ -473,77 +477,68 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
 # scattering solution, overlaps and phase shifts
 
 
-def _support_radius(model: CoulombModel, N: int) -> float:
-    """Radius beyond which every basis row is below 1e-15 of its peak.
-
-    The Laguerre oscillation region ends at x = 4(N+1) + 2(2l+1) + 2;
-    the envelope then decays on the scale (4(N+1))^{1/3}, dropping below
-    1e-15 within 30 such units for all l, N checked.
-    """
-    x_cut = (4.0 * (N + 1) + 2.0 * (2 * model.l + 1) + 2.0
-             + 30.0 * (4.0 * (N + 1)) ** (1.0 / 3.0))
-    return max(_LOG_WEIGHT_CUT, 0.5 * x_cut) / model.b
-
-
-def _overlap_grid(model: CoulombModel, N: int, k_mag: float,
-                  order: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights covering the basis support."""
-    R = _support_radius(model, N)
-    if order is None:
-        order = max(200, 2 * N + 40, int(k_mag * R) + 80)
-    nodes, weights = gauss_legendre(order)
-    return 0.5 * R * (nodes + 1.0), 0.5 * R * weights
-
-
-def free_overlap(model: CoulombModel, E: float, N: int,
-                 order: int | None = None) -> np.ndarray:
+def free_overlap(model: CoulombModel, E: complex, N: int) -> np.ndarray:
     """Overlaps Phi_n of the regular Coulomb wave with the dual basis.
 
-    Phi_n = integral of (phi_n(r)/r) F_l(gamma, kr) dr, computed by
-    Gauss-Legendre quadrature on [0, R] with R covering the full basis
-    support (all rows below 1e-15 of peak beyond R), so the truncated
-    tail is negligible.
+    Phi_n = integral of (phi_n(r)/r) F_lam(eta, kr) dr with Sommerfeld
+    parameter eta = Z e2 m / (hbar^2 k) and lam = l + (D-3)/2, the index
+    at which the D-dimensional radial problem takes the three-dimensional
+    form.  The vector is the solution of the three-term recurrence
+    (J Phi)_m = 0, m = 0..N-1, of J = E - H that row 0 picks out
+    (J-matrix method: Heller & Yamani, Phys. Rev. A 9 (1974) 1201;
+    Yamani & Fishman, J. Math. Phys. 16 (1975) 410).  Its start is the
+    Laplace transform of Kummer's M (DLMF §13.10) against the Coulomb
+    normalisation C_lam(eta) (DLMF §33.2):
+
+        Phi_0 = sqrt((2lam+1)!) C_lam(eta) sin^{lam+1}(theta) e^{eta theta},
+
+    with theta = 2 atan(k/b), taken in log form with C_lam continued as
+    2^lam e^{-pi eta/2} sqrt(Gamma(lam+1+i eta) Gamma(lam+1-i eta))
+    / (2lam+1)!.  Off the real axis the regular solution dominates the
+    recurrence, and on it both solutions oscillate, so the forward
+    recurrence is stable.
 
     Parameters
     ----------
     model : CoulombModel
-        Supplies l, the basis scale b and the Coulomb strength.
-    E : float
-        Energy, > 0.
+        Supplies l, D, the basis scale b and the Coulomb strength.
+    E : complex
+        Energy; real and > 0, or complex, where the wavenumber and the
+        Sommerfeld parameter take the principal branch.
     N : int
         Highest basis index.
-    order : int, optional
-        Quadrature order; the default grows with N and kR.
 
     Returns
     -------
     ndarray
-        (N+1,) real vector of overlaps.
+        (N+1,) vector of overlaps, real for real E.
 
     Raises
     ------
-    CoulombWaveFailure
-        For extreme Sommerfeld parameters (propagated).
+    ValueError
+        For real E <= 0.
     """
-    if E <= 0:
+    energy = complex(E)
+    if energy.imag == 0.0 and energy.real <= 0.0:
         raise ValueError(f"continuum energy must be > 0, got {E}")
-    k = wavenumber(model, E).real
-    gamma = model.Z * model.e2 * model.m / (model.hbar**2 * k)
-    r, w = _overlap_grid(model, N, k, order)
-    dual = _basis_rows(model, N, 2.0 * model.b * r) / r[None, :]
-    fvals = np.array([coulomb_f(model.l, gamma, k * ri) for ri in r])
-    return dual @ (w * fvals)
-
-
-def _overlap_vector_complex(model: CoulombModel, E: complex, N: int,
-                            order: int | None = None) -> np.ndarray:
-    """Free overlaps continued to complex energy (principal wavenumber)."""
-    k = wavenumber(model, E)
-    gamma = model.Z * model.e2 * model.m / (model.hbar**2 * k)
-    r, w = _overlap_grid(model, N, abs(k), order)
-    dual = _basis_rows(model, N, 2.0 * model.b * r) / r[None, :]
-    fvals = coulomb_f_complex(model.l, gamma, k * r)
-    return dual @ (w * fvals)
+    lam = model.l + (model.D - 3) / 2.0
+    b = model.b
+    k = wavenumber(model, energy)
+    eta = model.Z * model.e2 * model.m / (model.hbar**2 * k)
+    log_phi0 = (lam * math.log(2.0) - 0.5 * math.pi * eta
+                + 0.5 * (loggamma(lam + 1 + 1j * eta)
+                         + loggamma(lam + 1 - 1j * eta)
+                         - loggamma(2 * lam + 2))
+                + (lam + 1) * cmath.log(2.0 * b * k / (b * b + k * k))
+                + 2.0 * eta * cmath.atan(k / b))
+    op = coulomb_jacobi(model, energy)
+    phi = np.empty(N + 1, dtype=complex)
+    phi[0] = cmath.exp(log_phi0)
+    below = 0.0
+    for m in range(N):
+        phi[m + 1] = -(op.diag(m) * phi[m] + below) / op.offdiag(m)
+        below = op.offdiag(m) * phi[m]
+    return phi.real if energy.imag == 0.0 else phi
 
 
 def scatter_solve(p: ScatterProblem, E: float) -> tuple[np.ndarray, complex]:
@@ -588,7 +583,7 @@ def _amplitude_point(p: ScatterProblem, E: float) -> tuple[float, float,
     m, hbar = p.model.m, p.model.hbar
     k = wavenumber(p.model, E).real
     gamma = p.model.Z * p.model.e2 * m / (hbar**2 * k)
-    eta = coulomb_sigma(p.model.l, gamma)
+    eta = coulomb_sigma(p.model.l + (p.model.D - 3) / 2.0, gamma)
     a_l = -(2.0 * m / (hbar**2 * k * k)) * cmath.exp(2j * eta) * amp
     s_short = 1.0 + 2j * k * a_l * cmath.exp(-2j * eta)
     return cmath.phase(s_short) / 2.0, eta, a_l

@@ -1,13 +1,14 @@
 """Cross-checks for short-range scattering on the Coulomb Green's matrix.
 
 Determinant zeros are validated against the exact two-body Coulomb
-levels (V = 0 with an attractive charge), quadrature overlaps against a
-closed elementary form and against brute-force integration on a doubled
-domain, the second-sheet Green's element against a high-precision
-hypergeometric reference evaluated with mpmath, and potential matrix
-elements against adaptive quadrature.  The alpha-alpha level, resonance
-and phase-shift values are frozen ten-digit targets with the
-convergence pattern over the truncation sequence asserted alongside.
+levels (V = 0 with an attractive charge), free overlaps against a
+closed elementary form and against an mpmath quadrature of the Coulomb
+wave at real and complex energy, the second-sheet Green's element
+against a high-precision hypergeometric reference evaluated with
+mpmath, and potential matrix elements against adaptive quadrature.  The
+alpha-alpha level, resonance and phase-shift values are frozen ten-digit
+targets with the convergence pattern over the truncation sequence
+asserted alongside.
 """
 
 import cmath
@@ -26,12 +27,10 @@ from jgreens.models import (CoulombModel, coulomb_jacobi, det_pole_scan,
                             wavenumber)
 from jgreens.scatter import (ScatterProblem, ShortRangePotential,
                              SmoothingScheme, _amplitude_point, _basis_rows,
-                             _overlap_vector_complex, _support_radius,
                              alpha_alpha_potential, det_equation,
                              find_bound_states, find_resonances,
                              free_overlap, phase_shift, potential_matrix,
                              scatter_solve, sigma_factor, total_green)
-from jgreens.special import coulomb_f, gauss_legendre
 
 mpmath.mp.dps = 30
 
@@ -334,23 +333,63 @@ def test_free_overlap_matches_elementary_form():
         assert np.max(np.abs(phi - want)) <= 1e-11
 
 
-def test_free_overlap_converged_in_radius_and_order():
-    model = charged(2)
-    E = 30.0
-    phi = free_overlap(model, E, 40)
-    again = free_overlap(model, E, 40, order=1400)
-    assert np.max(np.abs(phi - again)) <= 1e-9
-    # brute force on a doubled radius at high order
-    k = wavenumber(model, E).real
-    gamma = model.Z * model.e2 * model.m / (model.hbar**2 * k)
-    radius = 2.0 * _support_radius(model, 40)
-    nodes, weights = gauss_legendre(2000)
+def _mp_overlap(model, E, N, order=400):
+    """Phi_n = integral of (phi_n(r)/r) F_lam(eta, kr) dr, n = 0..N, by
+    Gauss-Legendre on [0, R] with mpmath's Coulomb wave at lam = l+(D-3)/2."""
+    lam = model.l + (model.D - 3) / 2.0
+    k = complex(wavenumber(model, complex(E)))
+    eta = model.Z * model.e2 * model.m / (model.hbar**2 * k)
+    # past the last Laguerre turning point 4(N+1), where the rows decay
+    radius = (4.0 * (N + 1) + 4.0 * lam + 4.0
+              + 30.0 * (4.0 * (N + 1)) ** (1.0 / 3.0)) / (2.0 * model.b)
+    edge = _basis_rows(model, N, np.array([2.0 * model.b * radius]))
+    assert np.max(np.abs(edge)) <= 1e-16
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     r = 0.5 * radius * (nodes + 1.0)
-    w = 0.5 * radius * weights
-    dual = _basis_rows(model, 40, 2.0 * model.b * r) / r[None, :]
-    f = np.array([coulomb_f(model.l, gamma, k * ri) for ri in r])
-    brute = dual @ (w * f)
-    assert np.max(np.abs(phi - brute)) <= 1e-9
+    dual = _basis_rows(model, N, 2.0 * model.b * r) / r[None, :]
+    f = np.array([complex(mpmath.coulombf(lam, eta, k * ri)) for ri in r])
+    if complex(E).imag == 0.0:
+        f = f.real
+    return dual @ (0.5 * radius * weights * f)
+
+
+def test_free_overlap_matches_mpmath_quadrature():
+    model = charged(2)
+    phi = free_overlap(model, 30.0, 40)
+    assert np.max(np.abs(phi - _mp_overlap(model, 30.0, 40))) <= 1e-9
+    # continued below the axis: the l = 0 resonance and a deeper energy
+    for E in (complex(E_RES, -HW), 0.5 - 0.01j):
+        phi = free_overlap(charged(0), E, 40)
+        want = _mp_overlap(charged(0), E, 40)
+        assert np.max(np.abs(phi - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_free_overlap_extreme_sommerfeld_parameter():
+    # alpha-alpha l = 0 at E = 0.0015 MeV has eta = 23.1
+    model = charged(0)
+    k = wavenumber(model, 0.0015).real
+    assert model.Z * model.e2 * model.m / (model.hbar**2 * k) > 23.0
+    phi = free_overlap(model, 0.0015, 40)
+    want = _mp_overlap(model, 0.0015, 40, order=300)
+    for n in (0, 20, 40):
+        assert abs(phi[n] - want[n]) <= 1e-12 * abs(want[n])
+
+
+def test_free_overlap_general_dimension():
+    # in D dimensions the regular wave is F_lam with lam = l + (D-3)/2
+    E, N = 1.0, 20
+    for D in (2, 3, 4):
+        for l in (0, 1):
+            model = CoulombModel(Z=4, l=l, D=D, b=4.0, m=MASS, e2=1.44)
+            phi = free_overlap(model, E, N)
+            op = coulomb_jacobi(model, complex(E))
+            for m in range(N):
+                terms = [op.diag(m) * phi[m], op.offdiag(m) * phi[m + 1]]
+                if m > 0:
+                    terms.append(op.offdiag(m - 1) * phi[m - 1])
+                assert abs(sum(terms)) <= 1e-12 * max(map(abs, terms))
+            want = _mp_overlap(model, E, N, order=300)
+            assert np.max(np.abs(phi - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_free_overlap_envelope_decays():
@@ -372,7 +411,7 @@ def test_complex_overlap_continuous_at_axis():
     model = charged(2)
     for E in (3.0, 12.0):
         a = free_overlap(model, E, 40)
-        b = _overlap_vector_complex(model, complex(E, -1e-10), 40)
+        b = free_overlap(model, complex(E, -1e-10), 40)
         assert np.max(np.abs(a - b)) <= 1e-9
 
 
@@ -591,11 +630,21 @@ def test_short_range_s_matrix_unitary():
     cases += [(charged_problem(25, 0, alpha=5.2),
                float(0.05 * (200.0 / 0.05) ** u))
               for u in rng.random(3)]
+    # in D = 2 and 4 the regular wave and the Coulomb phase take
+    # lam = l + (D-3)/2
+    cases += [(ScatterProblem(CoulombModel(Z=4, l=0, D=D, b=4.0, m=MASS,
+                                           e2=1.44), SHORT_AA, 25,
+                              smoothing=SmoothingScheme(alpha=5.2)), E)
+              for D in (2, 4) for E in (0.5, 5.0)]
     for p, E in cases:
         raw, eta, a = _amplitude_point(p, E)
         k = wavenumber(p.model, E).real
         s = 1.0 + 2j * k * a * cmath.exp(-2j * eta)
         assert abs(abs(s) - 1.0) <= 1e-8
+        gamma = p.model.Z * p.model.e2 * p.model.m / (p.model.hbar**2 * k)
+        lam = p.model.l + (p.model.D - 3) / 2.0
+        g = complex(mpmath.gamma(lam + 1 + 1j * gamma))
+        assert abs(cmath.exp(1j * eta) - g / abs(g)) <= 1e-12
 
 
 def test_weak_attractive_potential_has_positive_phase():
