@@ -249,7 +249,8 @@ def _node_sum(contour: Contour,
     errors: list[Exception | None] = [None] * len(zs)
     product = np.ones((len(zs), 1, 1), dtype=complex)
     for family, n, energy_at in factors:
-        blocks = _node_blocks(family, n, [energy_at(z) for z in zs], errors)
+        blocks, _ = _green_blocks(family, [energy_at(z) for z in zs], n,
+                                  errors)
         size = product.shape[1] * n
         product = (product[:, :, None, :, None]
                    * blocks[:, None, :, None, :]).reshape(len(zs), size, size)
@@ -262,32 +263,6 @@ def _node_sum(contour: Contour,
     for term in product:
         acc += term
     return acc / (2.0j * math.pi)
-
-
-def _node_blocks(family: Callable[[complex], JacobiOperator], N: int,
-                 energies: list[complex],
-                 errors: list[Exception | None]) -> np.ndarray:
-    """(L, N, N) stack of ``green_submatrix(family(E), N, PHYSICAL)``.
-
-    Lanes whose ``errors`` entry is set are skipped; the failure of any
-    other lane, in ``family`` or in its block, is recorded there.
-    """
-    ops, lanes = [], []
-    for k, E in enumerate(energies):
-        if errors[k] is not None:
-            continue
-        try:
-            ops.append(family(E))
-        except Exception as exc:  # collected, re-raised as NodeFailure
-            errors[k] = exc
-            continue
-        lanes.append(k)
-    blocks = np.zeros((len(energies), N, N), dtype=complex)
-    blocks[lanes], lane_errors = _green_blocks(ops, N)
-    for k, exc in zip(lanes, lane_errors):
-        if exc is not None:
-            errors[k] = exc
-    return blocks
 
 
 def contour_matrix(family: Callable[[complex], JacobiOperator],

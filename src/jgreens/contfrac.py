@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     DegenerateTransform,
     DivisionByZero,
@@ -234,88 +236,6 @@ def eval_backward(cf: ContinuedFraction, n: int,
     return complex(cf.b0) + t
 
 
-def _approximants(cf: ContinuedFraction,
-                  tail_of: Callable[[tuple[complex, complex] | None], complex],
-                  renorm_at: float, first: int = 0,
-                  ) -> Iterator[tuple[int, complex | None]]:
-    """:func:`forward_approximants` from S_first on, with a tail estimate
-    per term, w_n = tail_of((a_{n+1}, b_{n+1})), or tail_of(None) past the
-    end of a finite fraction. Each pair is fetched once, before S_n is
-    formed, and then drives step n+1.
-    """
-    a_prev, a_cur = 1.0 + 0.0j, complex(cf.b0)
-    b_prev, b_cur = 0.0 + 0.0j, 1.0 + 0.0j
-    n = 0
-    while True:
-        try:
-            pair: tuple[complex, complex] | None = cf.coefficient(n + 1)
-        except IndexError:
-            pair = None
-        if n >= first:
-            w = tail_of(pair)
-            num = a_cur + a_prev * w
-            den = b_cur + b_prev * w
-            if abs(den) <= _POLE_THRESHOLD * max(1.0, abs(num)):
-                yield n, None
-            else:
-                s = num / den
-                if _nonfinite(s):
-                    raise NumericBreakdown("non-finite approximant")
-                yield n, s
-        if pair is None:
-            return
-        n += 1
-        a, b = pair
-        a_cur, a_prev = b * a_cur + a * a_prev, a_cur
-        b_cur, b_prev = b * b_cur + a * b_prev, b_cur
-        if any(map(_nonfinite, (a_cur, a_prev, b_cur, b_prev))):
-            raise NumericBreakdown(
-                f"non-finite recurrence value at term {n}")
-        scale = max(abs(a_cur), abs(b_cur))
-        if scale > renorm_at:
-            a_cur /= scale
-            a_prev /= scale
-            b_cur /= scale
-            b_prev /= scale
-
-
-def _sum_forward(cf: ContinuedFraction, tol: float, max_terms: int,
-                 tail_of: Callable[[tuple[complex, complex] | None], complex],
-                 *, first: int = 0,
-                 renorm_at: float = _RENORM_AT) -> CfResult | None:
-    """Run :func:`_approximants` from S_first until two successive finite
-    approximants agree to tol or the budget is spent.
-
-    Returns None when a finite fraction ends on a pole approximant (or
-    yields no finite one); the caller chooses the error for that case.
-    """
-    prev: complex | None = None
-    best: complex | None = None
-    last_delta = math.inf
-    terms = 0
-    ended_on_pole = False
-    for n, s in _approximants(cf, tail_of, renorm_at, first):
-        terms = n
-        if s is None:
-            # approximant pole: require two fresh finite values afterwards
-            prev = None
-            ended_on_pole = True
-        else:
-            ended_on_pole = False
-            if prev is not None:
-                last_delta = abs(s - prev)
-                if last_delta <= tol * max(1.0, abs(s)):
-                    return CfResult(s, n, True, last_delta)
-            best = s
-            prev = s
-        if n >= max_terms:
-            return CfResult(best, n, False, last_delta)
-    # Coefficient stream ended: a finite fraction evaluates exactly.
-    if ended_on_pole or best is None:
-        return None
-    return CfResult(best, terms, True, 0.0)
-
-
 def forward_approximants(cf: ContinuedFraction,
                          tail: TailValue | complex = ZERO_TAIL,
                          *,
@@ -338,7 +258,38 @@ def forward_approximants(cf: ContinuedFraction,
         If a non-finite value contaminates the recurrence.
     """
     w = _tail_w(tail)
-    return _approximants(cf, lambda pair: w, renorm_at)
+    a_prev, a_cur = 1.0 + 0.0j, complex(cf.b0)
+    b_prev, b_cur = 0.0 + 0.0j, 1.0 + 0.0j
+    n = 0
+    while True:
+        try:
+            pair: tuple[complex, complex] | None = cf.coefficient(n + 1)
+        except IndexError:
+            pair = None
+        num = a_cur + a_prev * w
+        den = b_cur + b_prev * w
+        if abs(den) <= _POLE_THRESHOLD * max(1.0, abs(num)):
+            yield n, None
+        else:
+            s = num / den
+            if _nonfinite(s):
+                raise NumericBreakdown("non-finite approximant")
+            yield n, s
+        if pair is None:
+            return
+        n += 1
+        a, b = pair
+        a_cur, a_prev = b * a_cur + a * a_prev, a_cur
+        b_cur, b_prev = b * b_cur + a * b_prev, b_cur
+        if any(map(_nonfinite, (a_cur, a_prev, b_cur, b_prev))):
+            raise NumericBreakdown(
+                f"non-finite recurrence value at term {n}")
+        scale = max(abs(a_cur), abs(b_cur))
+        if scale > renorm_at:
+            a_cur /= scale
+            a_prev /= scale
+            b_cur /= scale
+            b_prev /= scale
 
 
 def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
@@ -381,13 +332,25 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
         raise ValueError(f"tolerance must be > 0, got {tol}")
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
-    w = _tail_w(tail)
-    res = _sum_forward(cf, tol, max_terms, lambda pair: w,
-                       renorm_at=renorm_at)
-    if res is None:
+    prev = best = None
+    last_delta = math.inf
+    for terms, s in forward_approximants(cf, tail, renorm_at=renorm_at):
+        if s is None:
+            # approximant pole: require two fresh finite values afterwards
+            prev = None
+        else:
+            if prev is not None:
+                last_delta = abs(s - prev)
+                if last_delta <= tol * max(1.0, abs(s)):
+                    return CfResult(s, terms, True, last_delta)
+            best = prev = s
+        if terms >= max_terms:
+            return CfResult(best, terms, False, last_delta)
+    # Coefficient stream ended: a finite fraction evaluates exactly.
+    if s is None or best is None:
         raise NumericBreakdown(
             "finite fraction terminates on a pole approximant")
-    return res
+    return CfResult(best, terms, True, 0.0)
 
 
 def fixed_points(a: complex, b: complex) -> tuple[TailValue, TailValue]:
@@ -409,31 +372,28 @@ def fixed_points(a: complex, b: complex) -> tuple[TailValue, TailValue]:
         the root with nonnegative imaginary part, then nonnegative real
         part.
     """
-    attractive, repulsive = _fixed_point_pair(a, b)
-    return (TailValue(attractive, TailOrigin.ATTRACTIVE_FIXED_POINT),
-            TailValue(repulsive, TailOrigin.REPULSIVE_FIXED_POINT))
+    (attractive,), (repulsive,) = _fixed_point_arrays(
+        np.array([a], dtype=complex), np.array([b], dtype=complex))
+    return (TailValue(complex(attractive), TailOrigin.ATTRACTIVE_FIXED_POINT),
+            TailValue(complex(repulsive), TailOrigin.REPULSIVE_FIXED_POINT))
 
 
-def _fixed_point_pair(a: complex, b: complex) -> tuple[complex, complex]:
-    """(attractive, repulsive) fixed points as plain complex numbers."""
-    a, b = complex(a), complex(b)
-    disc = b * b + 4.0 * a
-    s = disc ** 0.5
-    if (b.conjugate() * s).real < 0.0:
-        s = -s
-    big = -(b + s) / 2.0
-    if big == 0:
-        small = 0.0 + 0.0j
-    else:
-        # product of roots is -a
-        small = -a / big
-    m_big, m_small = abs(big), abs(small)
-    if abs(m_big - m_small) <= 1e-14 * max(m_big, m_small, _ZERO_THRESHOLD):
-        first, second = sorted((big, small),
-                               key=lambda z: (z.imag, z.real), reverse=True)
-    else:
-        first, second = small, big
-    return first, second
+def _fixed_point_arrays(a: np.ndarray, b: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(attractive, repulsive) fixed points of w -> a/(b + w), elementwise;
+    see :func:`fixed_points`."""
+    s = np.sqrt(b * b + 4.0 * a)
+    s = np.where((np.conj(b) * s).real < 0.0, -s, s)
+    big = (b + s) * -0.5  # the larger root, or a tie
+    # product of roots is -a
+    small = np.divide(-a, big, out=np.zeros_like(big), where=big != 0)
+    m_big = np.abs(big)
+    tie = m_big - np.abs(small) <= 1e-14 * m_big
+    if tie.any():
+        # a modulus tie takes the root with the larger (imag, real) first
+        tie &= (big.imag > small.imag) | (
+            (big.imag == small.imag) & (big.real >= small.real))
+    return np.where(tie, big, small), np.where(tie, small, big)
 
 
 def _as_w_seq(w_seq) -> Callable[[int], complex]:

@@ -28,12 +28,8 @@ import numpy as np
 from .contfrac import (
     _DEGENERATE_REL,
     _POLE_THRESHOLD,
-    _RENORM_AT,
     _ZERO_THRESHOLD,
-    ContinuedFraction,
-    _fixed_point_pair,
-    _sum_forward,
-    repeated_bauer_muir,
+    _fixed_point_arrays,
 )
 from .errors import (
     DegenerateTransform,
@@ -81,6 +77,10 @@ class SheetSelector(Enum):
 @dataclass(frozen=True)
 class JacobiOperator:
     """Symmetric tridiagonal operator with energy baked in.
+
+    The maps must be pure (same value for the same index, no other
+    effect): the corner-ratio kernel reads them in chunks, up to a chunk
+    past the last index it needs. IndexError ends a finite operator.
 
     Parameters
     ----------
@@ -189,8 +189,7 @@ def _bm_depths(energy: complex) -> tuple[int, ...]:
     transform depth, so a depth that raises DegenerateTransform or does
     not converge is followed by the next one before giving up.
     """
-    first = 0 if complex(energy).real < 0.0 else 8
-    return tuple(dict.fromkeys((first, 4, 2, 0)))
+    return (0, 4, 2) if complex(energy).real < 0.0 else (8, 4, 2, 0)
 
 
 def tail_ratio(J: JacobiOperator, n: int,
@@ -208,6 +207,11 @@ def tail_ratio(J: JacobiOperator, n: int,
     (zero for ZeroTail). When ``bm_rounds`` > 0 the fraction is first
     accelerated by that many Bauer-Muir transforms with the constant
     fixed point of ``J.limit_coeffs``.
+
+    This is the one-lane case of :func:`_corner_ratios`, which sums chunks
+    of coefficients as array operations and may read past the approximant
+    it stops at; only the indices it reaches raise, in the scalar order.
+    A finite fraction (maps raising IndexError) is summed exactly.
 
     Parameters
     ----------
@@ -237,7 +241,8 @@ def tail_ratio(J: JacobiOperator, n: int,
     ------
     NotConverged
         If two successive modified approximants never agree to tol,
-        with ``terms_used`` and ``last_delta`` of the last depth tried.
+        with ``terms_used`` (approximants, not indices read) and
+        ``last_delta`` of the last depth tried.
     SingularRatio
         If the ratio magnitude blows up (leading Green's element at or
         near a zero), or a finite fraction ends on a pole approximant.
@@ -246,73 +251,11 @@ def tail_ratio(J: JacobiOperator, n: int,
     """
     if n < 1:
         raise ValueError(f"ratio index must be >= 1, got {n}")
-    sheet = _resolve_sheet(sheet, J.energy)
-    gen = cf_coefficients(J, n)
-    cf = ContinuedFraction(0.0 + 0.0j, lambda j: gen(n + j - 1))
-
-    if sheet is SheetSelector.ZERO_TAIL:
-        rounds_plan: tuple[int, ...] = (0,)
-
-        def tail_of(pair):
-            return 0.0j
-    else:
-        if J.limit_coeffs is None:
-            raise ValueError(_NO_LIMITS)
-        # Physical tracks the attractive branch (ties resolved toward
-        # nonnegative imaginary part, the limit from above the cut);
-        # unphysical tracks the repulsive branch, which analytically
-        # continues the function through the cut.
-        branch = 0 if sheet is SheetSelector.PHYSICAL else 1
-
-        def tail_of(pair):
-            # the tail discarded after term m starts at coefficient m+1;
-            # past the end of a finite fraction it is zero
-            return 0.0j if pair is None else _fixed_point_pair(*pair)[branch]
-
-        if bm_rounds is None:
-            rounds_plan = _bm_depths(J.energy)
-        else:
-            rounds_plan = (int(bm_rounds),)
-
-    for rounds in rounds_plan:
-        cf_try = cf
-        if rounds:
-            w_lim = _fixed_point_pair(*J.limit_coeffs)[branch]
-            cf_try = repeated_bauer_muir(cf, w_lim, rounds)
-        try:
-            # S_0 is the tail estimate alone, so agreement counts from S_1
-            res = _sum_forward(cf_try, tol, max_terms, tail_of, first=1)
-        except DegenerateTransform as exc:
-            failure: Exception = exc
-            continue
-        if res is None:
-            raise SingularRatio(
-                "fraction terminated on a pole approximant; the leading "
-                "Green's element vanishes")
-        if res.converged:
-            break
-        failure = _not_converged(max_terms, res.terms_used, res.last_delta)
-    else:
-        raise failure
-    ratio = -res.value
-    if not (np.isfinite(ratio.real) and np.isfinite(ratio.imag)) \
-            or abs(ratio) > _RATIO_LIMIT:
-        raise _singular_ratio(abs(ratio))
-    return ratio
-
-
-def _not_converged(max_terms: int, terms_used: int,
-                   last_delta: float) -> NotConverged:
-    return NotConverged(
-        f"tail ratio fraction did not converge in {max_terms} "
-        f"terms (last delta {last_delta:.3e})",
-        terms_used=terms_used, last_delta=last_delta)
-
-
-def _singular_ratio(size: float) -> SingularRatio:
-    return SingularRatio(
-        f"tail ratio magnitude {size:.3e} exceeds trust limit; "
-        "a leading Green's element is numerically zero")
+    (ratio,), (error,) = _corner_ratios([J], n, sheet, bm_rounds, tol,
+                                        max_terms, _CHUNK_LANE)
+    if error is not None:
+        raise error
+    return complex(ratio)
 
 
 def dense_truncation(J: JacobiOperator, N: int) -> np.ndarray:
@@ -423,257 +366,357 @@ def green_submatrix(J: JacobiOperator, N: int,
                        sheet=resolved, n=N)
 
 
-def _green_blocks(ops: Sequence[JacobiOperator], N: int,
-                  ) -> tuple[np.ndarray, list[Exception | None]]:
-    """Physical-sheet Green's blocks of many operators, as a batch of lanes.
-
-    Lane k is ``green_submatrix(ops[k], N, SheetSelector.PHYSICAL)``: the
-    same coefficient reads through the scalar ``diag`` and ``offdiag``,
-    the same checks in the same order and the same Bauer-Muir depth plan.
-    Each step (the dense block, the corner ratio, the condition check and
-    the inverse) runs as array operations over the lanes still live. A
-    lane whose coupling J_{N-1,N} is zero gets no corner term and reads
-    no ratio, so it needs no ``limit_coeffs``.
-
-    Returns
-    -------
-    blocks : numpy.ndarray
-        Complex (L, N, N) stack of Green's blocks, zero where a lane failed.
-    errors : list
-        Per lane, None or the exception the scalar path raises there, one
-        instance per lane.
+def _corrected_blocks(family: Callable, energies: Sequence, N: int,
+                      sheet: SheetSelector = SheetSelector.PHYSICAL,
+                      bm_rounds: int | None = None, tol: float = _DEFAULT_TOL,
+                      max_terms: int = _DEFAULT_MAX_TERMS,
+                      errors: list | None = None) -> tuple[np.ndarray, list]:
+    """``corrected_truncation(family(E), N, sheet, ...)`` at many energies,
+    as one batch of lanes (corner ratios by :func:`_corner_ratios`): the
+    (L, N, N) blocks, zero where a lane failed, and ``errors``. Lanes whose
+    ``errors`` entry is set are skipped; any other records there the first
+    error that ``family(E)`` or ``corrected_truncation`` raises.
     """
     if N < 1:
         raise ValueError(f"truncation size must be >= 1, got {N}")
-    L = len(ops)
-    # lane -> its first failure, read in the scalar path's order
-    left: dict[int, Exception] = {}
-    diags = [op.diag for op in ops]
-    offdiags = [op.offdiag for op in ops]
-    diag = np.stack([_read(diags, i, left) for i in range(N)], axis=-1)
-    off = np.stack([_read(offdiags, i, left) for i in range(N)], axis=-1)
-    errors: list[Exception | None] = [left.get(k) for k in range(L)]
-    blocks = np.zeros((L, N, N), dtype=complex)
+    errors = [None] * len(energies) if errors is None else errors
+    ops, lanes = [], []
+    for k, E in enumerate(energies):
+        try:
+            if errors[k] is None:
+                ops.append(family(E))
+                lanes.append(k)
+        except Exception as exc:  # the lane's failure, kept
+            errors[k] = exc
+    diag, _, failed = _read_lanes([op.diag for op in ops], 0, N)
+    read = [p for p in range(len(ops)) if p not in failed]
+    off = np.zeros((N, len(ops)), dtype=complex)
+    off[:, read], _, more = _read_lanes([ops[p].offdiag for p in read], 0, N)
+    failed.update((read[q], exc) for q, exc in more.items())
+    coupled = [p for p in read if p not in failed and off[-1, p] != 0]
+    ratios, more = _corner_ratios([ops[p] for p in coupled], N, sheet,
+                                  bm_rounds, tol, max_terms)
+    failed.update((p, exc) for p, exc in zip(coupled, more) if exc)
     idx = np.arange(N)
-    blocks[:, idx, idx] = diag
-    blocks[:, idx[:-1], idx[1:]] = blocks[:, idx[1:], idx[:-1]] = off[:, :-1]
+    sub = np.zeros((len(ops), N, N), dtype=complex)
+    sub[:, idx, idx] = diag.T
+    sub[:, idx[:-1], idx[1:]] = sub[:, idx[1:], idx[:-1]] = off[:-1].T
+    sub[coupled, -1, -1] += off[-1, coupled] * ratios
+    sub[list(failed)] = 0.0
+    for p, exc in failed.items():
+        errors[lanes[p]] = exc
+    blocks = np.zeros((len(energies), N, N), dtype=complex)
+    blocks[lanes] = sub
+    return blocks, errors
 
-    coupled = [k for k in range(L) if errors[k] is None and off[k, -1] != 0]
-    ratios, ratio_errors = _corner_ratios([ops[k] for k in coupled], N,
-                                          off[coupled, -1])
-    for k, exc in zip(coupled, ratio_errors):
-        errors[k] = exc
-    fine = [p for p, exc in enumerate(ratio_errors) if exc is None]
-    rows = [coupled[p] for p in fine]
-    blocks[rows, -1, -1] += off[rows, -1] * ratios[fine]
 
-    live = [k for k in range(L) if errors[k] is None]
-    inverses, inverse_errors = _checked_inverses(blocks[live])
+def _green_blocks(family: Callable, energies: Sequence, N: int,
+                  errors: list | None = None) -> tuple[np.ndarray, list]:
+    """``green_submatrix(family(E), N, PHYSICAL)`` at many energies: the
+    chunked kernel's many-lane case (:func:`_corrected_blocks`), inverted."""
+    blocks, errors = _corrected_blocks(family, energies, N, errors=errors)
+    live = [k for k, exc in enumerate(errors) if exc is None]
     out = np.zeros_like(blocks)
-    out[live] = inverses
+    out[live], inverse_errors = _checked_inverses(blocks[live])
     for k, exc in zip(live, inverse_errors):
         errors[k] = exc
     return out, errors
 
 
-def _corner_ratios(ops: Sequence[JacobiOperator], N: int,
-                   coupling: np.ndarray,
-                   ) -> tuple[np.ndarray, list[Exception | None]]:
-    """Physical-sheet ``tail_ratio(op, N)`` of every operator, batched.
+# Tail branch of a lane in the corner-ratio kernel.
+_ATTRACTIVE, _REPULSIVE, _ZERO = 0, 1, 2
+# Coefficients in a sum's first chunk: _CHUNK_FIRST, or _CHUNK_LANE for
+# tail_ratio's one lane with Bauer-Muir rounds on (long near the real axis;
+# one lane pays per chunk, not per coefficient); then 4n + 3 up to
+# _CHUNK_MAX, so that n + 1 states, a power of two, are scanned. A chunk
+# runs its lanes in groups of at most _CHUNK_CELLS // n.
+_CHUNK_FIRST, _CHUNK_LANE, _CHUNK_MAX, _CHUNK_CELLS = 15, 63, 1023, 1 << 12
+# Outcome of a lane whose fraction ended while Bauer-Muir rounds were on.
+_ENDED = object()
 
-    Every lane starts at the first depth of its :func:`_bm_depths` plan;
-    lanes at the same depth form one batch of :func:`_sum_lanes`, and a
-    lane whose depth raised DegenerateTransform or did not converge moves
-    to the next depth of its plan, as in :func:`tail_ratio`.
+
+def _corner_ratios(ops: Sequence[JacobiOperator], n: int,
+                   sheet: SheetSelector = SheetSelector.PHYSICAL,
+                   bm_rounds: int | None = None, tol: float = _DEFAULT_TOL,
+                   max_terms: int = _DEFAULT_MAX_TERMS,
+                   first: int = _CHUNK_FIRST) -> tuple[np.ndarray, list]:
+    """``tail_ratio(op, n, sheet, ...)`` of every operator, as lanes: the
+    ratios (zero where a lane failed) and per lane, None or the error.
+    Lanes at one Bauer-Muir depth of their plans form one batch of
+    :func:`_sum_fractions`; a lane moves on through its plan as
+    ``tail_ratio`` does, and to depth 0 when its fraction ended. The
+    arithmetic is elementwise: a lane's value is the same in any batch
+    with the same ``first`` chunk (used at depths above 0).
     """
-    ratios = np.zeros(len(ops), dtype=complex)
-    errors: list[Exception | None] = [None] * len(ops)
+    values, errors = [0j] * len(ops), [None] * len(ops)
+    branch = np.zeros(len(ops), dtype=np.int8)
+    limits = np.zeros((2, len(ops)), dtype=complex)
     plans: dict[int, tuple[int, ...]] = {}
     for k, op in enumerate(ops):
-        if op.limit_coeffs is None:
+        try:
+            resolved = _resolve_sheet(sheet, op.energy)
+        except ValueError as exc:
+            errors[k] = exc
+            continue
+        if resolved is SheetSelector.ZERO_TAIL:
+            branch[k], plans[k] = _ZERO, (0,)
+        elif op.limit_coeffs is None:
             errors[k] = ValueError(_NO_LIMITS)
         else:
-            plans[k] = _bm_depths(op.energy)
+            # physical: the attractive root (the limit from above the cut);
+            # unphysical: the repulsive one, continuing through the cut
+            branch[k] = _REPULSIVE if resolved is SheetSelector.UNPHYSICAL \
+                else _ATTRACTIVE
+            limits[:, k] = op.limit_coeffs
+            plans[k] = _bm_depths(op.energy) if bm_rounds is None \
+                else (int(bm_rounds),)
     stage = 0
     while plans:
         batches: dict[int, list[int]] = {}
         for k, plan in plans.items():
             batches.setdefault(plan[stage], []).append(k)
         for rounds, lanes in batches.items():
-            w = np.array([_fixed_point_pair(*ops[k].limit_coeffs)[0]
-                          for k in lanes]) if rounds else np.zeros(len(lanes))
-            outcomes = _sum_lanes([ops[k] for k in lanes], N,
-                                  coupling[lanes], w, rounds)
+            # the Bauer-Muir modifier: the limits' fixed point on the branch
+            w = np.where(branch[lanes] == _REPULSIVE, *_fixed_point_arrays(
+                *limits[:, lanes])[::-1]) if rounds else np.zeros(len(lanes))
+            outcomes = _sum_fractions([ops[k] for k in lanes], n, rounds, w,
+                                      branch[lanes], tol, max_terms,
+                                      first if rounds else _CHUNK_FIRST)
             for k, value in zip(lanes, outcomes):
-                if isinstance(value, (DegenerateTransform, NotConverged)) \
-                        and stage + 1 < len(plans[k]):
-                    continue
-                del plans[k]
-                if isinstance(value, Exception):
-                    errors[k] = value
-                else:
-                    ratios[k] = -value
+                plan = plans.pop(k)
+                if value is _ENDED:
+                    plans[k] = plan[:stage + 1] + (0,)
+                elif isinstance(value, (DegenerateTransform, NotConverged)) \
+                        and stage + 1 < len(plan):
+                    plans[k] = plan
+                elif isinstance(value, complex):
+                    values[k] = -value
+                else:  # None: a finite fraction ended on a pole
+                    errors[k] = value or SingularRatio(
+                        "fraction terminated on a pole approximant; the "
+                        "leading Green's element vanishes")
         stage += 1
-    size = np.abs(ratios)
-    for k in np.flatnonzero(~(size <= _RATIO_LIMIT)):
-        if errors[k] is None:
-            errors[k] = _singular_ratio(size[k])
+    ratios = np.array(values, dtype=complex)
+    for k in np.flatnonzero(~(np.abs(ratios) <= _RATIO_LIMIT)):
+        errors[k] = errors[k] or SingularRatio(
+            f"tail ratio magnitude {abs(ratios[k]):.3e} exceeds trust "
+            "limit; a leading Green's element is numerically zero")
     return ratios, errors
 
 
-def _sum_lanes(ops: Sequence[JacobiOperator], N: int, coupling: np.ndarray,
-               w: np.ndarray, rounds: int, tol: float = _DEFAULT_TOL,
-               max_terms: int = _DEFAULT_MAX_TERMS) -> list:
-    """One depth of :func:`tail_ratio` for many operators at once.
-
-    Lane k sums the fraction -K_{i>=N}(u_i/d_i) of ``ops[k]`` after
-    ``rounds`` Bauer-Muir transforms with the constant ``w[k]``, with the
-    attractive fixed-point tail, as ``_sum_forward(..., first=1)`` does
-    on a ``repeated_bauer_muir`` chain: the same reads, checks,
-    renormalisation and agreement test, in the same order. All lanes step
-    through coefficient j = n + 1 (operator index N + n) together, and a
-    lane leaves when its approximants agree or a check fails.
-
-    Returns, per lane, the converged approximant or the exception.
+def _sum_fractions(ops: Sequence[JacobiOperator], n: int, rounds: int,
+                   w: np.ndarray, branch: np.ndarray, tol: float,
+                   max_terms: int, first: int) -> list:
+    """K_{i>=n}(u_i/d_i) of every operator after ``rounds`` Bauer-Muir
+    transforms with w[k], with the tails of branch[k], in chunks from a
+    ``first`` one on (:func:`_fraction_chunk`). Per lane: the approximant
+    that agrees with the one before, None for a finite fraction ending on
+    a pole, ``_ENDED`` for one ending with rounds on, or the error.
     """
-    outcomes: list = [None] * len(ops)
-    lane = np.arange(len(ops))
-    offdiags = [op.offdiag for op in ops]
-    diags = [op.diag for op in ops]
-    b0 = np.zeros(len(ops), dtype=complex)
-    for _ in range(rounds):
-        b0 = b0 + w
-    st = {
-        "upper": coupling.astype(complex),  # J_{N+n-1,N+n}
-        "w": w,
-        "lam": np.zeros((rounds, len(ops)), dtype=complex),
-        "num": np.zeros((rounds, len(ops)), dtype=complex),
-        "a_prev": np.ones(len(ops), dtype=complex), "a_cur": b0,
-        "b_prev": np.zeros(len(ops), dtype=complex),
-        "b_cur": np.ones(len(ops), dtype=complex),
-        "prev": np.zeros(len(ops), dtype=complex),
-        "has_prev": np.zeros(len(ops), dtype=bool),
-        "last_delta": np.full(len(ops), math.inf),
-    }
-    n = 0
+    L = len(ops)
+    outcomes: list = [None] * L
+    one, zero = np.ones(L, dtype=complex), np.zeros(L, dtype=complex)
+    st = {  # the lane state; x: [[A_m, A_{m-1}], [B_m, B_{m-1}]] so far
+        "x": np.array([[rounds * w, one], [one, zero]]),
+        # each round's lambda and input numerator at the last index
+        "lam": np.ones((rounds, L), dtype=complex),
+        "num": np.zeros((rounds, L), dtype=complex),
+        "prev": zero.copy(), "has_prev": np.zeros(L, bool), "w": w,
+        "branch": branch}
+    live, j0, size = np.arange(L), 1, first
+    last_step = max(max_terms, 1)  # max_terms 0 stops at S_1, as 1 does
     with np.errstate(all="ignore"):
-        while lane.size:
-            j, i = n + 1, N + n
-            # left: lane position -> outcome; the first one recorded wins,
-            # so the checks below run in the order the scalar path raises
-            left: dict[int, object] = {}
-            lower = _read(offdiags, i, left)
-            _leave(left, lower == 0, lambda: ZeroOffdiagonal(i))
-            _leave(left, st["upper"] == 0, lambda: ZeroOffdiagonal(i - 1))
-            a = -st["upper"] / lower
-            b = -_read(diags, i, left) / lower
-            _leave(left, a == 0,
-                   lambda: ValueError(f"partial numerator a_{j} is zero"))
-            w = st["w"]
-            for r in range(rounds):
-                v = a - w * (b + w)
-                scale = np.maximum(np.abs(a),
-                                   np.abs(w) * (np.abs(b) + np.abs(w)))
-                _leave(left, np.abs(v) <= _DEGENERATE_REL
-                       * np.maximum(scale, _ZERO_THRESHOLD),
-                       lambda: DegenerateTransform(j, round_index=r + 1))
-                if j == 1:
-                    c, d = v, b + w
-                else:
-                    q = v / st["lam"][r]
-                    c, d = st["num"][r] * q, b + w - w * q
-                _leave(left, c == 0,
-                       lambda: ValueError(f"partial numerator a_{j} is zero"))
-                st["lam"][r], st["num"][r] = v, a
-                a, b = c, d
-            if n >= 1:
-                tail = _attractive_fixed_points(a, b)
-                top = st["a_cur"] + st["a_prev"] * tail
-                den = st["b_cur"] + st["b_prev"] * tail
-                pole = np.abs(den) <= _POLE_THRESHOLD * np.fmax(
-                    1.0, np.abs(top))
-                s = top / den
-                finite = ~pole
-                _leave(left, finite & ~np.isfinite(s),
-                       lambda: NumericBreakdown("non-finite approximant"))
-                compared = finite & st["has_prev"]
-                delta = np.abs(s - st["prev"])
-                st["last_delta"] = np.where(compared, delta, st["last_delta"])
-                agree = compared & (delta <= tol * np.maximum(1.0, np.abs(s)))
-                for p in np.flatnonzero(agree):
-                    left.setdefault(p, complex(s[p]))
-                st["prev"], st["has_prev"] = s, finite
-                if n >= max_terms:
-                    for p in range(lane.size):
-                        left.setdefault(p, _not_converged(
-                            max_terms, n, float(st["last_delta"][p])))
-            n += 1
-            a_cur, b_cur = st["a_cur"], st["b_cur"]
-            st["a_cur"], st["a_prev"] = b * a_cur + a * st["a_prev"], a_cur
-            st["b_cur"], st["b_prev"] = b * b_cur + a * st["b_prev"], b_cur
-            # the *_prev values passed this test a step earlier, so the
-            # scale is finite exactly when all four values are
-            scale = np.maximum(np.abs(st["a_cur"]), np.abs(st["b_cur"]))
-            _leave(left, ~np.isfinite(scale), lambda: NumericBreakdown(
-                f"non-finite recurrence value at term {n}"))
-            big = scale > _RENORM_AT
-            if big.any():
-                for key in ("a_cur", "a_prev", "b_cur", "b_prev"):
-                    st[key] = np.where(big, st[key] / scale, st[key])
-            st["upper"] = lower
-            if left:
-                for p, value in left.items():
-                    outcomes[lane[p]] = value
-                keep = np.ones(lane.size, dtype=bool)
-                keep[list(left)] = False
-                lane = lane[keep]
-                st = {key: v[..., keep] for key, v in st.items()}
-                offdiags = [f for f, kept in zip(offdiags, keep) if kept]
-                diags = [f for f, kept in zip(diags, keep) if kept]
+        while live.size:
+            size = min(size, last_step + 2 - j0)
+            group = max(1, _CHUNK_CELLS // size)
+            keep = np.ones(live.size, dtype=bool)
+            for g in range(0, live.size, group):
+                view = st if group >= live.size else {
+                    key: v[..., g:g + group] for key, v in st.items()}
+                stopped = _fraction_chunk(
+                    [ops[k] for k in live[g:g + group]], view, n, j0, size,
+                    rounds, tol, last_step)
+                for p, value in stopped.items():
+                    outcomes[live[g + p]] = value
+                    keep[g + p] = False
+            if not keep.any():
+                break
+            live = live[keep]
+            st = {key: v[..., keep] for key, v in st.items()}
+            j0, size = j0 + size, min(4 * size + 3, _CHUNK_MAX)
     return outcomes
 
 
-def _read(fns: list, i: int, left: dict) -> np.ndarray:
-    """fn(i) for every lane's fn; a lane whose call raises leaves with it."""
+def _fraction_chunk(ops: list, st: dict, n: int, j0: int, size: int,
+                    rounds: int, tol: float, max_terms: int) -> dict:
+    """Sum coefficients j0 .. j0 + size - 1 of the lanes in ``st``.
+
+    Arrays are (position, lane). Position t holds coefficient j = j0 + t
+    (operator index i = n + j - 1) and step j - 1: the approximant
+    S_{j-1}, with its tail from coefficient j, then the recurrence update
+    by coefficient j. A position's events come in the scalar order: the
+    reads and checks of coefficient j (J_{i-1,i}, J_{i,i+1}, either one
+    zero, J_ii, a zero numerator, each Bauer-Muir round; IndexError ends
+    the fraction, S_{j-1} then takes a zero tail); a non-finite S_{j-1},
+    agreement, the budget, the end; a non-finite recurrence value. A lane
+    stops at its first event, so what it read past that never raises.
+    """
+    i0 = n + j0 - 1
+    # J_{i-1,i} and J_{i,i+1} of position t are off[t] and off[t + 1]
+    off, off_stop, off_err = _read_lanes([op.offdiag for op in ops], i0 - 1,
+                                         i0 + size)
+    dg, dg_stop, dg_err = _read_lanes([op.diag for op in ops], i0, i0 + size)
+    a, b = -off[:-1] / off[1:], -dg / off[1:]
+    checks = (a == 0)[None]  # a zero a_i, then each Bauer-Muir round's
+    if rounds:
+        a, b, checks = _bauer_muir_rounds(a, b, st, j0 == 1)
+    zero, off_at = off == 0, np.maximum(off_stop - 1, 0)
+    bad = zero[1:] | zero[:-1] | checks.any(axis=0)
+    if off_err or dg_err:
+        bad |= np.arange(size)[:, None] >= np.minimum(off_at, dg_stop)
+    attractive, repulsive = _fixed_point_arrays(a, b)
+    tail = np.where(st["branch"] == _REPULSIVE, repulsive, attractive)
+    tail[:, st["branch"] == _ZERO] = 0.0
+    fails, ends = {}, {}
+    for p in np.flatnonzero(bad.any(axis=0)).tolist():
+        t = int(bad[:, p].argmax())
+        if p in off_err and off_at[p] == t:
+            cause = off_err[p]
+        elif zero[t + 1, p] or zero[t, p]:  # J_{i,i+1} first, then J_{i-1,i}
+            cause = ZeroOffdiagonal(i0 + t - int(not zero[t + 1, p]))
+        elif p in dg_err and dg_stop[p] == t:
+            cause = dg_err[p]
+        elif (kind := int(checks[:, t, p].argmax())) % 2:
+            cause = DegenerateTransform(j0 + t, round_index=(kind + 1) // 2)
+        else:
+            cause = ValueError(f"partial numerator a_{j0 + t} is zero")
+        if isinstance(cause, IndexError) and not rounds:
+            ends[p], tail[t, p] = t, 0.0
+        else:  # an end with rounds on is summed again without them
+            fails[p] = (t, _ENDED if isinstance(cause, IndexError) else cause)
+
+    x = np.empty((2, 2, size + 1) + a.shape[1:], dtype=complex)
+    x[:, :, 0] = st["x"]
+    x[0, 0, 1:], x[0, 1, 1:], x[1, 0, 1:], x[1, 1, 1:] = b, 1.0, a, 0.0
+    _prefix_products(x)
+    st["x"][...] = x[:, :, -1]
+    num, den = x[:, 0, :-1] + x[:, 1, :-1] * tail
+    s = num / den
+    approx = ~(np.abs(den) <= _POLE_THRESHOLD * np.fmax(1.0, np.abs(num)))
+    if j0 == 1:
+        approx[0] = False  # step 0 forms no approximant
+    nonfinite = approx & ~np.isfinite(s)
+    compared = approx & np.concatenate((st["has_prev"][None], approx[:-1]))
+    delta = np.abs(s - np.concatenate((st["prev"][None], s[:-1])))
+    agree = compared & (delta <= tol * np.fmax(1.0, np.abs(s)))
+    event = bad | nonfinite | agree
+    event |= ~np.isfinite(x[:, :, 1:]).all(axis=(0, 1))
+    event[-1] |= j0 + size - 2 >= max_terms
+    st["prev"][...], st["has_prev"][...] = s[-1], approx[-1]
+
+    stopped: dict[int, object] = {}
+    if not event.any():
+        return stopped
+    lanes = np.flatnonzero(event.any(axis=0))
+    ts = event[:, lanes].argmax(axis=0)
+    for p, t, value, agreed, broke, finite in zip(
+            lanes.tolist(), ts.tolist(), s[ts, lanes].tolist(),
+            agree[ts, lanes].tolist(), nonfinite[ts, lanes].tolist(),
+            approx[ts, lanes].tolist()):
+        m = j0 + t - 1
+        if fails.get(p, (None,))[0] == t:
+            stopped[p] = fails[p][1]
+        elif broke:
+            stopped[p] = NumericBreakdown("non-finite approximant")
+        elif agreed:
+            stopped[p] = value
+        elif m >= max_terms:  # last_delta: the chunk's last comparison
+            seen = np.flatnonzero(compared[:t + 1, p])
+            last = float(delta[seen[-1], p]) if seen.size else math.inf
+            stopped[p] = NotConverged(
+                f"tail ratio fraction did not converge in {max_terms} "
+                f"terms (last delta {last:.3e})",
+                terms_used=m, last_delta=last)
+        elif ends.get(p) == t:
+            stopped[p] = value if finite else None
+        else:
+            stopped[p] = NumericBreakdown(
+                f"non-finite recurrence value at term {m + 1}")
+    return stopped
+
+
+def _bauer_muir_rounds(a: np.ndarray, b: np.ndarray, st: dict, first: bool
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bauer-Muir rounds as in :func:`jgreens.contfrac.repeated_bauer_muir`,
+    one per row of ``st["lam"]``, with the lanes' w; index i - 1 of the
+    first position comes from ``st``, which is updated. Returns the last
+    (c, d) and the check masks in order: a zero a_i, then per round a
+    degenerate lambda_i and a zero c_i."""
+    rounds, w = len(st["lam"]), st["w"]
+    # row 0 holds index i - 1 of the first position; num[r] is round r's
+    # input numerator, num[r + 1] its output. Before the first coefficient
+    # lambda = num = 1 and w = 0 give c_1 = lambda_1, d_1 = b_1 + w.
+    lam = np.empty((rounds, len(a) + 1) + a.shape[1:], dtype=complex)
+    num = np.empty((rounds + 1,) + lam.shape[1:], dtype=complex)
+    den = np.empty((rounds + 1,) + a.shape, dtype=complex)
+    lam[:, 0], num[:rounds, 0], num[0, 1:], den[0] = st["lam"], st["num"], a, b
+    w_before = np.broadcast_to(w, a.shape)
+    if first:
+        lam[:, 0] = num[:rounds, 0] = 1.0
+        w_before = w_before.copy()
+        w_before[0] = 0.0
+    for r in range(rounds):
+        bw = den[r] + w
+        np.subtract(num[r, 1:], w * bw, out=lam[r, 1:])
+        q = lam[r, 1:] / lam[r, :-1]
+        np.multiply(num[r, :-1], q, out=num[r + 1, 1:])
+        np.subtract(bw, w_before * q, out=den[r + 1])
+    st["lam"][...], st["num"][...] = lam[:, -1], num[:rounds, -1]
+    checks = np.empty((2 * rounds + 1,) + a.shape, dtype=bool)
+    np.equal(num[:, 1:], 0, out=checks[0::2])
+    w_abs = np.abs(w)
+    scale = np.maximum(np.abs(num[:rounds, 1:]),
+                       w_abs * (np.abs(den[:rounds]) + w_abs))
+    np.less_equal(np.abs(lam[:, 1:]), _DEGENERATE_REL * np.maximum(
+        scale, _ZERO_THRESHOLD), out=checks[1::2])
+    return num[rounds, 1:], den[rounds], checks
+
+
+def _prefix_products(x: np.ndarray) -> None:
+    """x[:, :, t] <- x[:, :, 0] @ ... @ x[:, :, t] for a (2, 2, positions,
+    lanes) stack, in place, in log2(positions) rounds (Hillis and Steele,
+    CACM 29 (1986)). The first, the last and every other round rescale to
+    unit largest entry, so that the rounds between take entries <= 1."""
+    step, rescale = 1, True
+    while step < x.shape[2]:
+        prod = x[:, :1, :-step] * x[None, 0, :, step:]
+        prod += x[:, 1:, :-step] * x[None, 1, :, step:]
+        if rescale or 2 * step >= x.shape[2]:
+            prod *= 1.0 / np.abs(prod).max(axis=(0, 1))
+        x[:, :, step:] = prod
+        step, rescale = 2 * step, not rescale
+
+
+def _read_lanes(fns: Sequence[Callable[[int], complex]], lo: int, hi: int
+                ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """fn(i) for i in [lo, hi) and every lane's fn: the (hi - lo, lanes)
+    values, zero from a lane's first raising index on, that index as an
+    offset from lo (hi - lo if none), and the exceptions by lane."""
+    span, errors = range(lo, hi), {}
+    stops = np.full(len(fns), len(span))
     try:
-        return np.array([fn(i) for fn in fns], dtype=complex)
-    except Exception:  # some lane raised: read lane by lane below
-        pass
-    values = np.zeros(len(fns), dtype=complex)
+        values = np.array([fn(i) for i in span for fn in fns], dtype=complex)
+        return values.reshape(len(span), len(fns)), stops, errors
+    except Exception:  # some lane raised: read lane by lane
+        values = np.zeros((len(span), len(fns)), dtype=complex)
     for p, fn in enumerate(fns):
-        if p in left:
-            continue
-        try:
-            values[p] = fn(i)
-        except Exception as exc:  # this lane's failure, kept for the caller
-            left[p] = exc
-    return values
-
-
-def _leave(left: dict, mask: np.ndarray, error: Callable[[], Exception]
-           ) -> None:
-    """Record a fresh ``error()`` for each lane in ``mask`` not yet left."""
-    if not np.count_nonzero(mask):
-        return
-    for p in np.flatnonzero(mask):
-        if p not in left:
-            left[p] = error()
-
-
-def _attractive_fixed_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_fixed_point_pair(a, b)[0]`` lane by lane, with its tie rule."""
-    s = np.sqrt(b * b + 4.0 * a)
-    s = np.where((np.conj(b) * s).real < 0.0, -s, s)
-    big = -(b + s) / 2.0
-    small = np.where(big == 0, 0.0j, -a / big)
-    m_big, m_small = np.abs(big), np.abs(small)
-    tie = np.abs(m_big - m_small) <= 1e-14 * np.maximum(
-        np.maximum(m_big, m_small), _ZERO_THRESHOLD)
-    if not tie.any():
-        return small
-    big_first = (big.imag > small.imag) \
-        | ((big.imag == small.imag) & (big.real >= small.real))
-    return np.where(tie & big_first, big, small)
+        for t, i in enumerate(span):
+            try:
+                values[t, p] = fn(i)
+            except Exception as exc:  # the lane's failure, kept
+                stops[p], errors[p] = t, exc
+                break
+    return values, stops, errors
 
 
 def truncated_inverse(A_diag, A_offdiag, corner_ratio: complex,

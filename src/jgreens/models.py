@@ -24,7 +24,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InvalidU, JGreensError, NoConvergence, ZeroOffdiagonal
-from .jacobi import JacobiOperator, SheetSelector, corrected_truncation
+from .jacobi import (JacobiOperator, SheetSelector, _corrected_blocks,
+                     corrected_truncation)
 from .special import _laguerre_functions, hyp2f1
 
 __all__ = [
@@ -895,18 +896,20 @@ def _step_settled(step: float, prev: float, scale: float) -> bool:
         step <= 1e-9 * scale and step >= 0.5 * prev)
 
 
-def _real_zeros(scan: Callable[[float], float], f: Callable[[float], float],
+def _real_zeros(scan: Callable[[list[float]], list[float]],
+                f: Callable[[float], float],
                 x_min: float, x_max: float, n_points: int) -> list[float]:
     """Real zeros of a determinant-like f from a grid scan of [x_min, x_max].
 
-    ``scan`` gives the grid values, NaN where f is unusable; only sign
-    changes between two finite neighbours are bracketed.  Each bracket
-    is polished with ``f`` by a bisection-safeguarded secant iteration
-    until the step settles (:func:`_step_settled`, scale |x|).  Poles of
-    a corner term flip the sign too, but leave |f| large: a polished
-    value above 1e-3 of the smaller endpoint magnitude is rejected.  A
-    grid value of exactly zero is a root.  Roots within
-    1e-9·max(1, |x|) of the one below are merged.
+    ``scan`` maps the whole grid to its values (one batch of lanes), NaN
+    where f is unusable; only sign changes between two finite neighbours
+    are bracketed.  Each bracket is polished with ``f`` by a
+    bisection-safeguarded secant iteration until the step settles
+    (:func:`_step_settled`, scale |x|).  Poles of a corner term flip the
+    sign too, but leave |f| large: a polished value above 1e-3 of the
+    smaller endpoint magnitude is rejected.  A grid value of exactly zero
+    is a root.  Roots within 1e-9·max(1, |x|) of the one below are
+    merged.
 
     Returns
     -------
@@ -914,7 +917,7 @@ def _real_zeros(scan: Callable[[float], float], f: Callable[[float], float],
         The zeros, ascending.
     """
     grid = [float(x) for x in np.linspace(x_min, x_max, n_points)]
-    values = [scan(x) for x in grid]
+    values = scan(grid)
     roots = [x for x, v in zip(grid, values) if v == 0.0]
     for lo, hi, flo, fhi in zip(grid, grid[1:], values, values[1:]):
         if not (math.isfinite(flo) and math.isfinite(fhi)) or flo * fhi >= 0.0:
@@ -966,10 +969,11 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     determinant vanishes exactly at the poles, so the located roots do
     not depend on ``size``; determinants are evaluated through their
     sign and log magnitude (clamped at e^600) so large entries cannot
-    overflow.  Grid points where the evaluation raises a package error
-    are skipped, and a degenerate-representation energy is nudged by
-    one part in 1e13.  Intended for bound-region scans where the
-    operator entries are real.
+    overflow.  The grid is one batch of lanes for the corner-ratio
+    kernel.  Grid points where the evaluation raises a package error are
+    skipped (any other error is raised, the first in grid order), and a
+    degenerate-representation energy is nudged by one part in 1e13.
+    Intended for bound-region scans where the operator entries are real.
 
     The zeros come from the real-axis finder that
     :func:`jgreens.scatter.find_bound_states` also uses: each bracket is
@@ -1002,24 +1006,33 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     if not e_min < e_max:
         raise ValueError(f"need e_min < e_max, got {e_min!r} >= {e_max!r}")
 
-    def det_at(energy: float) -> float:
+    def operator(energy: float) -> JacobiOperator:
         for shift in (0.0, 1e-13 * max(1.0, abs(energy))):
             try:
-                op = family(energy + shift)
+                return family(energy + shift)
             except ZeroOffdiagonal:
                 continue
-            mat = corrected_truncation(op, size, sheet, bm_rounds, tol,
-                                       max_terms)
-            sign, logabs = np.linalg.slogdet(mat)
-            if logabs == -math.inf:
-                return 0.0
-            return float(sign.real) * math.exp(min(logabs, 600.0))
         raise ZeroOffdiagonal(0, "degenerate energy persists after nudge")
 
-    def scanned(energy: float) -> float:
-        try:
-            return det_at(energy)
-        except JGreensError:
-            return math.nan
+    def det_at(energy: float) -> float:
+        mat = corrected_truncation(operator(energy), size, sheet, bm_rounds,
+                                   tol, max_terms)
+        return _clamped_det(*np.linalg.slogdet(mat))
+
+    def scanned(grid: list[float]) -> list[float]:
+        blocks, errors = _corrected_blocks(operator, grid, size, sheet,
+                                           bm_rounds, tol, max_terms)
+        for exc in filter(None, errors):
+            if not isinstance(exc, JGreensError):
+                raise exc
+        return [math.nan if exc else _clamped_det(sign, logabs) for exc,
+                sign, logabs in zip(errors, *np.linalg.slogdet(blocks))]
 
     return _real_zeros(scanned, det_at, e_min, e_max, n_points)
+
+
+def _clamped_det(sign: complex, logabs: float) -> float:
+    """Real determinant from ``slogdet``, its magnitude clamped at e^600."""
+    if logabs == -math.inf:
+        return 0.0
+    return float(sign.real) * math.exp(min(logabs, 600.0))

@@ -23,7 +23,8 @@ from scipy.special import erf, erfc, loggamma
 from .errors import (GridTooCoarse, JGreensError, NoConvergence,
                      QuadratureSuspect, SingularMatrix)
 from .jacobi import (GreenMatrix, SheetSelector, _checked_inverse,
-                     _resolve_sheet, corrected_truncation, green_submatrix)
+                     _corrected_blocks, _resolve_sheet, corrected_truncation,
+                     green_submatrix)
 from .models import (CoulombModel, _real_zeros, _step_settled,
                      coulomb_jacobi, wavenumber)
 from .special import (_laguerre_functions, coulomb_sigma,
@@ -370,7 +371,8 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
 
     Scans an n_grid-point energy grid and brackets sign changes of the
     real part of the determinant where its imaginary part is negligible
-    (at most 1e-9 of |det|).  The zeros come from the real-axis finder
+    (at most 1e-9 of |det|).  The grid is one batch of lanes for the
+    corner-ratio kernel.  The zeros come from the real-axis finder
     that :func:`jgreens.models.det_pole_scan` also uses: each bracket is
     polished by a bisection-safeguarded secant iteration until the step
     settles at the determinant's noise floor (relative to |E|).  The
@@ -379,7 +381,7 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     endpoint marks such a pole and is rejected.  A grid energy where the
     determinant is exactly zero is a root, and roots closer than
     1e-9·max(1, |E|) are merged into one.  Errors of the determinant
-    propagate.
+    propagate (on the grid, the first failing energy's).
 
     Parameters
     ----------
@@ -397,14 +399,20 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     if not E_min < E_max:
         raise ValueError(f"need E_min < E_max, got [{E_min}, {E_max}]")
 
-    def real_part(e: float) -> float:
-        d = det_equation(p, complex(e))
-        return d.real if abs(d.imag) <= 1e-9 * abs(d) else math.nan
+    def real_parts(grid: list[float]) -> list[float]:
+        # det_equation at every grid energy, AUTO being physical there
+        blocks, errors = _corrected_blocks(
+            lambda e: coulomb_jacobi(p.model, complex(e)), grid, p.N + 1)
+        for exc in filter(None, errors):
+            raise exc
+        dets = np.linalg.det(blocks - _cached_potential_matrix(p)).tolist()
+        return [d.real if abs(d.imag) <= 1e-9 * abs(d) else math.nan
+                for d in dets]
 
     def f(e: float) -> float:
         return det_equation(p, complex(e)).real
 
-    return _real_zeros(real_part, f, E_min, E_max, n_grid)
+    return _real_zeros(real_parts, f, E_min, E_max, n_grid)
 
 
 def find_resonances(p: ScatterProblem, region: tuple[complex, complex],

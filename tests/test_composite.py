@@ -32,6 +32,7 @@ from jgreens.jacobi import (
     SheetSelector,
     _bm_depths,
     _green_blocks,
+    dense_truncation,
     green_submatrix,
 )
 from jgreens.models import (
@@ -356,6 +357,26 @@ def test_convolve_greens_node_failure():
         assert info.value.__cause__.index == 2
 
 
+def _finite_operator(E):
+    """Seven rows of a perturbed Laplacian at E; the maps raise IndexError
+    past index 6, so the corner-ratio fraction is finite."""
+    def diag(i):
+        if i > 6:
+            raise IndexError(i)
+        return E - (2.0 + 0.5 / (i + 1.0) ** 2)
+
+    def offdiag(i):
+        if i > 6:
+            raise IndexError(i)
+        return -(1.0 - 0.3 / (i + 1.0) ** 2)
+
+    return JacobiOperator(diag, offdiag, E, (-1.0, E - 2.0))
+
+
+def _same(op):
+    return op
+
+
 def _green_block_lanes(case):
     """(operators, N) of one contour node batch; see the parity test."""
     osc = OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3)
@@ -373,27 +394,35 @@ def _green_block_lanes(case):
         crossing = build_contour(-0.6, 0.0, margin=0.05, n_points=64,
                                  t_max=0.6)
         return [coulomb_jacobi(bound, z) for z, _ in crossing.nodes], 4
+    if case == "finite operator":
+        return [_finite_operator(E) for E in (1.0 + 0.5j, 2.0 + 0.3j)], 3
     equal = OscillatorModel(omega=1.0, omega_basis=1.0, l=0, D=3)
     return [oscillator_jacobi(equal, z) for z, _ in rings.nodes], 3
 
 
 @pytest.mark.parametrize("case", [
     "oscillator rings", "coulomb bound ellipse", "coulomb free ellipse",
-    "coulomb crossing Re z = 0", "equal frequencies"])
+    "coulomb crossing Re z = 0", "finite operator", "equal frequencies"])
 def test_green_blocks_match_green_submatrix(case):
     ops, N = _green_block_lanes(case)
     depths = {_bm_depths(op.energy)[0] for op in ops}
     expected_depths = {"oscillator rings": {8},
                        "coulomb bound ellipse": {0},
                        "coulomb free ellipse": {0},
-                       "coulomb crossing Re z = 0": {0, 8}}
+                       "coulomb crossing Re z = 0": {0, 8},
+                       "finite operator": {8}}
     if case == "equal frequencies":
         assert all(op.limit_coeffs is None for op in ops)
     else:
         assert depths == expected_depths[case]
-    blocks, errors = _green_blocks(ops, N)
+    blocks, errors = _green_blocks(_same, ops, N)
     assert blocks.shape == (len(ops), N, N)
     for op, block, error in zip(ops, blocks, errors):
+        # a lane's values do not depend on the batch it runs in
+        (alone,), (alone_error,) = _green_blocks(_same, [op], N)
+        assert type(alone_error) is type(error)
+        assert str(alone_error) == str(error)
+        assert np.array_equal(alone, block)
         try:
             scalar = green_submatrix(op, N, SheetSelector.PHYSICAL).entries
         except Exception as exc:
@@ -402,6 +431,20 @@ def test_green_blocks_match_green_submatrix(case):
         assert error is None
         scale = np.max(np.abs(scalar))
         assert np.max(np.abs(block - scalar)) <= 1e-13 * scale
+
+    # independent oracle: the inverse of the finite matrix, or of a large
+    # plain truncation at the nodes farthest from the real axis
+    if case == "finite operator":
+        picked, size = range(len(ops)), 7
+    else:
+        picked = sorted(range(len(ops)),
+                        key=lambda k: -abs(complex(ops[k].energy).imag))[:4]
+        size = 600
+    for k in picked:
+        dense = np.linalg.inv(dense_truncation(ops[k], size))[:N, :N]
+        assert errors[k] is None
+        assert np.max(np.abs(blocks[k] - dense)) <= 1e-9 * np.max(
+            np.abs(dense))
 
 
 def test_merkuriev_zeta_values_and_limits():

@@ -1,11 +1,13 @@
 """Tests for tridiagonal Green's matrices and tail ratios."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from jgreens.errors import (
+    DegenerateTransform,
     NotConverged,
     SingularMatrix,
     SingularRatio,
@@ -15,6 +17,7 @@ from jgreens.jacobi import (
     GreenMatrix,
     JacobiOperator,
     SheetSelector,
+    _prefix_products,
     cf_coefficients,
     corrected_truncation,
     dense_truncation,
@@ -126,9 +129,29 @@ def test_tail_ratio_zero_tail_diverges_in_continuum():
 
 def test_tail_ratio_unphysical_is_conjugate_on_the_cut():
     J = perturbed_laplacian(2.0)
-    up = tail_ratio(J, 1, SheetSelector.PHYSICAL)
-    down = tail_ratio(J, 1, SheetSelector.UNPHYSICAL)
-    assert down == pytest.approx(np.conj(up), rel=1e-9)
+    for rounds in (None, 0):  # with 0 rounds the tail alone picks the sheet
+        up = tail_ratio(J, 1, SheetSelector.PHYSICAL, rounds)
+        down = tail_ratio(J, 1, SheetSelector.UNPHYSICAL, rounds)
+        assert down == pytest.approx(np.conj(up), rel=1e-9)
+
+
+def test_prefix_products_match_sequential_products():
+    # entries of 1e40 overflow a 1024-term product unless it is rescaled
+    rng = np.random.default_rng(3)
+    for size, lanes in ((16, 3), (1024, 2)):
+        mats = (rng.standard_normal((2, 2, size, lanes))
+                + 1j * rng.standard_normal((2, 2, size, lanes))) * 1e40
+        scanned = mats.copy()
+        _prefix_products(scanned)
+        for k in range(lanes):
+            prod = np.eye(2)
+            for t in range(size):
+                prod = prod @ mats[:, :, t, k]
+                prod /= np.max(np.abs(prod))
+                got = scanned[:, :, t, k]
+                # equal up to a positive scale
+                got = got / np.max(np.abs(got))
+                assert np.max(np.abs(got - prod)) <= 1e-9
 
 
 def test_tail_ratio_auto_refuses_lower_half_plane():
@@ -159,6 +182,100 @@ def test_tail_ratio_singular_when_leading_element_vanishes():
     J = JacobiOperator(diag=diag, offdiag=offdiag, energy=0.0)
     with pytest.raises(SingularRatio):
         tail_ratio(J, 1, SheetSelector.ZERO_TAIL)
+
+
+def _stop_index(J, n, **kwargs):
+    """Index m of the approximant at which tail_ratio stops: the smallest
+    budget it converges within. The sum reads J up to index n + m."""
+    lo, hi = 1, 400
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            tail_ratio(J, n, max_terms=mid, **kwargs)
+            hi = mid
+        except NotConverged:
+            lo = mid + 1
+    return lo
+
+
+def _failing_from(J, at, how, reads):
+    """J whose maps fail from index ``at`` on, in the way ``how``; the
+    indices asked for go into ``reads``."""
+    E = J.energy
+
+    def diag(i):
+        reads.append(i)
+        if i >= at and how == "exception":
+            raise RuntimeError(f"diag {i}")
+        if i > at and how == "degenerate lambda":
+            return E - 2.0  # with J_{i-1,i} = J_{i,i+1} = -1: the limit
+        if i == at and how == "zero numerator":
+            return 1e-170  # keeps d_at of order one
+        return J.diag(i)
+
+    def offdiag(i):
+        reads.append(i)
+        if i >= at:
+            if how == "exception":
+                raise RuntimeError(f"offdiag {i}")
+            if how == "zero off-diagonal":
+                return 0.0
+            if how == "zero numerator" and i <= at + 1:
+                # u_{at+1} = -1e-170 / 1e160 underflows to zero
+                return 1e-170 if i == at else 1e160
+            if how == "degenerate lambda":
+                return -1.0
+        return J.offdiag(i)
+
+    return JacobiOperator(diag, offdiag, E, J.limit_coeffs)
+
+
+@pytest.mark.parametrize("how, error, rounds, message", [
+    ("zero off-diagonal", ZeroOffdiagonal, 0, ""),  # index checked below
+    ("zero numerator", ValueError, 0, "a_{j} is zero"),
+    ("degenerate lambda", DegenerateTransform, 1, "index {j}"),
+    ("exception", RuntimeError, 0, "offdiag {at}")])
+def test_tail_ratio_read_ahead_raises_only_what_the_sum_reaches(
+        how, error, rounds, message):
+    J, n = perturbed_laplacian(-1.0), 4
+    kwargs = {"sheet": SheetSelector.PHYSICAL, "bm_rounds": rounds}
+    clean = tail_ratio(J, n, **kwargs)
+    m = _stop_index(J, n, **kwargs)
+    # failures from index n + m + 1 on lie past the last coefficient the
+    # sum needs, but inside the first chunk it reads
+    reads = []
+    ahead = _failing_from(J, n + m + 1, how, reads)
+    assert tail_ratio(ahead, n, **kwargs) == clean
+    assert max(reads) >= n + m + 1  # the failing index was read
+    # the same failure where the sum reaches it is raised; a zero J_{at,at+1}
+    # or a raising map fails at index at, the others at coefficient j
+    at = n + m - 2
+    match = re.escape(message.format(at=at, j=at + 2 - n)) or None
+    with pytest.raises(error, match=match) as exc:
+        tail_ratio(_failing_from(J, at, how, []), n, **kwargs)
+    if error is ZeroOffdiagonal:
+        assert exc.value.index == at
+
+
+def test_tail_ratio_errors_in_scalar_order():
+    J, n = perturbed_laplacian(-1.0), 4
+    at = n + 3
+
+    def diag(i):
+        if i >= at:
+            raise RuntimeError(f"diag {i}")
+        return J.diag(i)
+
+    zero_and_raise = JacobiOperator(
+        diag, lambda i: 0.0 if i == at else J.offdiag(i), J.energy,
+        J.limit_coeffs)
+    # J_{at,at+1} = 0 is checked before J_{at,at} is read
+    with pytest.raises(ZeroOffdiagonal) as exc:
+        tail_ratio(zero_and_raise, n, SheetSelector.PHYSICAL)
+    assert exc.value.index == at
+    raise_only = JacobiOperator(diag, J.offdiag, J.energy, J.limit_coeffs)
+    with pytest.raises(RuntimeError, match=f"diag {at}"):
+        tail_ratio(raise_only, n, SheetSelector.PHYSICAL)
 
 
 # ------------------------------------------------------- green_submatrix

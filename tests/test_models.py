@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
-from jgreens.errors import InvalidU, NotConverged, ZeroOffdiagonal
+from jgreens.errors import (InvalidU, NotConverged, NumericBreakdown,
+                            ZeroOffdiagonal)
 from jgreens.jacobi import (SheetSelector, cf_coefficients, dense_truncation,
                             green_submatrix)
 from jgreens.models import (CoulombModel, DiracLower, DiracUpper,
@@ -438,6 +439,38 @@ def test_coulomb_pole_scan_through_degenerate_collision():
     assert len(found) == 2
     assert abs(found[0] + 1 / 8) <= 1e-10
     assert abs(found[1] + 1 / 18) <= 1e-10
+
+
+def test_pole_scan_grid_error_rules():
+    # the grid is one batch of lanes; a package error at a grid energy
+    # skips it, a degenerate representation is nudged, any other error is
+    # raised, the first in grid order
+    model = CoulombModel(Z=-1.0, l=0, D=3, b=1.2)
+    grid = [float(x) for x in np.linspace(-0.6, -0.04, 400)]
+    skipped = {grid[k] for k in (3, 50, 200, 250)}  # away from the levels
+    nudged = {grid[k] for k in (7, 120)}
+
+    def family(E):
+        if E in skipped:
+            raise NumericBreakdown("synthetic")
+        if E in nudged:
+            raise ZeroOffdiagonal(0, "degenerate at the grid energy only")
+        return coulomb_jacobi(model, E)
+
+    clean = det_pole_scan(lambda E: coulomb_jacobi(model, E), -0.6, -0.04,
+                          size=3)
+    assert len(clean) == 3
+    assert det_pole_scan(family, -0.6, -0.04, size=3) == clean
+
+    def failing(E):
+        if E == grid[300]:
+            raise RuntimeError("later in grid order")
+        if E == grid[100]:
+            raise KeyError("first in grid order")
+        return family(E)
+
+    with pytest.raises(KeyError, match="first in grid order"):
+        det_pole_scan(failing, -0.6, -0.04, size=3)
 
 
 def test_oscillator_pole_scan_matches_levels():

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from jgreens.errors import GridTooCoarse, QuadratureSuspect
+import jgreens.scatter as scatter_module
+from jgreens.errors import GridTooCoarse, QuadratureSuspect, ZeroOffdiagonal
 from jgreens.jacobi import SheetSelector, corrected_truncation, \
     green_submatrix
 from jgreens.models import (CoulombModel, coulomb_jacobi, det_pole_scan,
@@ -431,6 +432,28 @@ def test_zero_potential_attractive_charge_recovers_coulomb_levels():
                             size=21)
     assert len(scanned) == 6
     assert max(abs(s - g) for s, g in zip(scanned, got)) <= 1e-12
+
+
+def test_bound_state_grid_raises_first_failure_in_grid_order(monkeypatch):
+    # the grid is one batch of lanes; as with one det_equation call per
+    # grid energy, the first failing energy in grid order raises its error
+    p = table_problem(8)
+    grid = [float(x) for x in np.linspace(-35.0, -25.0, 40)]
+    build = scatter_module.coulomb_jacobi
+
+    def failing(model, E):
+        if E == grid[30]:
+            raise QuadratureSuspect("later in grid order")
+        if E == grid[10]:
+            raise ZeroOffdiagonal(0, "first in grid order")
+        return build(model, E)
+
+    monkeypatch.setattr(scatter_module, "coulomb_jacobi", failing)
+    with pytest.raises(ZeroOffdiagonal, match="first in grid order"):
+        find_bound_states(p, -35.0, -25.0, n_grid=40)
+    monkeypatch.setattr(scatter_module, "coulomb_jacobi", build)
+    assert find_bound_states(p, -35.0, -25.0, n_grid=40) == [
+        bound_levels(8)[1]]
 
 
 def test_det_equation_sheet_validation():
