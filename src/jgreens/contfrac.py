@@ -9,6 +9,9 @@ S_n(w) in which the discarded tail is replaced by an estimate w, computes
 fixed points of the tail map w -> a/(b + w), applies the Bauer-Muir
 transform (singly and repeatedly) to accelerate convergence, and extracts
 minimal-solution ratios of three-term recurrences via Pincherle's theorem.
+
+Every forward sum runs on the chunked lane kernel owned here
+(:func:`_sum_fractions`); :mod:`jgreens.jacobi` gives it a chunk reader.
 """
 
 from __future__ import annotations
@@ -20,12 +23,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateTransform,
-    DivisionByZero,
-    NoMinimalSolution,
-    NumericBreakdown,
-)
+from .errors import (DegenerateTransform, DivisionByZero, NoMinimalSolution,
+                     NumericBreakdown)
 
 __all__ = [
     "TailOrigin",
@@ -51,8 +50,10 @@ _DEGENERATE_REL = 1e-9
 # Forward approximant is treated as a pole when the denominator is this
 # small relative to the numerator.
 _POLE_THRESHOLD = 1e-250
-# Default renormalization trigger for the forward recurrence.
-_RENORM_AT = 1e150
+# Coefficients in a sum's first chunk (unless the caller asks for more);
+# then 4n + 3 up to _CHUNK_MAX, so that n + 1 states, a power of two, are
+# scanned. A chunk runs its lanes in groups of at most _CHUNK_CELLS // n.
+_CHUNK_FIRST, _CHUNK_MAX, _CHUNK_CELLS = 15, 1023, 1 << 12
 
 Coeffs = Callable[[int], tuple[complex, complex]]
 
@@ -127,9 +128,9 @@ class ContinuedFraction:
     b0 : complex
         Leading term.
     coeffs : callable
-        Map i -> (a_i, b_i) for i >= 1. Raising IndexError marks the end
-        of a finite fraction. Must be deterministic: requesting the same
-        index twice yields identical values.
+        Map i -> (a_i, b_i) for i >= 1; IndexError marks the end of a
+        finite fraction. Must be pure: the forward sums and Bauer-Muir
+        transforms read it a chunk ahead, and raise only what they reach.
     """
 
     b0: complex
@@ -185,10 +186,6 @@ class Recurrence:
     limit_coeffs: tuple[complex, complex] | None = None
 
 
-def _nonfinite(z: complex) -> bool:
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
-
-
 def eval_backward(cf: ContinuedFraction, n: int,
                   tail: TailValue | complex = ZERO_TAIL) -> complex:
     """Evaluate the modified approximant S_n(w) by backward recurrence.
@@ -238,70 +235,55 @@ def eval_backward(cf: ContinuedFraction, n: int,
 
 def forward_approximants(cf: ContinuedFraction,
                          tail: TailValue | complex = ZERO_TAIL,
-                         *,
-                         renorm_at: float = _RENORM_AT,
                          ) -> Iterator[tuple[int, complex | None]]:
     """Yield (n, S_n(w)) from the forward recurrence, n = 0, 1, 2, ...
 
     Numerators and denominators follow A_n = b_n A_{n-1} + a_n A_{n-2}
     and the same recursion for B_n, seeded with A_{-1} = 1, A_0 = b0,
     B_{-1} = 0, B_0 = 1, so that S_n(w) = (A_n + A_{n-1} w)/(B_n + B_{n-1} w).
-    The quadruple is renormalized whenever its magnitude exceeds
-    ``renorm_at``; approximants are invariant under that scaling. Yields
-    None in place of S_n when the approximant has a pole at w.
-    Coefficient n+1 is read before S_n is yielded. Terminates when the
-    coefficient stream ends (finite fraction).
+    It runs as a rescaled prefix scan over chunks of coefficients, read
+    a chunk ahead; approximants are invariant under that scaling. Yields
+    None in place of S_n when it has a pole at w, and raises in its place
+    what the map raises for index n + 1. Terminates when the coefficient
+    stream ends (finite fraction).
 
     Raises
     ------
     NumericBreakdown
         If a non-finite value contaminates the recurrence.
     """
-    w = _tail_w(tail)
-    a_prev, a_cur = 1.0 + 0.0j, complex(cf.b0)
-    b_prev, b_cur = 0.0 + 0.0j, 1.0 + 0.0j
-    n = 0
-    while True:
-        try:
-            pair: tuple[complex, complex] | None = cf.coefficient(n + 1)
-        except IndexError:
-            pair = None
-        num = a_cur + a_prev * w
-        den = b_cur + b_prev * w
-        if abs(den) <= _POLE_THRESHOLD * max(1.0, abs(num)):
-            yield n, None
-        else:
-            s = num / den
-            if _nonfinite(s):
+    read, w = _one_lane_reader(cf.coefficient), _tail_w(tail)
+    x = np.array([[[cf.b0], [1.0]], [[1.0], [0.0]]], dtype=complex)
+    for j0, size in _chunks(_CHUNK_FIRST):
+        a, b, faults = read(None, j0, size)
+        stop, cause = faults.get(0, (size, None))
+        with np.errstate(all="ignore"):
+            scanned, s, approx = _approximants(x, a, b, w)
+            finite = np.isfinite(scanned[:, :, 1:]).all(axis=(0, 1))
+        for t in range(min(stop + 1, size)):
+            if t == stop and not isinstance(cause, IndexError):
+                raise cause
+            if approx[t, 0] and not np.isfinite(s[t, 0]):
                 raise NumericBreakdown("non-finite approximant")
-            yield n, s
-        if pair is None:
-            return
-        n += 1
-        a, b = pair
-        a_cur, a_prev = b * a_cur + a * a_prev, a_cur
-        b_cur, b_prev = b * b_cur + a * b_prev, b_cur
-        if any(map(_nonfinite, (a_cur, a_prev, b_cur, b_prev))):
-            raise NumericBreakdown(
-                f"non-finite recurrence value at term {n}")
-        scale = max(abs(a_cur), abs(b_cur))
-        if scale > renorm_at:
-            a_cur /= scale
-            a_prev /= scale
-            b_cur /= scale
-            b_prev /= scale
+            yield j0 + t - 1, complex(s[t, 0]) if approx[t, 0] else None
+            if t == stop:
+                return
+            if not finite[t, 0]:
+                raise NumericBreakdown(
+                    f"non-finite recurrence value at term {j0 + t}")
 
 
 def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
-                 tail: TailValue | complex = ZERO_TAIL,
-                 *, renorm_at: float = _RENORM_AT) -> CfResult:
+                 tail: TailValue | complex = ZERO_TAIL) -> CfResult:
     """Evaluate a continued fraction by the forward recurrence.
 
-    Iterates modified approximants S_n(w) and stops when two successive
-    well-defined approximants agree, |S_n - S_{n-1}| <= tol * max(1, |S_n|).
-    An approximant pole resets the comparison so convergence always
-    requires two consecutive finite values. A finite fraction terminates
-    exactly and reports convergence with last_delta = 0.
+    Iterates modified approximants S_n(w), n >= 1, and stops when two
+    successive well-defined approximants agree,
+    |S_n - S_{n-1}| <= tol * max(1, |S_n|). An approximant pole resets
+    the comparison so convergence always requires two consecutive finite
+    values. A finite fraction terminates exactly and reports convergence
+    with last_delta = 0. This is the one-lane case of :func:`_sum_fractions`,
+    which reads up to a chunk ahead; only what it reaches raises.
 
     Parameters
     ----------
@@ -313,14 +295,13 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
         Coefficient budget, >= 1.
     tail : TailValue or complex
         Tail estimate w (default zero).
-    renorm_at : float
-        Renormalization trigger for the rolling recurrence values.
 
     Returns
     -------
     CfResult
-        Converged flag is False (with the best value seen) when the
-        budget is exhausted; no exception is raised for that case.
+        Converged is False (no exception) when the budget is exhausted,
+        with S_max_terms, or S_{max_terms-1} at its pole (else None), and
+        the last comparison of the final chunk (inf if it holds none).
 
     Raises
     ------
@@ -328,29 +309,17 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
         If NaN or infinity contaminates the recurrence, or a finite
         fraction terminates on a pole approximant.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
-    prev = best = None
-    last_delta = math.inf
-    for terms, s in forward_approximants(cf, tail, renorm_at=renorm_at):
-        if s is None:
-            # approximant pole: require two fresh finite values afterwards
-            prev = None
-        else:
-            if prev is not None:
-                last_delta = abs(s - prev)
-                if last_delta <= tol * max(1.0, abs(s)):
-                    return CfResult(s, terms, True, last_delta)
-            best = prev = s
-        if terms >= max_terms:
-            return CfResult(best, terms, False, last_delta)
-    # Coefficient stream ended: a finite fraction evaluates exactly.
-    if s is None or best is None:
+    (outcome,) = _sum_fractions(
+        _one_lane_reader(cf.coefficient), np.array([cf.b0], dtype=complex), 0,
+        np.array([_tail_w(tail)]), TailOrigin.USER_SUPPLIED, tol, max_terms)
+    if outcome is None:
         raise NumericBreakdown(
             "finite fraction terminates on a pole approximant")
-    return CfResult(best, terms, True, 0.0)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return CfResult(*outcome)
 
 
 def fixed_points(a: complex, b: complex) -> tuple[TailValue, TailValue]:
@@ -396,13 +365,6 @@ def _fixed_point_arrays(a: np.ndarray, b: np.ndarray
     return np.where(tie, big, small), np.where(tie, small, big)
 
 
-def _as_w_seq(w_seq) -> Callable[[int], complex]:
-    if callable(w_seq):
-        return lambda n: complex(w_seq(n))
-    w = complex(w_seq)
-    return lambda n: w
-
-
 def bauer_muir(cf: ContinuedFraction, w_seq) -> ContinuedFraction:
     """Apply the Bauer-Muir transform with modifying sequence w_n.
 
@@ -414,9 +376,9 @@ def bauer_muir(cf: ContinuedFraction, w_seq) -> ContinuedFraction:
         d_0 = b_0 + w_0,  c_1 = lambda_1,  d_1 = b_1 + w_1,
         c_i = a_{i-1} q_{i-1},  d_i = b_i + w_i - w_{i-2} q_{i-1}  (i >= 2).
 
-    Coefficients are produced on request and kept, filled in index
-    order, so a vanishing lambda_k is detected at the first request of
-    any index >= k.
+    Coefficients are filled on request a chunk at a time, reading the
+    input and w_seq (both pure) up to a chunk ahead; a failure at index k
+    (a vanishing lambda_k, or what they raise) is raised for every k' >= k.
 
     Parameters
     ----------
@@ -436,9 +398,10 @@ def bauer_muir(cf: ContinuedFraction, w_seq) -> ContinuedFraction:
         When lambda_k at a filled index is zero, or so small relative to
         the terms that formed it that it carries no significant digits
         (the transform exists iff every lambda_i is nonzero, and a fully
-        cancelled lambda_i is numerically indistinguishable from zero).
+        cancelled lambda_i is numerically indistinguishable from zero);
+        its ``round_index`` is 1.
     """
-    return _BauerMuirChain(cf, _as_w_seq(w_seq), 1, tag_rounds=False).fraction
+    return repeated_bauer_muir(cf, w_seq, 1)
 
 
 def repeated_bauer_muir(cf: ContinuedFraction, w: complex,
@@ -450,14 +413,14 @@ def repeated_bauer_muir(cf: ContinuedFraction, w: complex,
     cf : ContinuedFraction
         Fraction to transform.
     w : complex
-        Constant modifying value.
+        Constant modifying value (or a map n -> w_n, as in bauer_muir).
     rounds : int
         Number of chained transforms, >= 0; rounds=0 returns the input.
 
     Returns
     -------
     ContinuedFraction
-        The chained transform.
+        The chained transform, filled as :func:`bauer_muir` fills.
 
     Raises
     ------
@@ -469,67 +432,34 @@ def repeated_bauer_muir(cf: ContinuedFraction, w: complex,
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     if rounds == 0:
         return cf
-    return _BauerMuirChain(cf, _as_w_seq(w), rounds,
-                           tag_rounds=True).fraction
+    w_of = w if callable(w) else lambda n, w=complex(w): w
+    read = _one_lane_reader(lambda j: (*cf.coefficient(j), w_of(j)), 3)
+    w_last = np.array([[0.0], [w_of(0)]], dtype=complex)  # w_{-1} = 0, w_0
+    st = {"lam": np.ones((rounds, 1), dtype=complex),
+          "num": np.ones((rounds, 1), dtype=complex)}
+    pairs: list = [None]
+    failure: list[Exception] = []
+    chunks = _chunks(_CHUNK_FIRST)
 
+    def coeffs(i: int) -> tuple[complex, complex]:
+        while len(pairs) <= i and not failure:
+            j0, size = next(chunks)
+            a, b, ws, faults = read(None, j0, size)
+            ws = np.concatenate((w_last, ws))  # w_{j-2} from position -2 on
+            w_last[:] = ws[-2:]
+            with np.errstate(all="ignore"):
+                c, d, checks = _bauer_muir_rounds(
+                    a, b, (ws[2:], ws[1:-1], ws[:-2]), st)
+                stop, cause = _first_faults(faults, checks, j0)[0].get(
+                    0, (size, None))
+            pairs.extend(zip(c[:stop, 0].tolist(), d[:stop, 0].tolist()))
+            if cause is not None:
+                failure.append(cause)
+        if i < len(pairs):
+            return pairs[i]
+        raise failure[0]
 
-class _BauerMuirChain:
-    """``rounds`` chained Bauer-Muir transforms of ``cf`` with one
-    modifying sequence, filled index by index.
-
-    ``pairs[i]`` is the last round's (c_i, d_i) and ``w[n]`` is w_n.
-    ``lam[r]`` and ``num[r]`` are round r's lambda_i and input numerator
-    a_i at the last filled index i: all that index i+1 needs of it.
-    """
-
-    def __init__(self, cf: ContinuedFraction, w_of: Callable[[int], complex],
-                 rounds: int, *, tag_rounds: bool):
-        self.cf = cf
-        self.w_of = w_of
-        self.rounds = rounds
-        self.tag_rounds = tag_rounds
-        self.w = [w_of(0)]
-        self.lam = [0.0j] * rounds
-        self.num = [0.0j] * rounds
-        self.pairs: list[tuple[complex, complex]] = [(0.0j, 0.0j)]
-        b0 = complex(cf.b0)
-        for _ in range(rounds):
-            b0 = b0 + self.w[0]
-        self.fraction = ContinuedFraction(b0, self.coeffs)
-
-    def coeffs(self, i: int) -> tuple[complex, complex]:
-        pairs = self.pairs
-        while len(pairs) <= i:
-            self._fill(len(pairs))
-        return pairs[i]
-
-    def _fill(self, i: int) -> None:
-        a, b = self.cf.coefficient(i)
-        ws = self.w
-        if len(ws) == i:
-            ws.append(self.w_of(i))
-        w_i, w_im1 = ws[i], ws[i - 1]
-        w_im2 = ws[i - 2] if i >= 2 else 0.0j
-        # round state is committed only once every round has passed, so
-        # a failed index raises again when it is requested again
-        lam, num = list(self.lam), list(self.num)
-        for r in range(self.rounds):
-            v = a - w_im1 * (b + w_i)
-            scale = max(abs(a), abs(w_im1) * (abs(b) + abs(w_i)))
-            if abs(v) <= _DEGENERATE_REL * max(scale, _ZERO_THRESHOLD):
-                raise DegenerateTransform(
-                    i, round_index=r + 1 if self.tag_rounds else None)
-            if i == 1:
-                c, d = v, b + w_i
-            else:
-                q = v / lam[r]
-                c, d = num[r] * q, b + w_i - w_im2 * q
-            if c == 0:
-                raise ValueError(f"partial numerator a_{i} is zero")
-            lam[r], num[r] = v, a
-            a, b = c, d
-        self.lam, self.num = lam, num
-        self.pairs.append((a, b))
+    return ContinuedFraction(complex(cf.b0 + rounds * w_last[1, 0]), coeffs)
 
 
 def pincherle_ratio(rec: Recurrence, N: int = 0, tol: float = 1e-12,
@@ -549,7 +479,8 @@ def pincherle_ratio(rec: Recurrence, N: int = 0, tol: float = 1e-12,
     Parameters
     ----------
     rec : Recurrence
-        Recurrence with coefficient map n -> (a_n, b_n).
+        Recurrence with coefficient map n -> (a_n, b_n); must be pure,
+        as it is read a chunk ahead.
     N : int
         Ratio offset, >= 0.
     tol : float
@@ -583,3 +514,240 @@ def pincherle_ratio(rec: Recurrence, N: int = 0, tol: float = 1e-12,
             f"continued fraction did not converge in {max_terms} terms "
             f"(last delta {res.last_delta:.3e})")
     return -res.value
+
+
+# ------------------------------------------------------ the chunked kernel
+
+
+def _one_lane_reader(row: Callable, width: int = 2) -> Callable:
+    """Chunk reader (:func:`_sum_fractions`) of one lane whose rows row(j)
+    hold ``width`` values, (a_j, b_j) and any more, read out as arrays."""
+
+    def read(lanes, j0: int, size: int):
+        rows, faults = [], {}
+        for j in range(j0, j0 + size):
+            try:
+                rows.append(row(j))
+            except Exception as exc:  # raised where the sum reaches it
+                faults[0] = (j - j0, exc)
+                break
+        out = np.zeros((width, size, 1), dtype=complex)
+        if rows:
+            out[:, :len(rows), 0] = np.array(rows, dtype=complex).T
+        return (*out, faults)
+
+    return read
+
+
+def _sum_fractions(read: Callable, b0: np.ndarray, rounds: int,
+                   w: np.ndarray, tail: TailOrigin, tol: float,
+                   max_terms: int, first: int | None = None) -> list:
+    """Sum the lanes' fractions after ``rounds`` Bauer-Muir transforms with
+    w[k] (``b0``: the transformed leading terms), in chunks from 15 or
+    ``first`` coefficients on (:func:`_fraction_chunk`). The tails are
+    each coefficient's attractive or repulsive fixed point, or the constant
+    w[k] (ZERO, USER_SUPPLIED; no rounds). A lane's value does not depend
+    on its batch; ``max_terms`` < 1 acts as 1. ``read(lanes, j0, size)``
+    gives coefficients j0 .. j0 + size - 1 as (a, b) arrays (size, lanes)
+    and {p: (position, error)} of each lane's first fault in them
+    (IndexError ends a fraction). Per lane returns a CfResult (agreement,
+    the budget, an exact end), None for an end on a pole approximant, or
+    the error that stopped it (IndexError: an end with rounds on); a
+    CfResult comes as the tuple of its fields."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be > 0, got {tol}")
+    L = len(w)
+    outcomes: list = [None] * L
+    one, zero = np.ones(L, dtype=complex), np.zeros(L, dtype=complex)
+    st = {  # x: [[A_m, A_{m-1}], [B_m, B_{m-1}]]; lam, num: each round's
+        # lambda and input numerator at the last index (1 before the first)
+        "x": np.array([[b0, one], [one, zero]]),
+        "lam": np.ones((rounds, L), dtype=complex),
+        "num": np.ones((rounds, L), dtype=complex),
+        "prev": zero.copy(), "has_prev": np.zeros(L, bool), "w": w}
+    live, last_step = np.arange(L), max(max_terms, 1)
+    with np.errstate(all="ignore"):
+        for j0, size in _chunks(first or _CHUNK_FIRST, last_step + 1):
+            group = max(1, _CHUNK_CELLS // size)
+            keep = np.ones(live.size, dtype=bool)
+            for g in range(0, live.size, group):
+                view = st if group >= live.size else {
+                    key: v[..., g:g + group] for key, v in st.items()}
+                stopped = _fraction_chunk(read, live[g:g + group], view, j0,
+                                          size, rounds, tail, tol, last_step)
+                for p, value in stopped.items():
+                    outcomes[live[g + p]] = value
+                    keep[g + p] = False
+            if not keep.any():
+                break
+            live = live[keep]
+            st = {key: v[..., keep] for key, v in st.items()}
+    return outcomes
+
+
+def _chunks(size: int, last: float = math.inf) -> Iterator[tuple[int, int]]:
+    """(first coefficient, size) of each chunk up to coefficient last."""
+    j0 = 1
+    while j0 <= last:
+        size = min(size, last + 1 - j0)
+        yield j0, size
+        j0, size = j0 + size, min(4 * size + 3, _CHUNK_MAX)
+
+
+def _fraction_chunk(read: Callable, lanes: np.ndarray, st: dict, j0: int,
+                    size: int, rounds: int, tail: TailOrigin, tol: float,
+                    max_terms: int) -> dict:
+    """Sum coefficients j0 .. j0 + size - 1 of the lanes in ``st``, and
+    return the outcomes of those that stop. Arrays are (position, lane);
+    position t holds coefficient j = j0 + t and step j - 1: S_{j-1} with
+    its tail from coefficient j, then the update by coefficient j. Its
+    events come in the scalar order: the reader's fault, a zero a_j, each
+    Bauer-Muir round (at an end a fixed-point tail is zero); a non-finite
+    S_{j-1}, agreement, the budget, the end; a non-finite recurrence
+    value. A lane stops at its first event: what it read past that never
+    raises."""
+    a, b, faults = read(lanes, j0, size)
+    w = st["w"]
+    if rounds:
+        # w_{i-2}: w_{-1} = 0 makes d_1 = b_1 + w_1
+        before = np.broadcast_to(w, a.shape)
+        if j0 == 1:
+            before = before.copy()
+            before[0] = 0.0
+        a, b, checks = _bauer_muir_rounds(a, b, (w, w, before), st)
+    else:
+        checks = (a == 0)[None]
+    faults, bad = _first_faults(faults, checks, j0)
+    fixed = tail in (TailOrigin.ATTRACTIVE_FIXED_POINT,
+                     TailOrigin.REPULSIVE_FIXED_POINT)
+    tails = _fixed_point_arrays(a, b)[
+        tail is TailOrigin.REPULSIVE_FIXED_POINT] if fixed else w
+    # an end with rounds on is no exact sum: it stops the lane as an error
+    ends = {p for p, (_, cause) in faults.items()
+            if isinstance(cause, IndexError) and not rounds}
+    for p in ends if fixed else ():
+        tails[faults[p][0], p] = 0.0
+
+    x, s, approx = _approximants(st["x"], a, b, tails)
+    if j0 == 1:
+        approx[0] = False  # step 0 forms no approximant
+    nonfinite = approx & ~np.isfinite(s)
+    prev = np.concatenate((st["prev"][None], s[:-1]))
+    formed = np.concatenate((st["has_prev"][None], approx[:-1]))
+    compared = approx & formed
+    delta = np.abs(s - prev)
+    agree = compared & (delta <= tol * np.fmax(1.0, np.abs(s)))
+    event = bad | nonfinite | agree
+    event |= ~np.isfinite(x[:, :, 1:]).all(axis=(0, 1))
+    event[-1] |= j0 + size - 2 >= max_terms
+    st["prev"][...], st["has_prev"][...] = s[-1], approx[-1]
+
+    stopped: dict[int, object] = {}
+    if not event.any():
+        return stopped
+    hit = np.flatnonzero(event.any(axis=0))
+    ts = event[:, hit].argmax(axis=0)
+    for p, t, value, d, agreed, broke, finite in zip(
+            hit.tolist(), ts.tolist(), s[ts, hit].tolist(),
+            delta[ts, hit].tolist(), agree[ts, hit].tolist(),
+            nonfinite[ts, hit].tolist(), approx[ts, hit].tolist()):
+        m = j0 + t - 1
+        at, cause = faults.get(p, (None, None))
+        if at == t and p not in ends:
+            stopped[p] = cause
+        elif broke:
+            stopped[p] = NumericBreakdown("non-finite approximant")
+        elif agreed:
+            stopped[p] = (value, m, True, d)
+        elif m >= max_terms:  # S_m, or at its pole S_{m-1}
+            seen = np.flatnonzero(compared[:t + 1, p])  # in this chunk
+            last = float(delta[seen[-1], p]) if seen.size else math.inf
+            stopped[p] = (value if finite else complex(prev[t, p])
+                          if formed[t, p] else None, m, False, last)
+        elif at == t:
+            stopped[p] = (value, m, True, 0.0) if finite else None
+        else:
+            stopped[p] = NumericBreakdown(
+                f"non-finite recurrence value at term {m + 1}")
+    return stopped
+
+
+def _first_faults(faults: dict, checks: np.ndarray, j0: int
+                  ) -> tuple[dict, np.ndarray]:
+    """Each lane's first fault {p: (t, error)}: the reader's, or an earlier
+    check (masks (check, position, lane): a zero a_j, then per Bauer-Muir
+    round a degenerate lambda_j and a zero c_j); and where any fault is."""
+    bad = checks.any(axis=0)
+    for p, (t, _) in faults.items():
+        bad[t, p] = True
+    for p in np.flatnonzero(bad.any(axis=0)).tolist():
+        t = int(bad[:, p].argmax())
+        if faults.get(p, (None,))[0] == t:
+            continue
+        kind = int(checks[:, t, p].argmax())
+        faults[p] = (t, DegenerateTransform(j0 + t, (kind + 1) // 2)
+                     if kind % 2 else
+                     ValueError(f"partial numerator a_{j0 + t} is zero"))
+    return faults, bad
+
+
+def _bauer_muir_rounds(a: np.ndarray, b: np.ndarray, w: tuple, st: dict
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one Bauer-Muir implementation, behind the sums and
+    :func:`repeated_bauer_muir`: a transform per row of ``st["lam"]`` of
+    (a, b) at (position, lane), with ``w`` = (w_i, w_{i-1}, w_{i-2})
+    broadcastable to a.shape and ``st`` each round's lambda and input
+    numerator at the index before (updated). Returns the last (c, d) and
+    the checks of :func:`_first_faults`."""
+    w_i, w_im1, w_im2 = w
+    rounds = len(st["lam"])
+    # row 0 holds index i - 1 of the first position; num[r] is round r's
+    # input numerator, num[r + 1] its output
+    lam = np.empty((rounds, len(a) + 1) + a.shape[1:], dtype=complex)
+    num = np.empty((rounds + 1,) + lam.shape[1:], dtype=complex)
+    den = np.empty((rounds + 1,) + a.shape, dtype=complex)
+    lam[:, 0], num[:rounds, 0], num[0, 1:], den[0] = st["lam"], st["num"], a, b
+    for r in range(rounds):
+        bw = den[r] + w_i
+        np.subtract(num[r, 1:], w_im1 * bw, out=lam[r, 1:])
+        q = lam[r, 1:] / lam[r, :-1]
+        np.multiply(num[r, :-1], q, out=num[r + 1, 1:])
+        np.subtract(bw, w_im2 * q, out=den[r + 1])
+    st["lam"][...], st["num"][...] = lam[:, -1], num[:rounds, -1]
+    checks = np.empty((2 * rounds + 1,) + a.shape, dtype=bool)
+    np.equal(num[:, 1:], 0, out=checks[0::2])
+    w_abs = np.abs(w_im1)
+    scale = np.maximum(np.abs(num[:rounds, 1:]), w_abs * (
+        np.abs(den[:rounds]) + (w_abs if w_i is w_im1 else np.abs(w_i))))
+    np.less_equal(np.abs(lam[:, 1:]), _DEGENERATE_REL * np.maximum(
+        scale, _ZERO_THRESHOLD), out=checks[1::2])
+    return num[rounds, 1:], den[rounds], checks
+
+
+def _approximants(state: np.ndarray, a: np.ndarray, b: np.ndarray, tails
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward recurrence over a chunk from ``state`` (updated): the scanned
+    stack, S_{j-1} of each position with its tail, and where it is no pole."""
+    x = np.empty((2, 2, len(a) + 1) + a.shape[1:], dtype=complex)
+    x[:, :, 0] = state
+    x[0, 0, 1:], x[0, 1, 1:], x[1, 0, 1:], x[1, 1, 1:] = b, 1.0, a, 0.0
+    _prefix_products(x)
+    state[...] = x[:, :, -1]
+    num, den = x[:, 0, :-1] + x[:, 1, :-1] * tails
+    s = num / den
+    return x, s, ~(np.abs(den) <= _POLE_THRESHOLD * np.fmax(1.0, np.abs(num)))
+
+
+def _prefix_products(x: np.ndarray) -> None:
+    """x[:, :, t] <- x[:, :, 0] @ ... @ x[:, :, t] for a (2, 2, positions,
+    lanes) stack, in place, in log2(positions) rounds (Hillis and Steele,
+    CACM 29 (1986)). The first, the last and every other round rescale to
+    unit largest entry, so that the rounds between take entries <= 1."""
+    step, rescale = 1, True
+    while step < x.shape[2]:
+        prod = x[:, :1, :-step] * x[None, 0, :, step:]
+        prod += x[:, 1:, :-step] * x[None, 1, :, step:]
+        if rescale or 2 * step >= x.shape[2]:
+            prod *= 1.0 / np.abs(prod).max(axis=(0, 1))
+        x[:, :, step:] = prod
+        step, rescale = 2 * step, not rescale

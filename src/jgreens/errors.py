@@ -154,7 +154,3 @@ class NodeFailure(JGreensError):
                 shown += ", ..."
             message += f" ({len(self.nodes)} nodes: {shown})"
         super().__init__(message)
-
-
-class ConfigError(JGreensError):
-    """Invalid or unknown configuration input."""

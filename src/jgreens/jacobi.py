@@ -13,32 +13,24 @@ Sheet selection (physical or unphysical) enters only through the tail
 estimate used when summing that fraction, which is what analytically
 continues the Green's matrix across the scattering cut.
 
+The fraction is summed by the chunked lane kernel of
+:mod:`jgreens.contfrac`; this module gives it the Jacobi chunk reader,
+the sheets' tails and the Bauer-Muir depth plans.
+
 Indices are 0-based throughout: diag(i) = J_ii and offdiag(i) = J_{i,i+1}.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .contfrac import (
-    _DEGENERATE_REL,
-    _POLE_THRESHOLD,
-    _ZERO_THRESHOLD,
-    _fixed_point_arrays,
-)
-from .errors import (
-    DegenerateTransform,
-    NotConverged,
-    NumericBreakdown,
-    SingularMatrix,
-    SingularRatio,
-    ZeroOffdiagonal,
-)
+from .contfrac import TailOrigin, _fixed_point_arrays, _sum_fractions
+from .errors import (DegenerateTransform, NotConverged, SingularMatrix,
+                     SingularRatio, ZeroOffdiagonal)
 
 __all__ = [
     "JacobiOperator",
@@ -171,13 +163,15 @@ def cf_coefficients(J: JacobiOperator,
     def gen(i: int) -> tuple[complex, complex]:
         if i < start:
             raise IndexError(f"index {i} below start {start}")
-        upper = complex(J.offdiag(i - 1))
-        lower = complex(J.offdiag(i))
+        upper = np.complex128(J.offdiag(i - 1))
+        lower = np.complex128(J.offdiag(i))
         if lower == 0:
             raise ZeroOffdiagonal(i)
         if upper == 0:
             raise ZeroOffdiagonal(i - 1)
-        return -upper / lower, -complex(J.diag(i)) / lower
+        # numpy's complex division, as the corner-ratio kernel divides
+        diag = np.complex128(J.diag(i))
+        return complex(-upper / lower), complex(-diag / lower)
 
     return gen
 
@@ -209,9 +203,9 @@ def tail_ratio(J: JacobiOperator, n: int,
     fixed point of ``J.limit_coeffs``.
 
     This is the one-lane case of :func:`_corner_ratios`, which sums chunks
-    of coefficients as array operations and may read past the approximant
-    it stops at; only the indices it reaches raise, in the scalar order.
-    A finite fraction (maps raising IndexError) is summed exactly.
+    of coefficients with the kernel of :mod:`jgreens.contfrac` and may
+    read past the approximant it stops at; only the indices it reaches
+    raise, in the scalar order. A finite fraction is summed exactly.
 
     Parameters
     ----------
@@ -228,9 +222,9 @@ def tail_ratio(J: JacobiOperator, n: int,
         tried in turn: 0, 4, 2 for Re E < 0 and 8, 4, 2, 0 otherwise,
         moving to the next after a DegenerateTransform or NotConverged.
     tol : float
-        Relative convergence tolerance.
+        Relative convergence tolerance, > 0.
     max_terms : int
-        Coefficient budget.
+        Coefficient budget; below 1 it stops at S_1, as 1 does.
 
     Returns
     -------
@@ -248,6 +242,8 @@ def tail_ratio(J: JacobiOperator, n: int,
         near a zero), or a finite fraction ends on a pole approximant.
     ZeroOffdiagonal, DegenerateTransform
         Propagated from coefficient generation and acceleration.
+    ValueError
+        For n < 1, tol <= 0, or a sheet the operator cannot serve.
     """
     if n < 1:
         raise ValueError(f"ratio index must be >= 1, got {n}")
@@ -327,8 +323,8 @@ def _checked_inverse(mat: np.ndarray) -> np.ndarray:
 
 def green_submatrix(J: JacobiOperator, N: int,
                     sheet: SheetSelector = SheetSelector.AUTO,
-                    tol: float = _DEFAULT_TOL,
                     bm_rounds: int | None = None,
+                    tol: float = _DEFAULT_TOL,
                     max_terms: int = _DEFAULT_MAX_TERMS) -> GreenMatrix:
     """Leading N x N block of the Green's matrix G = J^{-1}.
 
@@ -345,7 +341,7 @@ def green_submatrix(J: JacobiOperator, N: int,
         Block size, >= 1.
     sheet : SheetSelector
         Tail branch for the corner ratio.
-    tol, bm_rounds, max_terms
+    bm_rounds, tol, max_terms
         Passed through to :func:`tail_ratio`.
 
     Returns
@@ -423,51 +419,40 @@ def _green_blocks(family: Callable, energies: Sequence, N: int,
     return out, errors
 
 
-# Tail branch of a lane in the corner-ratio kernel.
-_ATTRACTIVE, _REPULSIVE, _ZERO = 0, 1, 2
-# Coefficients in a sum's first chunk: _CHUNK_FIRST, or _CHUNK_LANE for
-# tail_ratio's one lane with Bauer-Muir rounds on (long near the real axis;
-# one lane pays per chunk, not per coefficient); then 4n + 3 up to
-# _CHUNK_MAX, so that n + 1 states, a power of two, are scanned. A chunk
-# runs its lanes in groups of at most _CHUNK_CELLS // n.
-_CHUNK_FIRST, _CHUNK_LANE, _CHUNK_MAX, _CHUNK_CELLS = 15, 63, 1023, 1 << 12
-# Outcome of a lane whose fraction ended while Bauer-Muir rounds were on.
-_ENDED = object()
+# First chunk of tail_ratio's one lane with Bauer-Muir rounds on: those
+# fractions are long (near the real axis), and one lane pays per chunk.
+_CHUNK_LANE = 63
+# Tails: physical (AUTO resolves to it or fails) the attractive root, the
+# limit from above the cut; unphysical the repulsive one, through the cut.
+_TAILS = {SheetSelector.UNPHYSICAL: TailOrigin.REPULSIVE_FIXED_POINT,
+          SheetSelector.ZERO_TAIL: TailOrigin.ZERO}
 
 
 def _corner_ratios(ops: Sequence[JacobiOperator], n: int,
                    sheet: SheetSelector = SheetSelector.PHYSICAL,
                    bm_rounds: int | None = None, tol: float = _DEFAULT_TOL,
                    max_terms: int = _DEFAULT_MAX_TERMS,
-                   first: int = _CHUNK_FIRST) -> tuple[np.ndarray, list]:
+                   first: int | None = None) -> tuple[np.ndarray, list]:
     """``tail_ratio(op, n, sheet, ...)`` of every operator, as lanes: the
     ratios (zero where a lane failed) and per lane, None or the error.
     Lanes at one Bauer-Muir depth of their plans form one batch of
-    :func:`_sum_fractions`; a lane moves on through its plan as
-    ``tail_ratio`` does, and to depth 0 when its fraction ended. The
-    arithmetic is elementwise: a lane's value is the same in any batch
-    with the same ``first`` chunk (used at depths above 0).
-    """
+    :func:`jgreens.contfrac._sum_fractions`; a lane moves on through its
+    plan as ``tail_ratio`` does, and to depth 0 when its fraction ended.
+    ``first`` is the first chunk at depths above 0."""
     values, errors = [0j] * len(ops), [None] * len(ops)
-    branch = np.zeros(len(ops), dtype=np.int8)
-    limits = np.zeros((2, len(ops)), dtype=complex)
+    tail = _TAILS.get(sheet, TailOrigin.ATTRACTIVE_FIXED_POINT)
     plans: dict[int, tuple[int, ...]] = {}
     for k, op in enumerate(ops):
         try:
-            resolved = _resolve_sheet(sheet, op.energy)
+            _resolve_sheet(sheet, op.energy)
         except ValueError as exc:
             errors[k] = exc
             continue
-        if resolved is SheetSelector.ZERO_TAIL:
-            branch[k], plans[k] = _ZERO, (0,)
+        if tail is TailOrigin.ZERO:
+            plans[k] = (0,)
         elif op.limit_coeffs is None:
             errors[k] = ValueError(_NO_LIMITS)
         else:
-            # physical: the attractive root (the limit from above the cut);
-            # unphysical: the repulsive one, continuing through the cut
-            branch[k] = _REPULSIVE if resolved is SheetSelector.UNPHYSICAL \
-                else _ATTRACTIVE
-            limits[:, k] = op.limit_coeffs
             plans[k] = _bm_depths(op.energy) if bm_rounds is None \
                 else (int(bm_rounds),)
     stage = 0
@@ -477,22 +462,30 @@ def _corner_ratios(ops: Sequence[JacobiOperator], n: int,
             batches.setdefault(plan[stage], []).append(k)
         for rounds, lanes in batches.items():
             # the Bauer-Muir modifier: the limits' fixed point on the branch
-            w = np.where(branch[lanes] == _REPULSIVE, *_fixed_point_arrays(
-                *limits[:, lanes])[::-1]) if rounds else np.zeros(len(lanes))
-            outcomes = _sum_fractions([ops[k] for k in lanes], n, rounds, w,
-                                      branch[lanes], tol, max_terms,
-                                      first if rounds else _CHUNK_FIRST)
-            for k, value in zip(lanes, outcomes):
+            w = _fixed_point_arrays(*np.array(
+                [ops[k].limit_coeffs for k in lanes], dtype=complex).T)[
+                tail is TailOrigin.REPULSIVE_FIXED_POINT] if rounds \
+                else np.zeros(len(lanes), dtype=complex)
+            outcomes = _sum_fractions(
+                _jacobi_reader([ops[k] for k in lanes], n), rounds * w,
+                rounds, w, tail, tol, max_terms, first if rounds else None)
+            for k, out in zip(lanes, outcomes):
                 plan = plans.pop(k)
-                if value is _ENDED:
+                if isinstance(out, tuple) and not out[2]:  # the budget
+                    _, m, _, last = out
+                    out = NotConverged(
+                        f"tail ratio fraction did not converge in {m} terms "
+                        f"(last delta {last:.3e})", terms_used=m,
+                        last_delta=last)
+                if isinstance(out, IndexError):  # ended with rounds on
                     plans[k] = plan[:stage + 1] + (0,)
-                elif isinstance(value, (DegenerateTransform, NotConverged)) \
+                elif isinstance(out, (DegenerateTransform, NotConverged)) \
                         and stage + 1 < len(plan):
                     plans[k] = plan
-                elif isinstance(value, complex):
-                    values[k] = -value
+                elif isinstance(out, tuple):
+                    values[k] = -out[0]
                 else:  # None: a finite fraction ended on a pole
-                    errors[k] = value or SingularRatio(
+                    errors[k] = out or SingularRatio(
                         "fraction terminated on a pole approximant; the "
                         "leading Green's element vanishes")
         stage += 1
@@ -504,197 +497,38 @@ def _corner_ratios(ops: Sequence[JacobiOperator], n: int,
     return ratios, errors
 
 
-def _sum_fractions(ops: Sequence[JacobiOperator], n: int, rounds: int,
-                   w: np.ndarray, branch: np.ndarray, tol: float,
-                   max_terms: int, first: int) -> list:
-    """K_{i>=n}(u_i/d_i) of every operator after ``rounds`` Bauer-Muir
-    transforms with w[k], with the tails of branch[k], in chunks from a
-    ``first`` one on (:func:`_fraction_chunk`). Per lane: the approximant
-    that agrees with the one before, None for a finite fraction ending on
-    a pole, ``_ENDED`` for one ending with rounds on, or the error.
-    """
-    L = len(ops)
-    outcomes: list = [None] * L
-    one, zero = np.ones(L, dtype=complex), np.zeros(L, dtype=complex)
-    st = {  # the lane state; x: [[A_m, A_{m-1}], [B_m, B_{m-1}]] so far
-        "x": np.array([[rounds * w, one], [one, zero]]),
-        # each round's lambda and input numerator at the last index
-        "lam": np.ones((rounds, L), dtype=complex),
-        "num": np.zeros((rounds, L), dtype=complex),
-        "prev": zero.copy(), "has_prev": np.zeros(L, bool), "w": w,
-        "branch": branch}
-    live, j0, size = np.arange(L), 1, first
-    last_step = max(max_terms, 1)  # max_terms 0 stops at S_1, as 1 does
-    with np.errstate(all="ignore"):
-        while live.size:
-            size = min(size, last_step + 2 - j0)
-            group = max(1, _CHUNK_CELLS // size)
-            keep = np.ones(live.size, dtype=bool)
-            for g in range(0, live.size, group):
-                view = st if group >= live.size else {
-                    key: v[..., g:g + group] for key, v in st.items()}
-                stopped = _fraction_chunk(
-                    [ops[k] for k in live[g:g + group]], view, n, j0, size,
-                    rounds, tol, last_step)
-                for p, value in stopped.items():
-                    outcomes[live[g + p]] = value
-                    keep[g + p] = False
-            if not keep.any():
-                break
-            live = live[keep]
-            st = {key: v[..., keep] for key, v in st.items()}
-            j0, size = j0 + size, min(4 * size + 3, _CHUNK_MAX)
-    return outcomes
+def _jacobi_reader(ops: Sequence[JacobiOperator], n: int) -> Callable:
+    """Chunk reader of the fractions K_{i>=n}(u_i/d_i) of ``ops``, in
+    which coefficient j has index i = n + j - 1. A fault at j comes in
+    the scalar order of :func:`cf_coefficients`: the reads of J_{i-1,i}
+    and J_{i,i+1}, either one zero (J_{i,i+1} first), the read of J_ii."""
 
+    def read(lanes: np.ndarray, j0: int, size: int):
+        i0 = n + j0 - 1
+        sub = [ops[k] for k in lanes]
+        # J_{i-1,i} and J_{i,i+1} of position t are off[t] and off[t + 1]
+        off, off_stop, off_err = _read_lanes([op.offdiag for op in sub],
+                                             i0 - 1, i0 + size)
+        dg, dg_stop, dg_err = _read_lanes([op.diag for op in sub], i0,
+                                          i0 + size)
+        a, b = -off[:-1] / off[1:], -dg / off[1:]
+        zero, faults = off == 0, {}  # a failed read leaves zeros too
+        if not (dg_err or zero.any()):
+            return a, b, faults
+        bad = zero[1:] | zero[:-1]
+        bad |= np.arange(size)[:, None] >= dg_stop
+        for p in np.flatnonzero(bad.any(axis=0)).tolist():
+            t = int(bad[:, p].argmax())
+            if p in off_err and max(off_stop[p] - 1, 0) == t:
+                faults[p] = (t, off_err[p])
+            elif zero[t + 1, p] or zero[t, p]:
+                faults[p] = (t, ZeroOffdiagonal(
+                    i0 + t - int(not zero[t + 1, p])))
+            else:
+                faults[p] = (t, dg_err[p])
+        return a, b, faults
 
-def _fraction_chunk(ops: list, st: dict, n: int, j0: int, size: int,
-                    rounds: int, tol: float, max_terms: int) -> dict:
-    """Sum coefficients j0 .. j0 + size - 1 of the lanes in ``st``.
-
-    Arrays are (position, lane). Position t holds coefficient j = j0 + t
-    (operator index i = n + j - 1) and step j - 1: the approximant
-    S_{j-1}, with its tail from coefficient j, then the recurrence update
-    by coefficient j. A position's events come in the scalar order: the
-    reads and checks of coefficient j (J_{i-1,i}, J_{i,i+1}, either one
-    zero, J_ii, a zero numerator, each Bauer-Muir round; IndexError ends
-    the fraction, S_{j-1} then takes a zero tail); a non-finite S_{j-1},
-    agreement, the budget, the end; a non-finite recurrence value. A lane
-    stops at its first event, so what it read past that never raises.
-    """
-    i0 = n + j0 - 1
-    # J_{i-1,i} and J_{i,i+1} of position t are off[t] and off[t + 1]
-    off, off_stop, off_err = _read_lanes([op.offdiag for op in ops], i0 - 1,
-                                         i0 + size)
-    dg, dg_stop, dg_err = _read_lanes([op.diag for op in ops], i0, i0 + size)
-    a, b = -off[:-1] / off[1:], -dg / off[1:]
-    checks = (a == 0)[None]  # a zero a_i, then each Bauer-Muir round's
-    if rounds:
-        a, b, checks = _bauer_muir_rounds(a, b, st, j0 == 1)
-    zero, off_at = off == 0, np.maximum(off_stop - 1, 0)
-    bad = zero[1:] | zero[:-1] | checks.any(axis=0)
-    if off_err or dg_err:
-        bad |= np.arange(size)[:, None] >= np.minimum(off_at, dg_stop)
-    attractive, repulsive = _fixed_point_arrays(a, b)
-    tail = np.where(st["branch"] == _REPULSIVE, repulsive, attractive)
-    tail[:, st["branch"] == _ZERO] = 0.0
-    fails, ends = {}, {}
-    for p in np.flatnonzero(bad.any(axis=0)).tolist():
-        t = int(bad[:, p].argmax())
-        if p in off_err and off_at[p] == t:
-            cause = off_err[p]
-        elif zero[t + 1, p] or zero[t, p]:  # J_{i,i+1} first, then J_{i-1,i}
-            cause = ZeroOffdiagonal(i0 + t - int(not zero[t + 1, p]))
-        elif p in dg_err and dg_stop[p] == t:
-            cause = dg_err[p]
-        elif (kind := int(checks[:, t, p].argmax())) % 2:
-            cause = DegenerateTransform(j0 + t, round_index=(kind + 1) // 2)
-        else:
-            cause = ValueError(f"partial numerator a_{j0 + t} is zero")
-        if isinstance(cause, IndexError) and not rounds:
-            ends[p], tail[t, p] = t, 0.0
-        else:  # an end with rounds on is summed again without them
-            fails[p] = (t, _ENDED if isinstance(cause, IndexError) else cause)
-
-    x = np.empty((2, 2, size + 1) + a.shape[1:], dtype=complex)
-    x[:, :, 0] = st["x"]
-    x[0, 0, 1:], x[0, 1, 1:], x[1, 0, 1:], x[1, 1, 1:] = b, 1.0, a, 0.0
-    _prefix_products(x)
-    st["x"][...] = x[:, :, -1]
-    num, den = x[:, 0, :-1] + x[:, 1, :-1] * tail
-    s = num / den
-    approx = ~(np.abs(den) <= _POLE_THRESHOLD * np.fmax(1.0, np.abs(num)))
-    if j0 == 1:
-        approx[0] = False  # step 0 forms no approximant
-    nonfinite = approx & ~np.isfinite(s)
-    compared = approx & np.concatenate((st["has_prev"][None], approx[:-1]))
-    delta = np.abs(s - np.concatenate((st["prev"][None], s[:-1])))
-    agree = compared & (delta <= tol * np.fmax(1.0, np.abs(s)))
-    event = bad | nonfinite | agree
-    event |= ~np.isfinite(x[:, :, 1:]).all(axis=(0, 1))
-    event[-1] |= j0 + size - 2 >= max_terms
-    st["prev"][...], st["has_prev"][...] = s[-1], approx[-1]
-
-    stopped: dict[int, object] = {}
-    if not event.any():
-        return stopped
-    lanes = np.flatnonzero(event.any(axis=0))
-    ts = event[:, lanes].argmax(axis=0)
-    for p, t, value, agreed, broke, finite in zip(
-            lanes.tolist(), ts.tolist(), s[ts, lanes].tolist(),
-            agree[ts, lanes].tolist(), nonfinite[ts, lanes].tolist(),
-            approx[ts, lanes].tolist()):
-        m = j0 + t - 1
-        if fails.get(p, (None,))[0] == t:
-            stopped[p] = fails[p][1]
-        elif broke:
-            stopped[p] = NumericBreakdown("non-finite approximant")
-        elif agreed:
-            stopped[p] = value
-        elif m >= max_terms:  # last_delta: the chunk's last comparison
-            seen = np.flatnonzero(compared[:t + 1, p])
-            last = float(delta[seen[-1], p]) if seen.size else math.inf
-            stopped[p] = NotConverged(
-                f"tail ratio fraction did not converge in {max_terms} "
-                f"terms (last delta {last:.3e})",
-                terms_used=m, last_delta=last)
-        elif ends.get(p) == t:
-            stopped[p] = value if finite else None
-        else:
-            stopped[p] = NumericBreakdown(
-                f"non-finite recurrence value at term {m + 1}")
-    return stopped
-
-
-def _bauer_muir_rounds(a: np.ndarray, b: np.ndarray, st: dict, first: bool
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bauer-Muir rounds as in :func:`jgreens.contfrac.repeated_bauer_muir`,
-    one per row of ``st["lam"]``, with the lanes' w; index i - 1 of the
-    first position comes from ``st``, which is updated. Returns the last
-    (c, d) and the check masks in order: a zero a_i, then per round a
-    degenerate lambda_i and a zero c_i."""
-    rounds, w = len(st["lam"]), st["w"]
-    # row 0 holds index i - 1 of the first position; num[r] is round r's
-    # input numerator, num[r + 1] its output. Before the first coefficient
-    # lambda = num = 1 and w = 0 give c_1 = lambda_1, d_1 = b_1 + w.
-    lam = np.empty((rounds, len(a) + 1) + a.shape[1:], dtype=complex)
-    num = np.empty((rounds + 1,) + lam.shape[1:], dtype=complex)
-    den = np.empty((rounds + 1,) + a.shape, dtype=complex)
-    lam[:, 0], num[:rounds, 0], num[0, 1:], den[0] = st["lam"], st["num"], a, b
-    w_before = np.broadcast_to(w, a.shape)
-    if first:
-        lam[:, 0] = num[:rounds, 0] = 1.0
-        w_before = w_before.copy()
-        w_before[0] = 0.0
-    for r in range(rounds):
-        bw = den[r] + w
-        np.subtract(num[r, 1:], w * bw, out=lam[r, 1:])
-        q = lam[r, 1:] / lam[r, :-1]
-        np.multiply(num[r, :-1], q, out=num[r + 1, 1:])
-        np.subtract(bw, w_before * q, out=den[r + 1])
-    st["lam"][...], st["num"][...] = lam[:, -1], num[:rounds, -1]
-    checks = np.empty((2 * rounds + 1,) + a.shape, dtype=bool)
-    np.equal(num[:, 1:], 0, out=checks[0::2])
-    w_abs = np.abs(w)
-    scale = np.maximum(np.abs(num[:rounds, 1:]),
-                       w_abs * (np.abs(den[:rounds]) + w_abs))
-    np.less_equal(np.abs(lam[:, 1:]), _DEGENERATE_REL * np.maximum(
-        scale, _ZERO_THRESHOLD), out=checks[1::2])
-    return num[rounds, 1:], den[rounds], checks
-
-
-def _prefix_products(x: np.ndarray) -> None:
-    """x[:, :, t] <- x[:, :, 0] @ ... @ x[:, :, t] for a (2, 2, positions,
-    lanes) stack, in place, in log2(positions) rounds (Hillis and Steele,
-    CACM 29 (1986)). The first, the last and every other round rescale to
-    unit largest entry, so that the rounds between take entries <= 1."""
-    step, rescale = 1, True
-    while step < x.shape[2]:
-        prod = x[:, :1, :-step] * x[None, 0, :, step:]
-        prod += x[:, 1:, :-step] * x[None, 1, :, step:]
-        if rescale or 2 * step >= x.shape[2]:
-            prod *= 1.0 / np.abs(prod).max(axis=(0, 1))
-        x[:, :, step:] = prod
-        step, rescale = 2 * step, not rescale
+    return read
 
 
 def _read_lanes(fns: Sequence[Callable[[int], complex]], lo: int, hi: int

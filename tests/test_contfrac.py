@@ -11,6 +11,7 @@ from jgreens.contfrac import (
     TailOrigin,
     TailValue,
     ZERO_TAIL,
+    _prefix_products,
     bauer_muir,
     eval_backward,
     eval_forward,
@@ -23,6 +24,14 @@ from jgreens.errors import (
     DegenerateTransform,
     DivisionByZero,
     NoMinimalSolution,
+    NotConverged,
+)
+from jgreens.jacobi import SheetSelector, cf_coefficients, tail_ratio
+from jgreens.models import (
+    CoulombModel,
+    OscillatorModel,
+    coulomb_jacobi,
+    oscillator_jacobi,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -324,23 +333,14 @@ def test_backward_forward_agreement_random_fractions():
 
 
 def test_renormalization_does_not_change_approximants():
-    # factorial-growth coefficients force renormalization at both thresholds
+    # factorial-growth coefficients overflow an unscaled recurrence long
+    # before n = 200; the rescaled scan keeps every approximant
     cf = ContinuedFraction.from_function(1.0, lambda i: (float(i), float(i)))
-    low = {}
-    for n, s in forward_approximants(cf, renorm_at=1e10):
-        low[n] = s
-        if n >= 200:
+    for n, s in forward_approximants(cf):
+        if n > 200:
             break
-    high = {}
-    for n, s in forward_approximants(cf, renorm_at=1e150):
-        high[n] = s
-        if n >= 200:
-            break
-    for n in range(1, 201):
-        if low[n] is None or high[n] is None:
-            assert low[n] is None and high[n] is None
-            continue
-        assert abs(low[n] - high[n]) <= 1e-13 * max(1.0, abs(high[n]))
+        backward = eval_backward(cf, n)
+        assert abs(s - backward) <= 1e-13 * max(1.0, abs(backward))
 
 
 def test_coefficient_validation_rejects_zero_numerator():
@@ -355,3 +355,108 @@ def test_eval_forward_rejects_bad_arguments():
         eval_forward(cf, 0.0, 10)
     with pytest.raises(ValueError):
         eval_forward(cf, 1e-12, 0)
+
+
+# ----------------------------------------------------- the chunked kernel
+
+
+def test_prefix_products_match_sequential_products():
+    # entries of 1e40 overflow a 1024-term product unless it is rescaled
+    rng = np.random.default_rng(3)
+    for size, lanes in ((16, 3), (1024, 2)):
+        mats = (rng.standard_normal((2, 2, size, lanes))
+                + 1j * rng.standard_normal((2, 2, size, lanes))) * 1e40
+        scanned = mats.copy()
+        _prefix_products(scanned)
+        for k in range(lanes):
+            prod = np.eye(2)
+            for t in range(size):
+                prod = prod @ mats[:, :, t, k]
+                prod /= np.max(np.abs(prod))
+                got = scanned[:, :, t, k]
+                # equal up to a positive scale
+                got = got / np.max(np.abs(got))
+                assert np.max(np.abs(got - prod)) <= 1e-9
+
+
+def failing_unit_fraction(at, how, reads):
+    """The unit fraction, failing from coefficient ``at`` on in the way
+    ``how``; the indices asked for go into ``reads``."""
+
+    def coeffs(i):
+        reads.append(i)
+        if i >= at:
+            if how == "zero numerator":
+                return 0.0, 1.0
+            if how == "end":
+                raise IndexError(i)
+            raise RuntimeError(f"coefficient {i}")
+        return 1.0, 1.0
+
+    return ContinuedFraction.from_function(0.0, coeffs)
+
+
+@pytest.mark.parametrize("how, error", [
+    ("zero numerator", ValueError), ("end", IndexError),
+    ("exception", RuntimeError)])
+def test_read_ahead_raises_only_what_is_reached(how, error):
+    # the sum stops near coefficient 30; coefficient 40 lies in the chunk
+    # it reads next
+    at = 40
+    clean = eval_forward(unit_fraction(), 1e-12, 1000)
+    assert clean.terms_used < at - 1
+    reads = []
+    assert eval_forward(failing_unit_fraction(at, how, reads), 1e-12,
+                        1000) == clean
+    assert max(reads) >= at
+    rec = Recurrence(failing_unit_fraction(at, how, []).coeffs)
+    assert pincherle_ratio(rec, 0, 1e-12, 1000) == pincherle_ratio(
+        Recurrence(lambda n: (1.0, 1.0)), 0, 1e-12, 1000)
+
+    # S_{at-1} needs coefficient at: the end yields it and stops, a
+    # failure is raised in its place
+    approximants = forward_approximants(failing_unit_fraction(at, how, []))
+    expected = forward_approximants(unit_fraction())
+    for _ in range(at - 1):
+        assert next(approximants) == next(expected)
+    if error is IndexError:
+        assert next(approximants)[0] == at - 1
+        assert list(approximants) == []
+    else:
+        with pytest.raises(error):
+            next(approximants)
+
+    transformed = bauer_muir(failing_unit_fraction(at, how, []), 0.5)
+    for i in range(1, at):
+        transformed.coefficient(i)
+    for _ in range(2):
+        with pytest.raises(error):
+            transformed.coefficient(at)
+    assert transformed.coefficient(at - 1) == bauer_muir(
+        unit_fraction(), 0.5).coefficient(at - 1)
+
+
+MASS = 1.0 / (2.0 * 10.375)  # alpha-alpha: hbar^2/(2m) = 10.375 MeV fm^2
+
+
+@pytest.mark.parametrize("J", [
+    coulomb_jacobi(CoulombModel(Z=4, l=0, b=4.0, m=MASS, e2=1.44), E)
+    for E in (-5.0, 3.0 + 2.0j, 1.0)] + [
+    oscillator_jacobi(OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3),
+                      E) for E in (2.1, -0.8 + 0.6j)])
+def test_tail_ratio_is_eval_forward_of_cf_coefficients(J):
+    # one evaluator: the zero-tail corner ratio is the forward sum of the
+    # public fraction, bit for bit, converged or not
+    for n in (1, 5, 41):
+        coeffs = cf_coefficients(J, n)
+        cf = ContinuedFraction(0.0, lambda j: coeffs(n + j - 1))
+        res = eval_forward(cf, 1e-12, 500)
+        try:
+            ratio = tail_ratio(J, n, SheetSelector.ZERO_TAIL, max_terms=500)
+        except NotConverged as exc:
+            assert not res.converged
+            assert (exc.terms_used, exc.last_delta) == (
+                res.terms_used, res.last_delta)
+        else:
+            assert res.converged
+            assert ratio == -res.value

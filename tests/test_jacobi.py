@@ -17,7 +17,8 @@ from jgreens.jacobi import (
     GreenMatrix,
     JacobiOperator,
     SheetSelector,
-    _prefix_products,
+    _checked_inverse,
+    _corrected_blocks,
     cf_coefficients,
     corrected_truncation,
     dense_truncation,
@@ -133,25 +134,6 @@ def test_tail_ratio_unphysical_is_conjugate_on_the_cut():
         up = tail_ratio(J, 1, SheetSelector.PHYSICAL, rounds)
         down = tail_ratio(J, 1, SheetSelector.UNPHYSICAL, rounds)
         assert down == pytest.approx(np.conj(up), rel=1e-9)
-
-
-def test_prefix_products_match_sequential_products():
-    # entries of 1e40 overflow a 1024-term product unless it is rescaled
-    rng = np.random.default_rng(3)
-    for size, lanes in ((16, 3), (1024, 2)):
-        mats = (rng.standard_normal((2, 2, size, lanes))
-                + 1j * rng.standard_normal((2, 2, size, lanes))) * 1e40
-        scanned = mats.copy()
-        _prefix_products(scanned)
-        for k in range(lanes):
-            prod = np.eye(2)
-            for t in range(size):
-                prod = prod @ mats[:, :, t, k]
-                prod /= np.max(np.abs(prod))
-                got = scanned[:, :, t, k]
-                # equal up to a positive scale
-                got = got / np.max(np.abs(got))
-                assert np.max(np.abs(got - prod)) <= 1e-9
 
 
 def test_tail_ratio_auto_refuses_lower_half_plane():
@@ -298,6 +280,26 @@ def test_green_submatrix_resolvent_identity():
     corrected = corrected_truncation(J, N)
     residual = gm.entries @ corrected - np.eye(N)
     assert np.max(np.abs(residual)) < 1e-11
+
+
+def test_green_submatrix_takes_bm_rounds_before_tol():
+    # the positional order of tail_ratio and corrected_truncation
+    J, N = perturbed_laplacian(2.0 + 1.5j), 5
+    gm = green_submatrix(J, N, SheetSelector.PHYSICAL, 0)
+    expected = _checked_inverse(
+        corrected_truncation(J, N, SheetSelector.PHYSICAL, 0))
+    assert np.array_equal(gm.entries, expected)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12])
+def test_nonpositive_tolerance_is_rejected(tol):
+    J = perturbed_laplacian(-1.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        tail_ratio(J, 1, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        green_submatrix(J, 3, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        _corrected_blocks(perturbed_laplacian, [-1.0, 2.0 + 1.0j], 3, tol=tol)
 
 
 def test_green_submatrix_symmetry_and_rank_one_triangle():
