@@ -23,8 +23,12 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateTransform, DivisionByZero, NoMinimalSolution,
-                     NumericBreakdown)
+from .errors import (
+    DegenerateTransform,
+    DivisionByZero,
+    NoMinimalSolution,
+    NumericBreakdown,
+)
 
 __all__ = [
     "TailOrigin",
@@ -87,12 +91,8 @@ class TailValue:
 ZERO_TAIL = TailValue(0.0 + 0.0j, TailOrigin.ZERO)
 
 
-def _tail_w(tail: TailValue | complex | None) -> complex:
-    if tail is None:
-        return 0.0 + 0.0j
-    if isinstance(tail, TailValue):
-        return complex(tail.w)
-    return complex(tail)
+def _tail_w(tail: TailValue | complex) -> complex:
+    return complex(tail.w if isinstance(tail, TailValue) else tail)
 
 
 @dataclass(frozen=True)
@@ -260,6 +260,8 @@ def forward_approximants(cf: ContinuedFraction,
         with np.errstate(all="ignore"):
             scanned, s, approx = _approximants(x, a, b, w)
             finite = np.isfinite(scanned[:, :, 1:]).all(axis=(0, 1))
+        # _fraction_chunk's event order without agreement and the budget;
+        # a change to one is a change to the other
         for t in range(min(stop + 1, size)):
             if t == stop and not isinstance(cause, IndexError):
                 raise cause
@@ -311,10 +313,15 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
     """
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
+    w = _tail_w(tail)
     (outcome,) = _sum_fractions(
         _one_lane_reader(cf.coefficient), np.array([cf.b0], dtype=complex), 0,
-        np.array([_tail_w(tail)]), TailOrigin.USER_SUPPLIED, tol, max_terms)
+        np.array([w]), TailOrigin.USER_SUPPLIED, tol, max_terms)
     if outcome is None:
+        try:
+            cf.coefficient(1)
+        except IndexError:  # no coefficients: S_0, which the sum never forms
+            return CfResult(complex(cf.b0) + w, 0, True, 0.0)
         raise NumericBreakdown(
             "finite fraction terminates on a pole approximant")
     if isinstance(outcome, Exception):
@@ -433,10 +440,13 @@ def repeated_bauer_muir(cf: ContinuedFraction, w: complex,
     if rounds == 0:
         return cf
     w_of = w if callable(w) else lambda n, w=complex(w): w
-    read = _one_lane_reader(lambda j: (*cf.coefficient(j), w_of(j)), 3)
-    w_last = np.array([[0.0], [w_of(0)]], dtype=complex)  # w_{-1} = 0, w_0
-    st = {"lam": np.ones((rounds, 1), dtype=complex),
-          "num": np.ones((rounds, 1), dtype=complex)}
+
+    def row(j: int) -> tuple:  # a_j, b_j, w_j, w_{j-1}, w_{j-2}; w_{-1} = 0
+        return (*cf.coefficient(j), w_of(j), w_of(j - 1),
+                w_of(j - 2) if j > 1 else 0.0)
+
+    read = _one_lane_reader(row, 5)
+    st = {key: np.ones((rounds, 1), dtype=complex) for key in ("lam", "num")}
     pairs: list = [None]
     failure: list[Exception] = []
     chunks = _chunks(_CHUNK_FIRST)
@@ -444,12 +454,9 @@ def repeated_bauer_muir(cf: ContinuedFraction, w: complex,
     def coeffs(i: int) -> tuple[complex, complex]:
         while len(pairs) <= i and not failure:
             j0, size = next(chunks)
-            a, b, ws, faults = read(None, j0, size)
-            ws = np.concatenate((w_last, ws))  # w_{j-2} from position -2 on
-            w_last[:] = ws[-2:]
+            a, b, *ws, faults = read(None, j0, size)
             with np.errstate(all="ignore"):
-                c, d, checks = _bauer_muir_rounds(
-                    a, b, (ws[2:], ws[1:-1], ws[:-2]), st)
+                c, d, checks = _bauer_muir_rounds(a, b, ws, st)
                 stop, cause = _first_faults(faults, checks, j0)[0].get(
                     0, (size, None))
             pairs.extend(zip(c[:stop, 0].tolist(), d[:stop, 0].tolist()))
@@ -459,7 +466,7 @@ def repeated_bauer_muir(cf: ContinuedFraction, w: complex,
             return pairs[i]
         raise failure[0]
 
-    return ContinuedFraction(complex(cf.b0 + rounds * w_last[1, 0]), coeffs)
+    return ContinuedFraction(complex(cf.b0 + rounds * w_of(0)), coeffs)
 
 
 def pincherle_ratio(rec: Recurrence, N: int = 0, tol: float = 1e-12,
@@ -531,10 +538,8 @@ def _one_lane_reader(row: Callable, width: int = 2) -> Callable:
             except Exception as exc:  # raised where the sum reaches it
                 faults[0] = (j - j0, exc)
                 break
-        out = np.zeros((width, size, 1), dtype=complex)
-        if rows:
-            out[:, :len(rows), 0] = np.array(rows, dtype=complex).T
-        return (*out, faults)
+        rows += [(0.0,) * width] * (size - len(rows))  # zeros from a fault
+        return (*np.array(rows, dtype=complex).T[..., None], faults)
 
     return read
 

@@ -28,9 +28,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .contfrac import TailOrigin, _fixed_point_arrays, _sum_fractions
-from .errors import (DegenerateTransform, NotConverged, SingularMatrix,
-                     SingularRatio, ZeroOffdiagonal)
+from .contfrac import (
+    TailOrigin,
+    _fixed_point_arrays,
+    _sum_fractions,
+)
+from .errors import (
+    DegenerateTransform,
+    NotConverged,
+    SingularMatrix,
+    SingularRatio,
+    ZeroOffdiagonal,
+)
 
 __all__ = [
     "JacobiOperator",
@@ -163,15 +172,12 @@ def cf_coefficients(J: JacobiOperator,
     def gen(i: int) -> tuple[complex, complex]:
         if i < start:
             raise IndexError(f"index {i} below start {start}")
-        upper = np.complex128(J.offdiag(i - 1))
-        lower = np.complex128(J.offdiag(i))
-        if lower == 0:
-            raise ZeroOffdiagonal(i)
-        if upper == 0:
-            raise ZeroOffdiagonal(i - 1)
-        # numpy's complex division, as the corner-ratio kernel divides
-        diag = np.complex128(J.diag(i))
-        return complex(-upper / lower), complex(-diag / lower)
+        # the corner-ratio kernel's reader: the coefficients it sums
+        with np.errstate(all="ignore"):  # a zero J_{i,i+1} is a fault
+            (a,), (b,), faults = _jacobi_reader([J], i)([0], 1, 1)
+        if faults:
+            raise faults[0][1]
+        return complex(a[0]), complex(b[0])
 
     return gen
 
@@ -500,8 +506,8 @@ def _corner_ratios(ops: Sequence[JacobiOperator], n: int,
 def _jacobi_reader(ops: Sequence[JacobiOperator], n: int) -> Callable:
     """Chunk reader of the fractions K_{i>=n}(u_i/d_i) of ``ops``, in
     which coefficient j has index i = n + j - 1. A fault at j comes in
-    the scalar order of :func:`cf_coefficients`: the reads of J_{i-1,i}
-    and J_{i,i+1}, either one zero (J_{i,i+1} first), the read of J_ii."""
+    the scalar order: the reads of J_{i-1,i} and J_{i,i+1}, either one
+    zero (J_{i,i+1} first), the read of J_ii."""
 
     def read(lanes: np.ndarray, j0: int, size: int):
         i0 = n + j0 - 1

@@ -94,6 +94,18 @@ def test_forward_bombelli_terminates_exactly():
     assert res.last_delta == 0.0
 
 
+def test_forward_empty_fraction_returns_leading_term():
+    cf = ContinuedFraction.from_lists(5.0, [], [])
+    for tail, value in ((ZERO_TAIL, 5.0), (TailValue(0.5), 5.5)):
+        res = eval_forward(cf, 1e-12, 10, tail)
+        assert (res.value, res.terms_used, res.converged,
+                res.last_delta) == (value, 0, True, 0.0)
+        assert list(forward_approximants(cf, tail)) == [(0, value)]
+    # a recurrence whose map ends at N + 1 has the ratio -w
+    ended = Recurrence(lambda n: (1.0, 1.0) if n <= 3 else [][0], (1.0, 1.0))
+    assert pincherle_ratio(ended, 3) == -fixed_points(1.0, 1.0)[0].w
+
+
 def test_forward_fibonacci_approximants():
     seen = {}
     for n, s in forward_approximants(unit_fraction()):
