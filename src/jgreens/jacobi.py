@@ -370,14 +370,13 @@ def green_submatrix(J: JacobiOperator, N: int,
 
 def _corrected_blocks(family: Callable, energies: Sequence, N: int,
                       sheet: SheetSelector = SheetSelector.PHYSICAL,
-                      bm_rounds: int | None = None, tol: float = _DEFAULT_TOL,
-                      max_terms: int = _DEFAULT_MAX_TERMS,
+                      bm_rounds: int | None = None,
                       errors: list | None = None) -> tuple[np.ndarray, list]:
-    """``corrected_truncation(family(E), N, sheet, ...)`` at many energies,
-    as one batch of lanes (corner ratios by :func:`_corner_ratios`): the
-    (L, N, N) blocks, zero where a lane failed, and ``errors``. Lanes whose
-    ``errors`` entry is set are skipped; any other records there the first
-    error that ``family(E)`` or ``corrected_truncation`` raises.
+    """``corrected_truncation(family(E), N, sheet, bm_rounds)`` at many
+    energies, as one batch of lanes (corner ratios by :func:`_corner_ratios`):
+    the (L, N, N) blocks, zero where a lane failed, and ``errors``. Lanes
+    whose ``errors`` entry is set are skipped; any other records there the
+    first error that ``family(E)`` or ``corrected_truncation`` raises.
     """
     if N < 1:
         raise ValueError(f"truncation size must be >= 1, got {N}")
@@ -397,7 +396,7 @@ def _corrected_blocks(family: Callable, energies: Sequence, N: int,
     failed.update((read[q], exc) for q, exc in more.items())
     coupled = [p for p in read if p not in failed and off[-1, p] != 0]
     ratios, more = _corner_ratios([ops[p] for p in coupled], N, sheet,
-                                  bm_rounds, tol, max_terms)
+                                  bm_rounds)
     failed.update((p, exc) for p, exc in zip(coupled, more) if exc)
     idx = np.arange(N)
     sub = np.zeros((len(ops), N, N), dtype=complex)

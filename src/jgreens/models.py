@@ -884,16 +884,50 @@ def oscillator_wavefunction(model: OscillatorModel, n: int, r: float,
 # real-axis zeros and pole search
 
 
-def _step_settled(step: float, prev: float, scale: float) -> bool:
-    """Stop rule of the determinant root polishers.
+def _secant(f: Callable[[complex], complex], x0: complex, f0: complex,
+            x1: complex, f1: complex, scale: float,
+            bracket: tuple[float, float, float] | None = None,
+            cap: float = math.inf) -> tuple[complex, complex, bool]:
+    """(x, f(x), settled): secant iteration for a zero of f from (x0, f0)
+    and (x1, f1), the polisher of every determinant root search.
 
-    A step |dx| settles when it falls below 1e-12·scale, or when it is
-    below 1e-9·scale and no smaller than half the step before: the
-    determinant is noisy at that level, so the steps stop shrinking once
-    the root is reached to the attainable accuracy.
+    A step |dx| settles when it falls below 1e-12·s, or when it is below
+    1e-9·s and no smaller than half the step before, with
+    s = max(scale, |x|): the determinant is noisy at that level, so the
+    steps stop shrinking once the root is reached to the attainable
+    accuracy.  An exact zero settles too.  Steps longer than ``cap`` are
+    shortened to it.  With ``bracket`` = (lo, hi, f(hi)), a real
+    sign-change bracket, a step outside it or equal values bisect
+    instead, and every new value narrows it; bisection halves its steps
+    by construction, so only two successive secant steps can show the
+    noise floor.  Equal values without a bracket, or a budget of 200
+    steps spent, end the iteration unsettled.
     """
-    return step <= 1e-12 * scale or (
-        step <= 1e-9 * scale and step >= 0.5 * prev)
+    lo, hi, fhi = bracket or (None, None, None)
+    prev = math.inf
+    for _ in range(200):
+        secant = f1 != f0
+        if secant:
+            dx = f1 * (x1 - x0) / (f1 - f0)
+            if abs(dx) > cap:
+                dx *= cap / abs(dx)
+            x2 = x1 - dx
+            secant = bracket is None or lo < x2 < hi
+        elif bracket is None:
+            return x1, f1, False
+        if not secant:
+            x2 = 0.5 * (lo + hi)
+        f2 = f(x2)
+        step = abs(x2 - x1)
+        x0, f0, x1, f1 = x1, f1, x2, f2
+        s = max(scale, abs(x2))
+        if f2 == 0.0 or step <= 1e-12 * s or (
+                secant and 0.5 * prev <= step <= 1e-9 * s):
+            return x2, f2, True
+        if bracket is not None:
+            lo, hi = (x2, hi) if (f2 > 0) != (fhi > 0) else (lo, x2)
+        prev = step if secant else math.inf
+    return x1, f1, False
 
 
 def _real_zeros(scan: Callable[[list[float]], list[float]],
@@ -903,51 +937,29 @@ def _real_zeros(scan: Callable[[list[float]], list[float]],
 
     ``scan`` maps the whole grid to its values (one batch of lanes), NaN
     where f is unusable; only sign changes between two finite neighbours
-    are bracketed.  Each bracket is polished with ``f`` by a
-    bisection-safeguarded secant iteration until the step settles
-    (:func:`_step_settled`, scale |x|).  Poles of a corner term flip the
-    sign too, but leave |f| large: a polished value above 1e-3 of the
-    smaller endpoint magnitude is rejected.  A grid value of exactly zero
-    is a root.  Roots within 1e-9·max(1, |x|) of the one below are
-    merged.
+    are bracketed.  Each bracket is polished with ``f`` by
+    :func:`_secant` inside the bracket (scale |x|).  Poles of a corner
+    term flip the sign too, but leave |f| large: a polished value above
+    1e-3 of the smaller endpoint magnitude is rejected.  A grid value of
+    exactly zero is a root.  Roots within 1e-9·max(1, |x|) of the one
+    below are merged.
 
     Returns
     -------
     list of float
         The zeros, ascending.
     """
+    if n_points < 2:
+        raise ValueError(f"need a grid of >= 2 points, got {n_points}")
     grid = [float(x) for x in np.linspace(x_min, x_max, n_points)]
     values = scan(grid)
     roots = [x for x, v in zip(grid, values) if v == 0.0]
     for lo, hi, flo, fhi in zip(grid, grid[1:], values, values[1:]):
         if not (math.isfinite(flo) and math.isfinite(fhi)) or flo * fhi >= 0.0:
             continue
-        x0, x1, f0, f1 = lo, hi, flo, fhi
-        prev = math.inf
-        for _ in range(200):
-            secant = False
-            if f1 == f0:
-                x2 = 0.5 * (lo + hi)
-            else:
-                x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-                secant = lo < x2 < hi
-                if not secant:
-                    x2 = 0.5 * (lo + hi)
-            f2 = f(x2)
-            # bisection halves its steps by construction, so only two
-            # successive secant steps can show the noise floor
-            step = abs(x2 - x1)
-            x0, f0, x1, f1 = x1, f1, x2, f2
-            if f2 == 0.0 or _step_settled(
-                    step, prev if secant else math.inf, abs(x2)):
-                break
-            if (f2 > 0) != (fhi > 0):
-                lo = x2
-            else:
-                hi = x2
-            prev = step if secant else math.inf
-        if abs(f1) <= 1e-3 * min(abs(flo), abs(fhi)):
-            roots.append(x1)
+        x, fx, _ = _secant(f, lo, flo, hi, fhi, 0.0, (lo, hi, fhi))
+        if abs(fx) <= 1e-3 * min(abs(flo), abs(fhi)):
+            roots.append(x)
     merged: list[float] = []
     for root in sorted(roots):
         if not merged or root - merged[-1] > 1e-9 * max(1.0, abs(root)):
@@ -959,9 +971,7 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
                   e_min: float, e_max: float, *, size: int,
                   n_points: int = 400,
                   sheet: SheetSelector = SheetSelector.AUTO,
-                  bm_rounds: int | None = None,
-                  tol: float = 1e-12,
-                  max_terms: int = 20000) -> list[float]:
+                  bm_rounds: int | None = None) -> list[float]:
     """Real poles of a family's Green's function inside an interval.
 
     Scans the determinant of the corner-corrected truncation on an
@@ -977,13 +987,12 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
 
     The zeros come from the real-axis finder that
     :func:`jgreens.scatter.find_bound_states` also uses: each bracket is
-    polished by a bisection-safeguarded secant iteration until the step
-    settles at the determinant's noise floor (relative to |E|).  Sign
-    changes caused by poles of the corner term itself, where the
-    determinant diverges instead of vanishing, are rejected by comparing
-    the polished value against the bracket endpoints.  A grid energy
-    where the determinant is exactly zero is a pole, and poles closer
-    than 1e-9·max(1, |E|) are merged into one.
+    polished by :func:`_secant` inside the bracket.  Sign changes caused
+    by poles of the corner term itself, where the determinant diverges
+    instead of vanishing, are rejected by comparing the polished value
+    against the bracket endpoints.  A grid energy where the determinant
+    is exactly zero is a pole, and poles closer than 1e-9·max(1, |E|)
+    are merged into one.
 
     Parameters
     ----------
@@ -994,8 +1003,8 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     size : int
         Truncation size of the corrected block, >= 1.
     n_points : int
-        Grid resolution.
-    sheet, bm_rounds, tol, max_terms
+        Grid resolution, >= 2.
+    sheet, bm_rounds
         Tail-evaluation controls passed through to the corner ratio.
 
     Returns
@@ -1015,13 +1024,12 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
         raise ZeroOffdiagonal(0, "degenerate energy persists after nudge")
 
     def det_at(energy: float) -> float:
-        mat = corrected_truncation(operator(energy), size, sheet, bm_rounds,
-                                   tol, max_terms)
+        mat = corrected_truncation(operator(energy), size, sheet, bm_rounds)
         return _clamped_det(*np.linalg.slogdet(mat))
 
     def scanned(grid: list[float]) -> list[float]:
         blocks, errors = _corrected_blocks(operator, grid, size, sheet,
-                                           bm_rounds, tol, max_terms)
+                                           bm_rounds)
         for exc in filter(None, errors):
             if not isinstance(exc, JGreensError):
                 raise exc

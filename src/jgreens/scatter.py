@@ -20,13 +20,13 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf, erfc, loggamma
 
-from .errors import (GridTooCoarse, JGreensError, NoConvergence,
-                     QuadratureSuspect, SingularMatrix)
+from .errors import (GridTooCoarse, JGreensError, QuadratureSuspect,
+                     SingularMatrix)
 from .jacobi import (GreenMatrix, SheetSelector, _checked_inverse,
                      _corrected_blocks, _resolve_sheet, corrected_truncation,
                      green_submatrix)
-from .models import (CoulombModel, _real_zeros, _step_settled,
-                     coulomb_jacobi, wavenumber)
+from .models import (CoulombModel, _real_zeros, _secant, coulomb_jacobi,
+                     wavenumber)
 from .special import (_laguerre_functions, coulomb_sigma,
                       gauss_laguerre_scaled)
 # Uncalled; kept bound because perfbench/tracer.py wraps them at this module.
@@ -374,8 +374,7 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     (at most 1e-9 of |det|).  The grid is one batch of lanes for the
     corner-ratio kernel.  The zeros come from the real-axis finder
     that :func:`jgreens.models.det_pole_scan` also uses: each bracket is
-    polished by a bisection-safeguarded secant iteration until the step
-    settles at the determinant's noise floor (relative to |E|).  The
+    polished by :func:`jgreens.models._secant` inside the bracket.  The
     tail ratio has poles between the true levels, and they flip the
     sign too; a polished |det| above 1e-3 of the smaller bracket
     endpoint marks such a pole and is rejected.  A grid energy where the
@@ -389,7 +388,7 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     E_min, E_max : float
         Search window, E_min < E_max < 0 relative to threshold.
     n_grid : int
-        Grid resolution.
+        Grid resolution, >= 2.
 
     Returns
     -------
@@ -420,13 +419,14 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
     """Determinant zeros in a lower-half-plane rectangle.
 
     The tail ratio is forced onto its unphysical continuation, where
-    resonance poles live.  Damped Newton iterations (numerical
-    derivative, step clipped to half the rectangle diameter) start from
-    a seed grid.  An iteration has converged when its step settles (see
-    :func:`_step_settled`, with scale max(1, |z|)).
-    Seeds whose iteration raises a package error (flat determinant,
-    budget of 60 steps exhausted, or a failure inside the determinant)
-    are dropped silently; converged roots are deduplicated within 1e-8.
+    resonance poles live.  From each point z of a seed grid, a secant
+    iteration (:func:`jgreens.models._secant`, scale max(1, |z|)) starts
+    at z and z + 1e-7·max(|z|, 1e-3·diam), diam the rectangle diagonal,
+    with every step clipped to diam/2.  A seed is dropped silently when
+    its iteration ends unsettled (equal determinant values, or the
+    budget of 200 steps spent) or raises a package error inside the
+    determinant.  Roots outside the rectangle (1e-12 slack) are dropped,
+    and the rest are deduplicated within 1e-8.
 
     Parameters
     ----------
@@ -435,7 +435,7 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
         Opposite corners of the search rectangle, strictly below the
         real axis.
     seeds : (int, int)
-        Seed grid shape (real x imaginary).
+        Seed grid shape (real x imaginary), each >= 1.
 
     Returns
     -------
@@ -446,8 +446,9 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
     im_lo, im_hi = sorted((region[0].imag, region[1].imag))
     if im_hi >= 0.0:
         raise ValueError("search rectangle must lie below the real axis")
+    if min(seeds) < 1:
+        raise ValueError(f"need a seed grid of >= 1 x 1, got {seeds}")
     diam = math.hypot(re_hi - re_lo, im_hi - im_lo)
-    cap = 0.5 * diam
 
     def f(z: complex) -> complex:
         return det_equation(p, z, SheetSelector.UNPHYSICAL)
@@ -456,25 +457,15 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
     for re in np.linspace(re_lo, re_hi, seeds[0] + 2)[1:-1]:
         for im in np.linspace(im_lo, im_hi, seeds[1] + 2)[1:-1]:
             z = complex(re, im)
-            prev = math.inf
+            z1 = z + 1e-7 * max(abs(z), 1e-3 * diam)
             try:
-                for _ in range(60):
-                    h = 1e-7 * max(abs(z), 1e-3 * diam)
-                    df = (f(z + h) - f(z - h)) / (2.0 * h)
-                    if df == 0:
-                        raise NoConvergence("flat determinant")
-                    step = -f(z) / df
-                    if abs(step) > cap:
-                        step *= cap / abs(step)
-                    z += step
-                    if _step_settled(abs(step), prev, max(1.0, abs(z))):
-                        break
-                    prev = abs(step)
-                else:
-                    raise NoConvergence("Newton budget exhausted")
+                z, _, settled = _secant(f, z, f(z), z1, f(z1),
+                                        1.0, cap=0.5 * diam)
             except JGreensError:
                 continue
-            if not (re_lo - 1e-12 <= z.real <= re_hi + 1e-12 and z.imag < 0):
+            if not (settled and re_lo - 1e-12 <= z.real <= re_hi + 1e-12
+                    and im_lo - 1e-12 <= z.imag <= im_hi + 1e-12
+                    and z.imag < 0):
                 continue
             if all(abs(z - r) > 1e-8 for r in roots):
                 roots.append(z)

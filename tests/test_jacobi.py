@@ -18,7 +18,6 @@ from jgreens.jacobi import (
     JacobiOperator,
     SheetSelector,
     _checked_inverse,
-    _corrected_blocks,
     cf_coefficients,
     corrected_truncation,
     dense_truncation,
@@ -298,8 +297,6 @@ def test_nonpositive_tolerance_is_rejected(tol):
         tail_ratio(J, 1, tol=tol)
     with pytest.raises(ValueError, match="tolerance"):
         green_submatrix(J, 3, tol=tol)
-    with pytest.raises(ValueError, match="tolerance"):
-        _corrected_blocks(perturbed_laplacian, [-1.0, 2.0 + 1.0j], 3, tol=tol)
 
 
 def test_green_submatrix_symmetry_and_rank_one_triangle():

@@ -24,7 +24,7 @@ from jgreens.models import (CoulombModel, DiracLower, DiracUpper,
                             RelCoulombModel, charge_density,
                             coulomb_g00_analytic, coulomb_jacobi,
                             coulomb_wavefunction, cs_basis_eval,
-                            det_pole_scan, exact_levels, gcs_basis_eval,
+                            _secant, det_pole_scan, exact_levels, gcs_basis_eval,
                             gencoulomb_h_of_r, gencoulomb_jacobi,
                             gencoulomb_potential, oscillator_jacobi,
                             oscillator_wavefunction, rel_basis_eval,
@@ -508,6 +508,60 @@ def test_relativistic_pole_scan_matches_sommerfeld():
     assert len(found) == 2
     for got, ref in zip(found, levels):
         assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
+def test_pole_scan_rejects_degenerate_grid():
+    model = CoulombModel(Z=-1.0, l=0, D=3, b=1.2)
+    with pytest.raises(ValueError, match="grid"):
+        det_pole_scan(lambda E: coulomb_jacobi(model, E), -0.6, -0.04,
+                      size=3, n_points=1)
+
+
+# ---------------------------------------------------------------------------
+# the secant root polisher
+
+
+def test_secant_reaches_complex_root_of_quadratic():
+    root, other = 1.5 - 0.5j, -2.0 + 1.0j
+
+    def f(z):
+        return (z - root) * (z - other)
+
+    z0 = root + 0.05 + 0.02j
+    z1 = z0 + 1e-7
+    z, fz, settled = _secant(f, z0, f(z0), z1, f(z1), 1.0)
+    assert settled
+    assert abs(z - root) <= 1e-12
+    assert fz == f(z)
+
+
+def test_secant_on_constant_function_ends_unsettled():
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return 2.0
+
+    z, fz, settled = _secant(f, 0.5j, 2.0, 0.5j + 1e-7, 2.0, 1.0)
+    assert not settled
+    assert (z, fz) == (0.5j + 1e-7, 2.0)
+    assert calls == []
+
+
+def test_secant_clips_steps_to_cap():
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return z - 100.0
+
+    z, _, settled = _secant(f, 0.0, -100.0, 1e-7, 1e-7 - 100.0, 1.0,
+                            cap=1.0)
+    assert settled
+    assert abs(z - 100.0) <= 1e-12 * 100.0
+    assert calls[0] == pytest.approx(1.0 + 1e-7, abs=1e-15)
+    steps = np.abs(np.diff([1e-7] + calls))
+    assert steps.max() <= 1.0 + 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,11 @@ def test_bound_state_grid_raises_first_failure_in_grid_order(monkeypatch):
         bound_levels(8)[1]]
 
 
+def test_find_bound_states_rejects_degenerate_grid():
+    with pytest.raises(ValueError, match="grid"):
+        find_bound_states(table_problem(8), -35.0, -25.0, n_grid=1)
+
+
 def test_det_equation_sheet_validation():
     p = charged_problem(20, 0)
     with pytest.raises(ValueError):
@@ -536,6 +541,21 @@ def test_find_resonances_validation_and_dedup():
     found = find_resonances(p, (complex(2.4, -1.0), complex(3.4, -0.3)),
                             seeds=(3, 2))
     assert len(found) == 1
+
+
+def test_find_resonances_drops_roots_outside_rectangle():
+    # the seed at 2.9-0.425j converges to the l=2 resonance at
+    # 2.8892-0.6206j, below the rectangle's lower side
+    p = charged_problem(20, 2)
+    assert find_resonances(p, (complex(2.4, -0.55), complex(3.4, -0.3)),
+                           seeds=(1, 1)) == []
+
+
+def test_find_resonances_rejects_empty_seed_grid():
+    p = charged_problem(20, 2)
+    with pytest.raises(ValueError, match="seed"):
+        find_resonances(p, (complex(2.4, -1.0), complex(3.4, -0.3)),
+                        seeds=(0, 4))
 
 
 # ---------------------------------------------------------------------------
