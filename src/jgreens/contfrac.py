@@ -16,6 +16,7 @@ Every forward sum runs on the chunked lane kernel owned here
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -260,17 +261,19 @@ def forward_approximants(cf: ContinuedFraction,
         with np.errstate(all="ignore"):
             scanned, s, approx = _approximants(x, a, b, w)
             finite = np.isfinite(scanned[:, :, 1:]).all(axis=(0, 1))
+        s, approx, finite = (s[:, 0].tolist(), approx[:, 0].tolist(),
+                             finite[:, 0].tolist())
         # _fraction_chunk's event order without agreement and the budget;
         # a change to one is a change to the other
         for t in range(min(stop + 1, size)):
             if t == stop and not isinstance(cause, IndexError):
                 raise cause
-            if approx[t, 0] and not np.isfinite(s[t, 0]):
+            if approx[t] and not cmath.isfinite(s[t]):
                 raise NumericBreakdown("non-finite approximant")
-            yield j0 + t - 1, complex(s[t, 0]) if approx[t, 0] else None
+            yield j0 + t - 1, s[t] if approx[t] else None
             if t == stop:
                 return
-            if not finite[t, 0]:
+            if not finite[t]:
                 raise NumericBreakdown(
                     f"non-finite recurrence value at term {j0 + t}")
 

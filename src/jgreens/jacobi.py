@@ -42,6 +42,7 @@ from .errors import (
 )
 
 __all__ = [
+    "IndexFormula",
     "JacobiOperator",
     "SheetSelector",
     "GreenMatrix",
@@ -53,7 +54,8 @@ __all__ = [
     "truncated_inverse",
 ]
 
-# Condition estimate above which an inversion is reported as singular.
+# Bound on N * kappa_1 (>= kappa_2) above which an N x N inversion is
+# reported as singular.
 _COND_LIMIT = 1e14
 # Ratio magnitude above which the leading Green's element is treated as
 # vanished (the p_i q_j factorization presumes it is nonzero).
@@ -75,6 +77,29 @@ class SheetSelector(Enum):
     AUTO = "auto"
 
 
+class IndexFormula:
+    """Coefficient map i -> fn(i, *params) whose ``fn`` is a numpy formula.
+
+    ``fn`` must give the same value for an int index as for that index in
+    an index array, where it broadcasts, and be defined at every index
+    >= 0 (a finite operator, or a map that can raise, stays a plain
+    callable): the corner-ratio kernel and the row reads evaluate the
+    maps of many lanes that share one ``fn`` as fn(i[:, None], *params
+    stacked over the lanes), in a few numpy calls. The model builders of
+    :mod:`jgreens.models` return their entries as IndexFormula maps.
+    """
+
+    __slots__ = ("fn", "params")
+
+    def __init__(self, fn: Callable, params: Sequence) -> None:
+        self.fn, self.params = fn, tuple(params)
+
+    def __call__(self, i):
+        value = self.fn(i, *self.params)
+        # at an int index, the Python number a scalar map returns
+        return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class JacobiOperator:
     """Symmetric tridiagonal operator with energy baked in.
@@ -82,6 +107,10 @@ class JacobiOperator:
     The maps must be pure (same value for the same index, no other
     effect): the corner-ratio kernel reads them in chunks, up to a chunk
     past the last index it needs. IndexError ends a finite operator.
+    Maps that are :class:`IndexFormula` instances of one formula are read
+    as arrays, over index chunks and lanes at once; any other callable is
+    read index by index, and the first index at which it raises is where
+    its lane fails.
 
     Parameters
     ----------
@@ -262,14 +291,40 @@ def tail_ratio(J: JacobiOperator, n: int,
 
 def dense_truncation(J: JacobiOperator, N: int) -> np.ndarray:
     """Dense N x N tridiagonal block of the operator (no corner term)."""
+    return _truncation(J, N, False)[0]
+
+
+def _truncation(J: JacobiOperator, N: int, coupled: bool
+                ) -> tuple[np.ndarray, complex]:
+    """:func:`dense_truncation` and, when ``coupled``, J_{N-1,N} (else 0),
+    raising the first error of the scalar order: the diagonal's, then the
+    off-diagonal's."""
     if N < 1:
         raise ValueError(f"truncation size must be >= 1, got {N}")
+    diag, off, faults = _read_rows(J, N, N - 1 + coupled)
+    if faults:
+        raise faults[0][2]
+    idx = np.arange(N)
     mat = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        mat[i, i] = J.diag(i)
-    for i in range(N - 1):
-        mat[i, i + 1] = mat[i + 1, i] = J.offdiag(i)
-    return mat
+    mat[idx, idx] = diag
+    mat[idx[:-1], idx[1:]] = mat[idx[1:], idx[:-1]] = off[:N - 1]
+    return mat, complex(off[-1]) if coupled else 0j
+
+
+def _read_rows(J: JacobiOperator, n_diag: int, n_off: int
+               ) -> tuple[np.ndarray, np.ndarray, list]:
+    """J_ii for i < n_diag and J_{i,i+1} for i < n_off, each map read in
+    one :func:`_read_maps` call, and (index, 0 for diag or 1, error) of
+    each map's first failure, the diagonal's first."""
+    one = np.zeros(1, dtype=int)
+    rows, faults = [], []
+    for which, (fn, hi) in enumerate(((J.diag, n_diag),
+                                      (J.offdiag, n_off))):
+        values, stop, errors = _read_maps([fn])(one, 0, hi)
+        rows.append(values[:, 0])
+        if errors:
+            faults.append((int(stop[0]), which, errors[0]))
+    return rows[0], rows[1], faults
 
 
 def corrected_truncation(J: JacobiOperator, N: int,
@@ -286,8 +341,7 @@ def corrected_truncation(J: JacobiOperator, N: int,
     A vanishing J_{N-1,N} decouples the block from the rest of the
     operator, so the corner term is zero without evaluating the ratio.
     """
-    mat = dense_truncation(J, N)
-    coupling = complex(J.offdiag(N - 1))
+    mat, coupling = _truncation(J, N, True)
     if coupling != 0:
         mat[N - 1, N - 1] += coupling * tail_ratio(
             J, N, sheet, bm_rounds, tol, max_terms)
@@ -298,25 +352,40 @@ def _checked_inverses(mats: np.ndarray
                       ) -> tuple[np.ndarray, list[SingularMatrix | None]]:
     """Inverses of a stack of blocks (L, N, N), each screened on its own.
 
-    A block with a non-finite entry, or a condition estimate that is not
-    finite or exceeds 1e14, is not inverted: its slot stays zero and its
-    error is a SingularMatrix. The screen comes first because a stacked
-    ``cond`` fails for the whole stack on one non-finite block, and a
-    stacked ``inv`` on one exactly singular block.
+    A block with a non-finite entry is not inverted. The others are, as
+    one stack, and each is screened by N * kappa_1, with kappa_1 =
+    ||A||_1 ||A^-1||_1 read off its inverse: since kappa_2 <= N * kappa_1,
+    every block whose 2-norm condition number exceeds 1e14 is caught. A
+    block that is not finite, exactly singular (where the stacked ``inv``
+    fails, the blocks are inverted one by one), or whose bound is not
+    finite or exceeds 1e14 gets a SingularMatrix error and a zero slot.
     """
+    L, N = mats.shape[0], mats.shape[-1]
     finite = np.isfinite(mats).all(axis=(1, 2))
-    cond = np.full(len(mats), np.inf)
-    cond[finite] = np.linalg.cond(mats[finite])
-    good = cond <= _COND_LIMIT
+    exact = np.zeros(L, dtype=bool)
     inverses = np.zeros_like(mats)
-    inverses[good] = np.linalg.inv(mats[good])
-    errors: list[SingularMatrix | None] = [None] * len(mats)
+    try:
+        inverses[finite] = np.linalg.inv(mats[finite])
+    except np.linalg.LinAlgError:  # some block is exactly singular
+        for k in np.flatnonzero(finite):
+            try:
+                inverses[k] = np.linalg.inv(mats[k])
+            except np.linalg.LinAlgError:
+                exact[k] = True
+    with np.errstate(all="ignore"):  # a non-finite bound fails the screen
+        bound = N * np.abs(mats).sum(axis=1).max(axis=1) \
+            * np.abs(inverses).sum(axis=1).max(axis=1)
+    bound[~finite | exact] = np.inf
+    good = bound <= _COND_LIMIT
+    inverses[~good] = 0.0
+    errors: list[SingularMatrix | None] = [None] * L
     for k in np.flatnonzero(~good):
         errors[k] = SingularMatrix(
-            f"condition estimate {cond[k]:.3e} exceeds {_COND_LIMIT:.0e}; "
-            "energy sits numerically on a pole" if finite[k] else
             "block has a non-finite entry; energy sits on a pole or the "
-            "operator's entries overflowed")
+            "operator's entries overflowed" if not finite[k] else
+            "block is exactly singular; energy sits on a pole" if exact[k]
+            else f"condition bound N*kappa_1 = {bound[k]:.3e} exceeds "
+            f"{_COND_LIMIT:.0e}; energy sits numerically on a pole")
     return inverses, errors
 
 
@@ -357,9 +426,11 @@ def green_submatrix(J: JacobiOperator, N: int,
     Raises
     ------
     SingularMatrix
-        When the corrected block's condition estimate exceeds 1e14
-        (energy numerically on a pole); pole searches treat this as
-        "found".
+        When the corrected block is exactly singular, has a non-finite
+        entry, or its condition bound N * kappa_1 = N ||A||_1 ||A^-1||_1
+        (an upper bound on the 2-norm condition number) exceeds 1e14:
+        the energy sits numerically on a pole; pole searches treat this
+        as "found".
     """
     resolved = _resolve_sheet(sheet, J.energy)
     mat = corrected_truncation(J, N, resolved, bm_rounds, tol, max_terms)
@@ -389,10 +460,11 @@ def _corrected_blocks(family: Callable, energies: Sequence, N: int,
                 lanes.append(k)
         except Exception as exc:  # the lane's failure, kept
             errors[k] = exc
-    diag, _, failed = _read_lanes([op.diag for op in ops], 0, N)
+    diag, _, failed = _read_maps([op.diag for op in ops])(
+        np.arange(len(ops)), 0, N)
     read = [p for p in range(len(ops)) if p not in failed]
     off = np.zeros((N, len(ops)), dtype=complex)
-    off[:, read], _, more = _read_lanes([ops[p].offdiag for p in read], 0, N)
+    off[:, read], _, more = _read_maps([op.offdiag for op in ops])(read, 0, N)
     failed.update((read[q], exc) for q, exc in more.items())
     coupled = [p for p in read if p not in failed and off[-1, p] != 0]
     ratios, more = _corner_ratios([ops[p] for p in coupled], N, sheet,
@@ -508,14 +580,14 @@ def _jacobi_reader(ops: Sequence[JacobiOperator], n: int) -> Callable:
     the scalar order: the reads of J_{i-1,i} and J_{i,i+1}, either one
     zero (J_{i,i+1} first), the read of J_ii."""
 
+    read_off = _read_maps([op.offdiag for op in ops])
+    read_diag = _read_maps([op.diag for op in ops])
+
     def read(lanes: np.ndarray, j0: int, size: int):
         i0 = n + j0 - 1
-        sub = [ops[k] for k in lanes]
         # J_{i-1,i} and J_{i,i+1} of position t are off[t] and off[t + 1]
-        off, off_stop, off_err = _read_lanes([op.offdiag for op in sub],
-                                             i0 - 1, i0 + size)
-        dg, dg_stop, dg_err = _read_lanes([op.diag for op in sub], i0,
-                                          i0 + size)
+        off, off_stop, off_err = read_off(lanes, i0 - 1, i0 + size)
+        dg, dg_stop, dg_err = read_diag(lanes, i0, i0 + size)
         a, b = -off[:-1] / off[1:], -dg / off[1:]
         zero, faults = off == 0, {}  # a failed read leaves zeros too
         if not (dg_err or zero.any()):
@@ -532,6 +604,28 @@ def _jacobi_reader(ops: Sequence[JacobiOperator], n: int) -> Callable:
             else:
                 faults[p] = (t, dg_err[p])
         return a, b, faults
+
+    return read
+
+
+def _read_maps(fns: Sequence[Callable[[int], complex]]) -> Callable:
+    """Reader of the maps ``fns`` of a batch of lanes: read(lanes, lo, hi)
+    is :func:`_read_lanes` of the maps at ``lanes`` (indices into
+    ``fns``). When every map is an :class:`IndexFormula` of one formula,
+    its params are stacked over the batch here, once, and a read is one
+    evaluation over (index, lane); otherwise a read goes index by index."""
+    fn = getattr(fns[0], "fn", None) if len(fns) else None
+    if fn is None or any(type(f) is not IndexFormula or f.fn is not fn
+                         for f in fns):
+        return lambda lanes, lo, hi: _read_lanes([fns[k] for k in lanes],
+                                                 lo, hi)
+    params = [np.array(p) for p in zip(*(f.params for f in fns))]
+
+    def read(lanes, lo: int, hi: int):
+        values = np.empty((hi - lo, len(lanes)), dtype=complex)
+        values[...] = fn(np.arange(lo, hi)[:, None],
+                         *(p[lanes] for p in params))
+        return values, np.full(len(lanes), hi - lo), {}
 
     return read
 
@@ -587,7 +681,9 @@ def truncated_inverse(A_diag, A_offdiag, corner_ratio: complex,
     Raises
     ------
     SingularMatrix
-        When the condition estimate exceeds 1e14.
+        When the matrix is exactly singular, has a non-finite entry, or
+        its condition bound n * kappa_1 = n ||A||_1 ||A^-1||_1 (an upper
+        bound on the 2-norm condition number) exceeds 1e14.
     """
     diag = np.asarray(A_diag, dtype=complex)
     off = np.asarray(A_offdiag, dtype=complex)

@@ -24,8 +24,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InvalidU, JGreensError, NoConvergence, ZeroOffdiagonal
-from .jacobi import (JacobiOperator, SheetSelector, _corrected_blocks,
-                     corrected_truncation)
+from .jacobi import (IndexFormula, JacobiOperator, SheetSelector,
+                     _corrected_blocks, corrected_truncation)
 from .special import _laguerre_functions, hyp2f1
 
 __all__ = [
@@ -284,6 +284,46 @@ class RelCoulombModel:
 # tridiagonal builders
 
 
+# The families' entries as formulas in the index i (an int or an int64
+# index array; see jacobi.IndexFormula), each parameter a builder's scalar
+# or those scalars stacked over lanes. Each keeps the operations of the
+# entry's scalar expression in their order, with the same operand types,
+# so an entry read in an array is the same double as at an int index.
+
+
+def _coulomb_diag(i, dfac, two_l, ze2):
+    return (2 * i + two_l - 1) * dfac - ze2
+
+
+def _coulomb_offdiag(i, ofac, two_l):
+    return -np.sqrt((i + 1) * (i + two_l - 1)) * ofac
+
+
+def _oscillator_diag(n, energy, dfac, shift):
+    return energy - dfac * (2 * n + shift)
+
+
+def _oscillator_offdiag(n, ofac, shift):
+    return ofac * np.sqrt((n + 1) * (n + shift))
+
+
+def _gencoulomb_diag(n, e_term, beta, rho_theta, qterm, sc4):
+    # the eps coefficient is the exact basis overlap (2n+beta+rho*theta)
+    return e_term * (2 * n + beta + rho_theta) + qterm - sc4 * (2 * n + beta)
+
+
+def _gencoulomb_offdiag(n, o_term, beta):
+    return -np.sqrt((n + 1) * (n + beta)) * o_term
+
+
+def _relativistic_diag(n, az2_e, u, x_eta):
+    return az2_e + 2.0 * (u + n + 1) * x_eta
+
+
+def _relativistic_offdiag(n, minus_x, u):
+    return minus_x * np.sqrt((n + 1) * (n + 2 * u + 2))
+
+
 def wavenumber(model: CoulombModel | OscillatorModel, E: complex) -> complex:
     """Wave number k = sqrt(2 m E / hbar^2) on the principal branch.
 
@@ -324,16 +364,10 @@ def coulomb_jacobi(model: CoulombModel, E: complex) -> JacobiOperator:
             0, "k^2 + b^2 vanishes at this energy; every off-diagonal "
                "element is zero")
     two_l = 2 * model.l + model.D
-    ze2 = model.Z * model.e2
-
-    def diag(i: int) -> complex:
-        return (2 * i + two_l - 1) * dfac - ze2
-
-    def offdiag(i: int) -> complex:
-        return -math.sqrt((i + 1) * (i + two_l - 1)) * ofac
-
-    return JacobiOperator(diag=diag, offdiag=offdiag, energy=complex(E),
-                          limit_coeffs=(-1.0 + 0.0j, 2.0 * dfac / ofac))
+    return JacobiOperator(
+        diag=IndexFormula(_coulomb_diag, (dfac, two_l, model.Z * model.e2)),
+        offdiag=IndexFormula(_coulomb_offdiag, (ofac, two_l)),
+        energy=complex(E), limit_coeffs=(-1.0 + 0.0j, 2.0 * dfac / ofac))
 
 
 def oscillator_jacobi(model: OscillatorModel, E: complex) -> JacobiOperator:
@@ -361,16 +395,11 @@ def oscillator_jacobi(model: OscillatorModel, E: complex) -> JacobiOperator:
     ofac = model.hbar * (w * w - wb * wb) / (2.0 * wb)
     shift = model.l + model.D / 2.0
     energy = complex(E)
-
-    def diag(n: int) -> complex:
-        return energy - dfac * (2 * n + shift)
-
-    def offdiag(n: int) -> complex:
-        return ofac * math.sqrt((n + 1) * (n + shift))
-
     limits = None if ofac == 0 else (-1.0 + 0.0j, complex(2.0 * dfac / ofac))
-    return JacobiOperator(diag=diag, offdiag=offdiag, energy=energy,
-                          limit_coeffs=limits)
+    return JacobiOperator(
+        diag=IndexFormula(_oscillator_diag, (energy, dfac, shift)),
+        offdiag=IndexFormula(_oscillator_offdiag, (ofac, shift)),
+        energy=energy, limit_coeffs=limits)
 
 
 def gencoulomb_jacobi(model: GenCoulombModel, eps: complex) -> JacobiOperator:
@@ -401,19 +430,13 @@ def gencoulomb_jacobi(model: GenCoulombModel, eps: complex) -> JacobiOperator:
             0, "eps + C rho^2/4 vanishes at this energy; every "
                "off-diagonal element is zero")
     beta = model.beta
-    qterm = model.q / math.sqrt(model.C)
-
-    def diag(n: int) -> complex:
-        # the eps coefficient is the exact basis overlap (2n+beta+rho*theta)
-        return (e_term * (2 * n + beta + rho * model.theta)
-                + qterm - sc / 4.0 * (2 * n + beta))
-
-    def offdiag(n: int) -> complex:
-        return -math.sqrt((n + 1) * (n + beta)) * o_term
-
     d_lim = 2.0 * (e_term - sc / 4.0) / o_term
-    return JacobiOperator(diag=diag, offdiag=offdiag, energy=complex(eps),
-                          limit_coeffs=(-1.0 + 0.0j, d_lim))
+    return JacobiOperator(
+        diag=IndexFormula(_gencoulomb_diag,
+                          (e_term, beta, rho * model.theta,
+                           model.q / math.sqrt(model.C), sc / 4.0)),
+        offdiag=IndexFormula(_gencoulomb_offdiag, (o_term, beta)),
+        energy=complex(eps), limit_coeffs=(-1.0 + 0.0j, d_lim))
 
 
 def relativistic_jacobi(model: RelCoulombModel, E: complex) -> JacobiOperator:
@@ -446,17 +469,12 @@ def relativistic_jacobi(model: RelCoulombModel, E: complex) -> JacobiOperator:
     eta = model.eta_basis
     et = complex(E)
     x = (et * et - model.mu**2 + eta * eta) / (2.0 * eta)
-    az2 = 2.0 * model.alpha_fs * model.Z
-
-    def diag(n: int) -> complex:
-        return az2 * et + 2.0 * (u + n + 1) * (x - eta)
-
-    def offdiag(n: int) -> complex:
-        return -x * math.sqrt((n + 1) * (n + 2 * u + 2))
-
     limits = None if x == 0 else (-1.0 + 0.0j, 2.0 * (x - eta) / x)
-    return JacobiOperator(diag=diag, offdiag=offdiag, energy=et,
-                          limit_coeffs=limits)
+    return JacobiOperator(
+        diag=IndexFormula(_relativistic_diag,
+                          (2.0 * model.alpha_fs * model.Z * et, u, x - eta)),
+        offdiag=IndexFormula(_relativistic_offdiag, (-x, u)),
+        energy=et, limit_coeffs=limits)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from scipy.special import erf, erfc, loggamma
 from .errors import (GridTooCoarse, JGreensError, QuadratureSuspect,
                      SingularMatrix)
 from .jacobi import (GreenMatrix, SheetSelector, _checked_inverse,
-                     _corrected_blocks, _resolve_sheet, corrected_truncation,
-                     green_submatrix)
+                     _corrected_blocks, _read_rows, _resolve_sheet,
+                     corrected_truncation, green_submatrix)
 from .models import (CoulombModel, _real_zeros, _secant, coulomb_jacobi,
                      wavenumber)
 from .special import (_laguerre_functions, coulomb_sigma,
@@ -531,12 +531,16 @@ def free_overlap(model: CoulombModel, E: complex, N: int) -> np.ndarray:
                 + (lam + 1) * cmath.log(2.0 * b * k / (b * b + k * k))
                 + 2.0 * eta * cmath.atan(k / b))
     op = coulomb_jacobi(model, energy)
+    diag, off, faults = _read_rows(op, N, N)
+    if faults:  # the first the loop below would meet: J_mm before J_m,m+1
+        raise min(faults)[2]
+    diag, off = diag.tolist(), off.tolist()
     phi = np.empty(N + 1, dtype=complex)
     phi[0] = cmath.exp(log_phi0)
     below = 0.0
     for m in range(N):
-        phi[m + 1] = -(op.diag(m) * phi[m] + below) / op.offdiag(m)
-        below = op.offdiag(m) * phi[m]
+        phi[m + 1] = -(diag[m] * phi[m] + below) / off[m]
+        below = off[m] * phi[m]
     return phi.real if energy.imag == 0.0 else phi
 
 
@@ -562,7 +566,10 @@ def scatter_solve(p: ScatterProblem, E: float) -> tuple[np.ndarray, complex]:
     Raises
     ------
     SingularMatrix
-        When 1 - G^C V is numerically singular at this energy.
+        When 1 - G^C V, or the corrected Coulomb block that gives G^C, is
+        numerically singular at this energy: exactly singular, not
+        finite, or with a condition bound N * kappa_1 = N ||A||_1
+        ||A^-1||_1 (which bounds the 2-norm condition number) above 1e14.
     """
     if E <= 0:
         raise ValueError(f"continuum energy must be > 0, got {E}")

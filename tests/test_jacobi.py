@@ -416,3 +416,103 @@ def test_green_matrix_records_context():
     assert gm.energy is None
     assert gm.sheet is None
     assert gm.n == 1
+
+
+# ------------------------------------------------- lanes and the screen
+
+
+class _Counting:
+    """A map that counts its reads (not an IndexFormula)."""
+
+    def __init__(self, fn):
+        self.fn, self.reads = fn, 0
+
+    def __call__(self, i):
+        self.reads += 1
+        return self.fn(i)
+
+
+def _solo(op, n):
+    try:
+        return tail_ratio(op, n, SheetSelector.PHYSICAL), None
+    except Exception as exc:  # the lane's error, compared below
+        return None, exc
+
+
+@pytest.mark.parametrize("n", [1, 41])
+def test_mixed_lane_batch_matches_solo_tail_ratios(n):
+    from jgreens.jacobi import _CHUNK_LANE, _corner_ratios
+    from jgreens.models import CoulombModel, coulomb_jacobi
+
+    model = CoulombModel(Z=4, l=0, b=4.0, m=1863.69, e2=1.44)
+    formula = [coulomb_jacobi(model, E)
+               for E in (0.3, 0.5 + 0.1j, -0.2, 2.0 - 0.1j)]
+    op = formula[0]
+    lam = JacobiOperator(lambda i: op.diag(i), lambda i: op.offdiag(i),
+                         op.energy, op.limit_coeffs)
+    counting = _Counting(formula[1].diag)
+    counted = JacobiOperator(counting, formula[1].offdiag, formula[1].energy,
+                             formula[1].limit_coeffs)
+    zero_at = JacobiOperator(
+        op.diag, lambda i: 0.0 if i == n + 2 else op.offdiag(i), op.energy,
+        op.limit_coeffs)
+    lanes = formula + [lam, counted, zero_at]
+    for batch in (formula, lanes):  # read as one formula, and index by index
+        # tail_ratio's chunks: then a lane's value does not depend on its batch
+        ratios, errors = _corner_ratios(batch, n, SheetSelector.PHYSICAL,
+                                        first=_CHUNK_LANE)
+        for J, ratio, error in zip(batch, ratios.tolist(), errors):
+            value, solo_error = _solo(J, n)
+            if solo_error is None:
+                assert error is None
+                assert (ratio.real.hex(), ratio.imag.hex()) \
+                    == (value.real.hex(), value.imag.hex())
+            else:
+                assert type(error) is type(solo_error)
+                assert str(error) == str(solo_error)
+                assert getattr(error, "index", None) \
+                    == getattr(solo_error, "index", None)
+    assert counting.reads > 0
+    assert isinstance(errors[-1], ZeroOffdiagonal)
+    assert errors[-1].index == n + 2
+
+
+def _block(rng, singular_values):
+    n = len(singular_values)
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (q1 * singular_values) @ q2.conj().T
+
+
+def test_checked_inverses_flag_only_the_bad_blocks():
+    from jgreens.jacobi import _checked_inverses
+
+    rng, N = np.random.default_rng(3), 6
+    good = [_block(rng, np.geomspace(1.0, 1e-3, N)),
+            _block(rng, np.geomspace(2.0, 2e-9, N)),
+            dense_truncation(perturbed_laplacian(0.5 + 0.2j), N)]
+    singular = good[0].copy()
+    singular[:, 2] = 0.0
+    nan = good[1].copy()
+    nan[1, 3] = np.nan
+    cond15 = _block(rng, np.geomspace(1.0, 1e-15, N))
+    cond14 = _block(rng, np.geomspace(1.0, 1 / 1.3e14, N))
+    assert 5e14 < np.linalg.cond(cond15) < 5e15
+    assert 1e14 < np.linalg.cond(cond14) < 2e14
+    stack = np.array([good[0], singular, good[1], nan, cond15, good[2],
+                      cond14])
+    bad = {1, 3, 4, 6}
+    # with the exactly singular block (blocks then invert one by one), and
+    # without it (one stacked inversion)
+    for keep in (range(len(stack)), [0, 2, 3, 4, 5, 6]):
+        keep = list(keep)
+        inverses, errors = _checked_inverses(stack[keep])
+        for k, inverse, error in zip(keep, inverses, errors):
+            if k in bad:
+                assert isinstance(error, SingularMatrix)
+                assert not inverse.any()
+            else:
+                assert error is None
+                expected = np.linalg.inv(stack[k])
+                assert np.array_equal(inverse.view(np.int64),
+                                      expected.view(np.int64))

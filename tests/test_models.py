@@ -17,7 +17,8 @@ from scipy.special import roots_genlaguerre
 
 from jgreens.errors import (InvalidU, NotConverged, NumericBreakdown,
                             ZeroOffdiagonal)
-from jgreens.jacobi import (SheetSelector, cf_coefficients, dense_truncation,
+from jgreens.jacobi import (IndexFormula, SheetSelector, _read_maps,
+                            cf_coefficients, dense_truncation,
                             green_submatrix)
 from jgreens.models import (CoulombModel, DiracLower, DiracUpper,
                             GenCoulombModel, KleinGordon, OscillatorModel,
@@ -211,6 +212,105 @@ def test_relativistic_tridiagonality_oracle(model, binding):
     energy = rel_energy_from_binding(model, binding)
     quad = relativistic_entries_quadrature(model, energy, 8, 150)
     _check_tridiagonal(relativistic_jacobi(model, energy), quad, 8)
+
+
+# ---------------------------------------------------------------------------
+# entries as index formulas: every chunk the kernel reads is the scalar
+# expression's double, bit for bit
+
+
+def _scalar_coulomb(model, E):
+    k2 = 2.0 * model.m * complex(E) / model.hbar**2
+    b2 = model.b * model.b
+    pref = model.hbar**2 / (4.0 * model.m * model.b)
+    dfac, ofac = (k2 - b2) * pref, (k2 + b2) * pref
+    two_l, ze2 = 2 * model.l + model.D, model.Z * model.e2
+    return (lambda i: (2 * i + two_l - 1) * dfac - ze2,
+            lambda i: -math.sqrt((i + 1) * (i + two_l - 1)) * ofac)
+
+
+def _scalar_oscillator(model, E):
+    w, wb = model.omega, model.omega_basis
+    dfac = model.hbar * (w * w + wb * wb) / (2.0 * wb)
+    ofac = model.hbar * (w * w - wb * wb) / (2.0 * wb)
+    shift, energy = model.l + model.D / 2.0, complex(E)
+    return (lambda n: energy - dfac * (2 * n + shift),
+            lambda n: ofac * math.sqrt((n + 1) * (n + shift)))
+
+
+def _scalar_gencoulomb(model, eps):
+    rho = model.rho_basis
+    sc = math.sqrt(model.C) * rho
+    e_term = complex(eps) / sc
+    o_term = e_term + sc / 4.0
+    beta, qterm = model.beta, model.q / math.sqrt(model.C)
+    return (lambda n: (e_term * (2 * n + beta + rho * model.theta)
+                       + qterm - sc / 4.0 * (2 * n + beta)),
+            lambda n: -math.sqrt((n + 1) * (n + beta)) * o_term)
+
+
+def _scalar_relativistic(model, E):
+    u, eta, et = model.u, model.eta_basis, complex(E)
+    x = (et * et - model.mu**2 + eta * eta) / (2.0 * eta)
+    az2 = 2.0 * model.alpha_fs * model.Z
+    return (lambda n: az2 * et + 2.0 * (u + n + 1) * (x - eta),
+            lambda n: -x * math.sqrt((n + 1) * (n + 2 * u + 2)))
+
+
+_MU = 137.036
+# per family: builder, scalar oracle, models, and energies above and below
+# the threshold and in both half-planes
+_FAMILIES = [
+    (coulomb_jacobi, _scalar_coulomb,
+     [CoulombModel(Z=4, l=0, b=4.0, m=1863.69, e2=1.44),
+      CoulombModel(Z=-1.0, l=2, D=2, b=1.3)],
+     [0.9, -0.35, 0.6 + 0.25j, 0.6 - 0.25j, 1000.0]),
+    (oscillator_jacobi, _scalar_oscillator,
+     [OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3),
+      OscillatorModel(omega=0.7, omega_basis=0.4, l=1, D=4, m=1.7)],
+     [2.1, -0.8, -0.8 + 0.6j, 1.5 - 0.2j]),
+    (gencoulomb_jacobi, _scalar_gencoulomb,
+     [GenCoulombModel(C=0.9, theta=0.8, q=1.7, beta=2.4, rho_basis=1.3,
+                      l=1, D=3)],
+     [0.45, -0.31, 0.2 + 0.45j, 0.2 - 0.45j]),
+    (relativistic_jacobi, _scalar_relativistic,
+     [RelCoulombModel(mu=_MU, alpha_fs=1 / _MU, Z=20.0,
+                      kind=KleinGordon(l=1), eta_basis=12.0),
+      RelCoulombModel(mu=_MU, alpha_fs=1 / _MU, Z=40.0,
+                      kind=DiracLower(j=1.5), eta_basis=25.0)],
+     [_MU + 0.7, _MU - 0.4, _MU + 0.5 + 0.3j, _MU + 0.5 - 0.3j]),
+]
+
+
+def _hex(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("build, scalar, models, energies", _FAMILIES,
+                         ids=["coulomb", "oscillator", "gencoulomb",
+                              "relativistic"])
+def test_index_formulas_match_scalar_expressions_bitwise(build, scalar,
+                                                         models, energies):
+    n = 4096
+    for model in models:
+        ops = [build(model, E) for E in energies]
+        oracles = [scalar(model, E) for E in energies]
+        for which in (0, 1):  # diag, offdiag
+            maps = [(op.diag, op.offdiag)[which] for op in ops]
+            assert all(isinstance(f, IndexFormula) for f in maps)
+            chunk, stops, errors = _read_maps(maps)(np.arange(len(ops)), 0, n)
+            assert not errors and list(stops) == [n] * len(ops)
+            for lane, oracle in enumerate(oracles):
+                expected = [_hex(oracle[which](i)) for i in range(n)]
+                assert [_hex(v) for v in chunk[:, lane].tolist()] == expected
+                # a lane read alone, and the map at an int index
+                alone, _, _ = _read_maps([maps[lane]])([0], 0, n)
+                assert [_hex(v) for v in alone[:, 0].tolist()] == expected
+                for i in (0, 1, 41, n - 1):
+                    value = maps[lane](i)
+                    assert type(value) is type(oracle[which](i))
+                    assert _hex(value) == expected[i]
 
 
 # ---------------------------------------------------------------------------
