@@ -19,13 +19,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Generator, Union
 
 import numpy as np
 
 from .errors import InvalidU, JGreensError, NoConvergence, ZeroOffdiagonal
 from .jacobi import (IndexFormula, JacobiOperator, SheetSelector,
-                     _corrected_blocks, corrected_truncation)
+                     _corrected_blocks)
+# Not called here: det_pole_scan uses _corrected_blocks. The name stays
+# bound because perfbench/tracer.py wraps corrected_truncation at this
+# module, and the benchmark's tests require every traced name to exist.
+from .jacobi import corrected_truncation  # noqa: F401
 from .special import _laguerre_functions, hyp2f1
 
 __all__ = [
@@ -906,8 +910,22 @@ def _secant(f: Callable[[complex], complex], x0: complex, f0: complex,
             x1: complex, f1: complex, scale: float,
             bracket: tuple[float, float, float] | None = None,
             cap: float = math.inf) -> tuple[complex, complex, bool]:
-    """(x, f(x), settled): secant iteration for a zero of f from (x0, f0)
-    and (x1, f1), the polisher of every determinant root search.
+    """(x, f(x), settled): the iteration of :func:`_secant_steps` driven
+    alone, one ``f`` call per step; an error of ``f`` propagates."""
+    (out,) = _lockstep([_secant_steps(x0, f0, x1, f1, scale, bracket, cap)],
+                       lambda xs: [f(x) for x in xs])
+    return out
+
+
+def _secant_steps(x0: complex, f0: complex, x1: complex, f1: complex,
+                  scale: float,
+                  bracket: tuple[float, float, float] | None = None,
+                  cap: float = math.inf) -> Generator:
+    """Secant iteration for a zero of f from (x0, f0) and (x1, f1), the
+    polisher of every determinant root search, as a stepper: a generator
+    that yields its next x, is sent f(x), and returns (x, f(x), settled).
+    :func:`_secant` drives one alone; :func:`_lockstep` drives many in
+    one batch per step.
 
     A step |dx| settles when it falls below 1e-12·s, or when it is below
     1e-9·s and no smaller than half the step before, with
@@ -918,10 +936,14 @@ def _secant(f: Callable[[complex], complex], x0: complex, f0: complex,
     sign-change bracket, a step outside it or equal values bisect
     instead, and every new value narrows it; bisection halves its steps
     by construction, so only two successive secant steps can show the
-    noise floor.  Equal values without a bracket, or a budget of 200
-    steps spent, end the iteration unsettled.
+    noise floor.  In bracket mode an iterate with |f| above 1e3 times the
+    larger of |f0| and |f1| ends the iteration unsettled: the sign change
+    is a pole, not a zero, and the root finder's 1e-3 acceptance test
+    rejects that value.  Equal values without a bracket, or a budget of
+    200 steps spent, end the iteration unsettled.
     """
     lo, hi, fhi = bracket or (None, None, None)
+    pole = 1e3 * max(abs(f0), abs(f1)) if bracket else math.inf
     prev = math.inf
     for _ in range(200):
         secant = f1 != f0
@@ -935,7 +957,9 @@ def _secant(f: Callable[[complex], complex], x0: complex, f0: complex,
             return x1, f1, False
         if not secant:
             x2 = 0.5 * (lo + hi)
-        f2 = f(x2)
+        f2 = yield x2
+        if abs(f2) > pole:
+            return x2, f2, False
         step = abs(x2 - x1)
         x0, f0, x1, f1 = x1, f1, x2, f2
         s = max(scale, abs(x2))
@@ -948,19 +972,51 @@ def _secant(f: Callable[[complex], complex], x0: complex, f0: complex,
     return x1, f1, False
 
 
+def _lockstep(steppers: list[Generator],
+              polish: Callable[[list], list]) -> list:
+    """Drive steppers (as :func:`_secant_steps`) side by side: each
+    ``polish(xs)`` call evaluates the next x of every live stepper as one
+    batch and returns, per lane, the value or that lane's error, which
+    ends the lane.  Returns each stepper's result or error, in order."""
+    outcomes: list = [None] * len(steppers)
+    pending: dict[int, complex] = {}
+
+    def advance(k: int, value) -> None:
+        try:
+            pending[k] = steppers[k].send(value)
+        except StopIteration as done:
+            outcomes[k] = done.value
+
+    for k in range(len(steppers)):
+        advance(k, None)
+    while pending:
+        lanes = list(pending)
+        for k, value in zip(lanes, polish([pending.pop(k) for k in lanes])):
+            if isinstance(value, Exception):
+                outcomes[k] = value
+            else:
+                advance(k, value)
+    return outcomes
+
+
 def _real_zeros(scan: Callable[[list[float]], list[float]],
-                f: Callable[[float], float],
+                polish: Callable[[list[float]], list],
                 x_min: float, x_max: float, n_points: int) -> list[float]:
     """Real zeros of a determinant-like f from a grid scan of [x_min, x_max].
 
     ``scan`` maps the whole grid to its values (one batch of lanes), NaN
     where f is unusable; only sign changes between two finite neighbours
-    are bracketed.  Each bracket is polished with ``f`` by
-    :func:`_secant` inside the bracket (scale |x|).  Poles of a corner
-    term flip the sign too, but leave |f| large: a polished value above
-    1e-3 of the smaller endpoint magnitude is rejected.  A grid value of
-    exactly zero is a root.  Roots within 1e-9·max(1, |x|) of the one
-    below are merged.
+    are bracketed.  Every bracket is polished inside itself by
+    :func:`_secant_steps` (scale |x|), all in lockstep: each
+    ``polish(xs)`` call takes the next x of every live bracket and
+    returns, per lane, f(x) or the error that lane met.  When every
+    bracket is done, the error of the lowest failing bracket is raised,
+    the one a bracket-by-bracket loop would meet first.  Poles of a
+    corner term flip the sign too, but leave |f| large: the polish stops
+    at an iterate above 1e3 times the larger endpoint magnitude, and a
+    polished value above 1e-3 of the smaller endpoint magnitude is
+    rejected.  A grid value of exactly zero is a root.  Roots within
+    1e-9·max(1, |x|) of the one below are merged.
 
     Returns
     -------
@@ -972,10 +1028,17 @@ def _real_zeros(scan: Callable[[list[float]], list[float]],
     grid = [float(x) for x in np.linspace(x_min, x_max, n_points)]
     values = scan(grid)
     roots = [x for x, v in zip(grid, values) if v == 0.0]
-    for lo, hi, flo, fhi in zip(grid, grid[1:], values, values[1:]):
-        if not (math.isfinite(flo) and math.isfinite(fhi)) or flo * fhi >= 0.0:
-            continue
-        x, fx, _ = _secant(f, lo, flo, hi, fhi, 0.0, (lo, hi, fhi))
+    brackets = [(lo, hi, flo, fhi) for lo, hi, flo, fhi
+                in zip(grid, grid[1:], values, values[1:])
+                if math.isfinite(flo) and math.isfinite(fhi)
+                and flo * fhi < 0.0]
+    outcomes = _lockstep([_secant_steps(lo, flo, hi, fhi, 0.0,
+                                        (lo, hi, fhi))
+                          for lo, hi, flo, fhi in brackets], polish)
+    for (_, _, flo, fhi), out in zip(brackets, outcomes):
+        if isinstance(out, Exception):
+            raise out
+        x, fx, _ = out
         if abs(fx) <= 1e-3 * min(abs(flo), abs(fhi)):
             roots.append(x)
     merged: list[float] = []
@@ -997,20 +1060,25 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     determinant vanishes exactly at the poles, so the located roots do
     not depend on ``size``; determinants are evaluated through their
     sign and log magnitude (clamped at e^600) so large entries cannot
-    overflow.  The grid is one batch of lanes for the corner-ratio
-    kernel.  Grid points where the evaluation raises a package error are
-    skipped (any other error is raised, the first in grid order), and a
+    overflow.  The grid and every polish step are each one batch of
+    lanes: one ``_corrected_blocks`` call and one stacked ``slogdet``.
+    Grid points where the evaluation raises a package error are skipped
+    (any other error is raised, the first in grid order), and a
     degenerate-representation energy is nudged by one part in 1e13.
     Intended for bound-region scans where the operator entries are real.
 
     The zeros come from the real-axis finder that
-    :func:`jgreens.scatter.find_bound_states` also uses: each bracket is
-    polished by :func:`_secant` inside the bracket.  Sign changes caused
-    by poles of the corner term itself, where the determinant diverges
-    instead of vanishing, are rejected by comparing the polished value
-    against the bracket endpoints.  A grid energy where the determinant
-    is exactly zero is a pole, and poles closer than 1e-9·max(1, |E|)
-    are merged into one.
+    :func:`jgreens.scatter.find_bound_states` also uses
+    (:func:`_real_zeros`): every bracket is polished by secant steps
+    inside itself, all brackets in lockstep, one batch per step.  An
+    error met while polishing, package error or not, is raised once
+    every bracket is done, the lowest failing bracket's.  Sign changes
+    caused by poles of the corner term itself, where the determinant
+    diverges instead of vanishing, end their polish as soon as an
+    iterate exceeds 1e3 times the larger endpoint magnitude, and are
+    rejected by comparing the polished value against the bracket
+    endpoints.  A grid energy where the determinant is exactly zero is a
+    pole, and poles closer than 1e-9·max(1, |E|) are merged into one.
 
     Parameters
     ----------
@@ -1041,20 +1109,21 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
                 continue
         raise ZeroOffdiagonal(0, "degenerate energy persists after nudge")
 
-    def det_at(energy: float) -> float:
-        mat = corrected_truncation(operator(energy), size, sheet, bm_rounds)
-        return _clamped_det(*np.linalg.slogdet(mat))
+    def dets(energies: list[float]) -> list:
+        # one batch of corrected blocks: per lane the determinant or error
+        blocks, errors = _corrected_blocks(operator, energies, size, sheet,
+                                           bm_rounds)
+        return [exc or _clamped_det(sign, logabs) for exc, sign, logabs
+                in zip(errors, *np.linalg.slogdet(blocks))]
 
     def scanned(grid: list[float]) -> list[float]:
-        blocks, errors = _corrected_blocks(operator, grid, size, sheet,
-                                           bm_rounds)
-        for exc in filter(None, errors):
-            if not isinstance(exc, JGreensError):
-                raise exc
-        return [math.nan if exc else _clamped_det(sign, logabs) for exc,
-                sign, logabs in zip(errors, *np.linalg.slogdet(blocks))]
+        values = dets(grid)
+        for v in values:
+            if isinstance(v, Exception) and not isinstance(v, JGreensError):
+                raise v
+        return [math.nan if isinstance(v, Exception) else v for v in values]
 
-    return _real_zeros(scanned, det_at, e_min, e_max, n_points)
+    return _real_zeros(scanned, dets, e_min, e_max, n_points)
 
 
 def _clamped_det(sign: complex, logabs: float) -> float:

@@ -373,14 +373,18 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     real part of the determinant where its imaginary part is negligible
     (at most 1e-9 of |det|).  The grid is one batch of lanes for the
     corner-ratio kernel.  The zeros come from the real-axis finder
-    that :func:`jgreens.models.det_pole_scan` also uses: each bracket is
-    polished by :func:`jgreens.models._secant` inside the bracket.  The
-    tail ratio has poles between the true levels, and they flip the
-    sign too; a polished |det| above 1e-3 of the smaller bracket
-    endpoint marks such a pole and is rejected.  A grid energy where the
-    determinant is exactly zero is a root, and roots closer than
-    1e-9·max(1, |E|) are merged into one.  Errors of the determinant
-    propagate (on the grid, the first failing energy's).
+    that :func:`jgreens.models.det_pole_scan` also uses
+    (:func:`jgreens.models._real_zeros`): every bracket is polished by
+    secant steps inside itself, the brackets in lockstep, each step one
+    ``det_equation`` call per live bracket.  The tail ratio has poles
+    between the true levels, and they flip the sign too; their polish
+    stops at an iterate above 1e3 times the larger endpoint |det|, and a
+    polished |det| above 1e-3 of the smaller bracket endpoint marks such
+    a pole and is rejected.  A grid energy where the determinant is
+    exactly zero is a root, and roots closer than 1e-9·max(1, |E|) are
+    merged into one.  Errors of the determinant propagate: on the grid,
+    the first failing energy's; in the polish, once every bracket is
+    done, the lowest failing bracket's.
 
     Parameters
     ----------
@@ -408,10 +412,17 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
         return [d.real if abs(d.imag) <= 1e-9 * abs(d) else math.nan
                 for d in dets]
 
-    def f(e: float) -> float:
-        return det_equation(p, complex(e)).real
+    def polish(energies: list[float]) -> list:
+        # one det_equation per lane, its error kept as the lane's value
+        out = []
+        for e in energies:
+            try:
+                out.append(det_equation(p, complex(e)).real)
+            except Exception as exc:
+                out.append(exc)
+        return out
 
-    return _real_zeros(real_parts, f, E_min, E_max, n_grid)
+    return _real_zeros(real_parts, polish, E_min, E_max, n_grid)
 
 
 def find_resonances(p: ScatterProblem, region: tuple[complex, complex],

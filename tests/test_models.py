@@ -15,17 +15,20 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
-from jgreens.errors import (InvalidU, NotConverged, NumericBreakdown,
-                            ZeroOffdiagonal)
-from jgreens.jacobi import (IndexFormula, SheetSelector, _read_maps,
-                            cf_coefficients, dense_truncation,
+from jgreens import models
+from jgreens.errors import (InvalidU, JGreensError, NotConverged,
+                            NumericBreakdown, ZeroOffdiagonal)
+from jgreens.jacobi import (IndexFormula, SheetSelector, _corrected_blocks,
+                            _read_maps, cf_coefficients,
+                            corrected_truncation, dense_truncation,
                             green_submatrix)
 from jgreens.models import (CoulombModel, DiracLower, DiracUpper,
                             GenCoulombModel, KleinGordon, OscillatorModel,
                             RelCoulombModel, charge_density,
                             coulomb_g00_analytic, coulomb_jacobi,
                             coulomb_wavefunction, cs_basis_eval,
-                            _secant, det_pole_scan, exact_levels, gcs_basis_eval,
+                            _real_zeros, _secant, det_pole_scan,
+                            exact_levels, gcs_basis_eval,
                             gencoulomb_h_of_r, gencoulomb_jacobi,
                             gencoulomb_potential, oscillator_jacobi,
                             oscillator_wavefunction, rel_basis_eval,
@@ -572,6 +575,18 @@ def test_pole_scan_grid_error_rules():
     with pytest.raises(KeyError, match="first in grid order"):
         det_pole_scan(failing, -0.6, -0.04, size=3)
 
+    # a package error met while polishing propagates, although the grid
+    # still skips the same error at its own energies
+    on_grid = set(grid)
+
+    def polish_fails(E):
+        if E not in on_grid and abs(E - clean[1]) < 2e-3:
+            raise NumericBreakdown("while polishing")
+        return family(E)
+
+    with pytest.raises(NumericBreakdown, match="while polishing"):
+        det_pole_scan(polish_fails, -0.6, -0.04, size=3)
+
 
 def test_oscillator_pole_scan_matches_levels():
     model = OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3)
@@ -608,6 +623,164 @@ def test_relativistic_pole_scan_matches_sommerfeld():
     assert len(found) == 2
     for got, ref in zip(found, levels):
         assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
+def _scalar_pole_scan(family, e_min, e_max, size, bm_rounds=None,
+                      n_points=400):
+    """det_pole_scan as a bracket-by-bracket loop: every determinant from
+    corrected_truncation and slogdet, one energy at a time, and every
+    bracket polished alone by _secant."""
+    def det(E):
+        for shift in (0.0, 1e-13 * max(1.0, abs(E))):
+            try:
+                op = family(E + shift)
+                break
+            except ZeroOffdiagonal:
+                continue
+        sign, logabs = np.linalg.slogdet(corrected_truncation(
+            op, size, SheetSelector.AUTO, bm_rounds))
+        if logabs == -math.inf:
+            return 0.0
+        return float(sign.real) * math.exp(min(logabs, 600.0))
+
+    grid = [float(x) for x in np.linspace(e_min, e_max, n_points)]
+    values = []
+    for E in grid:
+        try:
+            values.append(det(E))
+        except JGreensError:
+            values.append(math.nan)
+    roots = [x for x, v in zip(grid, values) if v == 0.0]
+    for lo, hi, flo, fhi in zip(grid, grid[1:], values, values[1:]):
+        if math.isfinite(flo) and math.isfinite(fhi) and flo * fhi < 0.0:
+            x, fx, _ = _secant(det, lo, flo, hi, fhi, 0.0, (lo, hi, fhi))
+            if abs(fx) <= 1e-3 * min(abs(flo), abs(fhi)):
+                roots.append(x)
+    merged = []
+    for root in sorted(roots):
+        if not merged or root - merged[-1] > 1e-9 * max(1.0, abs(root)):
+            merged.append(root)
+    return merged
+
+
+def _scan_cases():
+    atom = CoulombModel(Z=-1.0, l=0, D=3, b=1.2)
+    osc = OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3)
+    collide = CoulombModel(Z=-1.0, l=1, D=3, b=0.5)
+    gen = GenCoulombModel(C=0.9, theta=0.8, q=1.7, beta=2.4, rho_basis=1.3,
+                          l=1, D=3)
+    gen_levels = exact_levels(gen, 4)
+    alpha = 1.0 / 137.036
+    rel = RelCoulombModel(mu=1.0 / alpha, alpha_fs=alpha, Z=1.0,
+                          kind=DiracUpper(j=0.5), eta_basis=1.0)
+    cases = {}
+    # the benchmark's three scans, on their base grids and shifted by a
+    # part of a grid step as the benchmark's seeds shift them
+    for shift in (0.0, 0.37, -0.21):
+        d = shift * 0.56 / 399
+        for size in (2, 5):
+            cases[f"atom size {size} shift {shift}"] = (
+                lambda E: coulomb_jacobi(atom, E), -0.6 + d, -0.04 + d,
+                size, None)
+        d = shift * 11.5 / 399
+        cases[f"oscillator size 4 shift {shift}"] = (
+            lambda E: oscillator_jacobi(osc, E), 0.5 + d, 12.0 + d, 4, 0)
+    cases["degenerate collision"] = (
+        lambda E: coulomb_jacobi(collide, E), -0.14, -0.04, 3, None)
+    cases["atom size 3"] = (lambda E: coulomb_jacobi(atom, E), -0.6, -0.04,
+                            3, None)
+    cases["gencoulomb"] = (lambda e: gencoulomb_jacobi(gen, e),
+                           1.3 * gen_levels[0], 0.2 * gen_levels[3], 4, 0)
+    cases["relativistic"] = (
+        lambda b: relativistic_jacobi(rel, rel_energy_from_binding(rel, b)),
+        -0.7, -0.06, 2, 0)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_scan_cases()))
+def test_lockstep_pole_scan_matches_bracket_by_bracket(name):
+    # the batched grid, the lockstep polish and the pole stop change no
+    # root by one bit
+    family, e_min, e_max, size, bm_rounds = _scan_cases()[name]
+    found = det_pole_scan(family, e_min, e_max, size=size,
+                          bm_rounds=bm_rounds)
+    reference = _scalar_pole_scan(family, e_min, e_max, size, bm_rounds)
+    assert found
+    assert [x.hex() for x in found] == [x.hex() for x in reference]
+
+
+def test_pole_scan_makes_one_batch_per_polish_step(monkeypatch):
+    # one _corrected_blocks call for the grid and one per lockstep step;
+    # the brackets around poles of the corner ratio stop early
+    calls = []
+
+    def counting(family, energies, *args):
+        calls.append(len(energies))
+        return _corrected_blocks(family, energies, *args)
+
+    monkeypatch.setattr(models, "_corrected_blocks", counting)
+    atom = CoulombModel(Z=-1.0, l=0, D=3, b=1.2)
+    found = det_pole_scan(lambda E: coulomb_jacobi(atom, E), -0.6, -0.04,
+                          size=2)
+    assert len(found) == 3
+    assert calls[0] == 400
+    assert 1 < len(calls) <= 1 + 20
+
+
+def test_real_zeros_stops_at_poles():
+    # tan: simple roots at k*pi and poles at (k + 1/2)*pi, one per cell
+    x_min, x_max, n = 0.3, 9.0, 25
+    grid = np.linspace(x_min, x_max, n)
+    evaluations = {}
+
+    def polish(xs):
+        for x in xs:
+            cell = int(np.searchsorted(grid, x))
+            evaluations[cell] = evaluations.get(cell, 0) + 1
+        return [math.tan(x) for x in xs]
+
+    roots = _real_zeros(lambda xs: [math.tan(x) for x in xs], polish,
+                        x_min, x_max, n)
+    assert roots == pytest.approx([math.pi, 2 * math.pi], rel=1e-11)
+    pole_cells = [int(np.searchsorted(grid, (k + 0.5) * math.pi))
+                  for k in range(3)]
+    assert set(evaluations) == set(pole_cells) | {
+        int(np.searchsorted(grid, r)) for r in roots}
+    for cell in pole_cells:
+        assert evaluations[cell] <= 15
+
+
+def test_real_zeros_raises_lowest_failing_bracket():
+    # roots at 1 and 3; the bracket of 3 fails at its first step, the one
+    # of 1 at its third: the lockstep raises the lower bracket's error,
+    # as a bracket-by-bracket loop would
+    class Lower(Exception):
+        pass
+
+    class Higher(Exception):
+        pass
+
+    def f(x):
+        return (x - 1.0) * (x - 3.0)
+
+    seen = {"lower": 0, "higher": 0}
+    batches = []
+
+    def polish(xs):
+        batches.append(len(xs))
+        out = []
+        for x in xs:
+            side = "lower" if x < 2.0 else "higher"
+            seen[side] += 1
+            out.append(Lower("third step") if side == "lower"
+                       and seen[side] == 3 else Higher("first step")
+                       if side == "higher" else f(x))
+        return out
+
+    with pytest.raises(Lower, match="third step"):
+        _real_zeros(lambda xs: [f(x) for x in xs], polish, 0.25, 4.25, 5)
+    assert batches == [2, 1, 1]
+    assert seen == {"lower": 3, "higher": 1}
 
 
 def test_pole_scan_rejects_degenerate_grid():

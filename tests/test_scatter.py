@@ -451,6 +451,17 @@ def test_bound_state_grid_raises_first_failure_in_grid_order(monkeypatch):
     monkeypatch.setattr(scatter_module, "coulomb_jacobi", failing)
     with pytest.raises(ZeroOffdiagonal, match="first in grid order"):
         find_bound_states(p, -35.0, -25.0, n_grid=40)
+    # an error met while polishing propagates as well
+    on_grid = set(grid)
+
+    def polish_fails(model, E):
+        if complex(E).real not in on_grid:
+            raise QuadratureSuspect("while polishing")
+        return build(model, E)
+
+    monkeypatch.setattr(scatter_module, "coulomb_jacobi", polish_fails)
+    with pytest.raises(QuadratureSuspect, match="while polishing"):
+        find_bound_states(p, -35.0, -25.0, n_grid=40)
     monkeypatch.setattr(scatter_module, "coulomb_jacobi", build)
     assert find_bound_states(p, -35.0, -25.0, n_grid=40) == [
         bound_levels(8)[1]]
