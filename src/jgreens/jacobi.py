@@ -291,40 +291,12 @@ def tail_ratio(J: JacobiOperator, n: int,
 
 def dense_truncation(J: JacobiOperator, N: int) -> np.ndarray:
     """Dense N x N tridiagonal block of the operator (no corner term)."""
-    return _truncation(J, N, False)[0]
-
-
-def _truncation(J: JacobiOperator, N: int, coupled: bool
-                ) -> tuple[np.ndarray, complex]:
-    """:func:`dense_truncation` and, when ``coupled``, J_{N-1,N} (else 0),
-    raising the first error of the scalar order: the diagonal's, then the
-    off-diagonal's."""
     if N < 1:
         raise ValueError(f"truncation size must be >= 1, got {N}")
-    diag, off, faults = _read_rows(J, N, N - 1 + coupled)
-    if faults:
-        raise faults[0][2]
-    idx = np.arange(N)
-    mat = np.zeros((N, N), dtype=complex)
-    mat[idx, idx] = diag
-    mat[idx[:-1], idx[1:]] = mat[idx[1:], idx[:-1]] = off[:N - 1]
-    return mat, complex(off[-1]) if coupled else 0j
-
-
-def _read_rows(J: JacobiOperator, n_diag: int, n_off: int
-               ) -> tuple[np.ndarray, np.ndarray, list]:
-    """J_ii for i < n_diag and J_{i,i+1} for i < n_off, each map read in
-    one :func:`_read_maps` call, and (index, 0 for diag or 1, error) of
-    each map's first failure, the diagonal's first."""
-    one = np.zeros(1, dtype=int)
-    rows, faults = [], []
-    for which, (fn, hi) in enumerate(((J.diag, n_diag),
-                                      (J.offdiag, n_off))):
-        values, stop, errors = _read_maps([fn])(one, 0, hi)
-        rows.append(values[:, 0])
-        if errors:
-            faults.append((int(stop[0]), which, errors[0]))
-    return rows[0], rows[1], faults
+    diag, off, (error,) = _read_rows([J], N, N - 1)
+    if error is not None:
+        raise error
+    return _tridiagonal(diag, off)[0]
 
 
 def corrected_truncation(J: JacobiOperator, N: int,
@@ -341,11 +313,40 @@ def corrected_truncation(J: JacobiOperator, N: int,
     A vanishing J_{N-1,N} decouples the block from the rest of the
     operator, so the corner term is zero without evaluating the ratio.
     """
-    mat, coupling = _truncation(J, N, True)
-    if coupling != 0:
-        mat[N - 1, N - 1] += coupling * tail_ratio(
+    if N < 1:
+        raise ValueError(f"truncation size must be >= 1, got {N}")
+    diag, off, (error,) = _read_rows([J], N, N)
+    if error is not None:
+        raise error
+    mat = _tridiagonal(diag, off)[0]
+    if off[N - 1, 0] != 0:
+        mat[N - 1, N - 1] += complex(off[N - 1, 0]) * tail_ratio(
             J, N, sheet, bm_rounds, tol, max_terms)
     return mat
+
+
+def _read_rows(ops: Sequence[JacobiOperator], n_diag: int, n_off: int
+               ) -> tuple[np.ndarray, np.ndarray, list]:
+    """J_ii for i < n_diag and J_{i,i+1} for i < n_off of every operator,
+    as (index, lane) arrays, zero from a lane's failing read on, and per
+    lane None or its first error in the scalar order: the diagonal's,
+    then the off-diagonal's."""
+    lanes = np.arange(len(ops))
+    diag, _, failed = _read_maps([op.diag for op in ops])(lanes, 0, n_diag)
+    off, _, more = _read_maps([op.offdiag for op in ops])(lanes, 0, n_off)
+    return diag, off, [failed.get(p, more.get(p)) for p in lanes.tolist()]
+
+
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The (L, N, N) symmetric tridiagonal blocks whose lane k has main
+    diagonal diag[:, k] (diag is (N, L)) and first off-diagonals
+    off[:N - 1, k]; written through strided views of the flat blocks."""
+    N, L = diag.shape
+    blocks = np.zeros((L, N, N), dtype=complex)
+    flat = blocks.reshape(L, N * N)
+    flat[:, ::N + 1] = diag.T
+    flat[:, 1::N + 1] = flat[:, N::N + 1] = off[:N - 1].T
+    return blocks
 
 
 def _checked_inverses(mats: np.ndarray
@@ -448,6 +449,8 @@ def _corrected_blocks(family: Callable, energies: Sequence, N: int,
     the (L, N, N) blocks, zero where a lane failed, and ``errors``. Lanes
     whose ``errors`` entry is set are skipped; any other records there the
     first error that ``family(E)`` or ``corrected_truncation`` raises.
+    The blocks agree with ``corrected_truncation``'s to rounding: the batch
+    sums its corner ratios from a shorter first chunk than ``tail_ratio``.
     """
     if N < 1:
         raise ValueError(f"truncation size must be >= 1, got {N}")
@@ -460,24 +463,19 @@ def _corrected_blocks(family: Callable, energies: Sequence, N: int,
                 lanes.append(k)
         except Exception as exc:  # the lane's failure, kept
             errors[k] = exc
-    diag, _, failed = _read_maps([op.diag for op in ops])(
-        np.arange(len(ops)), 0, N)
-    read = [p for p in range(len(ops)) if p not in failed]
-    off = np.zeros((N, len(ops)), dtype=complex)
-    off[:, read], _, more = _read_maps([op.offdiag for op in ops])(read, 0, N)
-    failed.update((read[q], exc) for q, exc in more.items())
-    coupled = [p for p in read if p not in failed and off[-1, p] != 0]
+    diag, off, failed = _read_rows(ops, N, N)
+    sub = _tridiagonal(diag, off)
+    coupled = [p for p, exc in enumerate(failed)
+               if exc is None and off[-1, p] != 0]
     ratios, more = _corner_ratios([ops[p] for p in coupled], N, sheet,
                                   bm_rounds)
-    failed.update((p, exc) for p, exc in zip(coupled, more) if exc)
-    idx = np.arange(N)
-    sub = np.zeros((len(ops), N, N), dtype=complex)
-    sub[:, idx, idx] = diag.T
-    sub[:, idx[:-1], idx[1:]] = sub[:, idx[1:], idx[:-1]] = off[:-1].T
     sub[coupled, -1, -1] += off[-1, coupled] * ratios
-    sub[list(failed)] = 0.0
-    for p, exc in failed.items():
-        errors[lanes[p]] = exc
+    for p, exc in zip(coupled, more):
+        failed[p] = exc
+    for p, exc in enumerate(failed):
+        if exc is not None:
+            sub[p] = 0.0
+            errors[lanes[p]] = exc
     blocks = np.zeros((len(energies), N, N), dtype=complex)
     blocks[lanes] = sub
     return blocks, errors
@@ -485,8 +483,8 @@ def _corrected_blocks(family: Callable, energies: Sequence, N: int,
 
 def _green_blocks(family: Callable, energies: Sequence, N: int,
                   errors: list | None = None) -> tuple[np.ndarray, list]:
-    """``green_submatrix(family(E), N, PHYSICAL)`` at many energies: the
-    chunked kernel's many-lane case (:func:`_corrected_blocks`), inverted."""
+    """``green_submatrix(family(E), N, PHYSICAL)`` at many energies, to
+    rounding: :func:`_corrected_blocks`, inverted."""
     blocks, errors = _corrected_blocks(family, energies, N, errors=errors)
     live = [k for k, exc in enumerate(errors) if exc is None]
     out = np.zeros_like(blocks)
@@ -498,6 +496,8 @@ def _green_blocks(family: Callable, energies: Sequence, N: int,
 
 # First chunk of tail_ratio's one lane with Bauer-Muir rounds on: those
 # fractions are long (near the real axis), and one lane pays per chunk.
+# Batches keep the kernel's 15, which suits many short lanes, so a lane
+# alone and in a batch agree only to rounding.
 _CHUNK_LANE = 63
 # Tails: physical (AUTO resolves to it or fails) the attractive root, the
 # limit from above the cut; unphysical the repulsive one, through the cut.
@@ -625,7 +625,9 @@ def _read_maps(fns: Sequence[Callable[[int], complex]]) -> Callable:
         values = np.empty((hi - lo, len(lanes)), dtype=complex)
         values[...] = fn(np.arange(lo, hi)[:, None],
                          *(p[lanes] for p in params))
-        return values, np.full(len(lanes), hi - lo), {}
+        stops = np.empty(len(lanes), dtype=int)
+        stops.fill(hi - lo)  # half the time of np.full at one lane
+        return values, stops, {}
 
     return read
 
@@ -693,9 +695,7 @@ def truncated_inverse(A_diag, A_offdiag, corner_ratio: complex,
     if off.shape[0] != n - 1:
         raise ValueError(
             f"off-diagonal length {off.shape[0]} does not match size {n}")
-    mat = np.diag(diag)
-    if n > 1:
-        mat += np.diag(off, 1) + np.diag(off, -1)
+    mat = _tridiagonal(diag[:, None], off[:, None])[0]
     mat[n - 1, n - 1] += complex(a_n_np1) * complex(corner_ratio)
     entries = _checked_inverse(mat)
     return GreenMatrix(entries=entries, energy=None, sheet=None, n=n)

@@ -735,21 +735,7 @@ def cs_basis_eval(n: int, l: int, D: int, b: float,
         (phi, phi/r); the partner is the r -> 0 limit when r = 0 (finite
         for l+(D-1)/2 >= 1, infinite below).
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    p = l + (D - 1) / 2.0
-    alpha = 2 * l + D - 2
-    if r == 0.0:
-        if p > 1.0:
-            return 0.0, 0.0
-        if p == 1.0:
-            lag0 = _laguerre_functions(n, alpha, 0.0, 0.0)[n]
-            return 0.0, float(lag0) * 2.0 * b
-        return 0.0, math.inf
-    phi = float(_laguerre_functions(n, alpha, 2.0 * b * r, p)[n])
-    return phi, phi / r
+    return _radial_laguerre(n, l + (D - 3) / 2.0, 2 * l + D - 2, b, r)
 
 
 def gcs_basis_eval(model: GenCoulombModel, n: int,
@@ -810,21 +796,28 @@ def rel_basis_eval(model: RelCoulombModel, n: int,
     (float, float)
         (S, S/r); the partner is the r -> 0 limit when r = 0.
     """
+    u = model.u
+    return _radial_laguerre(n, u, 2.0 * u + 1.0, model.eta_basis, r)
+
+
+def _radial_laguerre(n: int, s: float, alpha: float, scale: float,
+                     r: float) -> tuple[float, float]:
+    """(phi, phi/r) of phi_n(r) = sqrt(Gamma(n+1)/Gamma(n+alpha+1))
+    e^{-scale r} (2 scale r)^{s+1} L_n^{(alpha)}(2 scale r), the radial
+    basis of the Coulomb and relativistic families; at r = 0 the partner
+    is its r -> 0 limit (0 for s > 0, finite for s = 0, infinite below)."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    u = model.u
-    eta = model.eta_basis
-    alpha = 2.0 * u + 1.0
     if r == 0.0:
-        if u > 0:
+        if s > 0:
             return 0.0, 0.0
-        if u == 0:
+        if s == 0:
             lag0 = _laguerre_functions(n, alpha, 0.0, 0.0)[n]
-            return 0.0, float(lag0) * 2.0 * eta
+            return 0.0, float(lag0) * 2.0 * scale
         return 0.0, math.inf
-    phi = float(_laguerre_functions(n, alpha, 2.0 * eta * r, u + 1.0)[n])
+    phi = float(_laguerre_functions(n, alpha, 2.0 * scale * r, s + 1.0)[n])
     return phi, phi / r
 
 

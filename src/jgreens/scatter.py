@@ -218,7 +218,9 @@ def _raw_potential_matrix(p: ScatterProblem, order: int) -> np.ndarray:
     return (phi * (W * vvals / two_b)[None, :]) @ phi.T
 
 
-@lru_cache(maxsize=8)
+# Room for every problem of the paper's l = 0 and l = 2 tables (10 sizes
+# each), which a table pass cycles through; a 41 x 41 matrix is 13 KB.
+@lru_cache(maxsize=64)
 def _cached_potential_matrix(p: ScatterProblem) -> np.ndarray:
     raw = _raw_potential_matrix(p, p.quad_order)
     check = _raw_potential_matrix(p, 2 * p.quad_order)
@@ -542,16 +544,16 @@ def free_overlap(model: CoulombModel, E: complex, N: int) -> np.ndarray:
                 + (lam + 1) * cmath.log(2.0 * b * k / (b * b + k * k))
                 + 2.0 * eta * cmath.atan(k / b))
     op = coulomb_jacobi(model, energy)
-    diag, off, faults = _read_rows(op, N, N)
-    if faults:  # the first the loop below would meet: J_mm before J_m,m+1
-        raise min(faults)[2]
-    diag, off = diag.tolist(), off.tolist()
+    diag, off, (error,) = _read_rows([op], N, N)
+    if error is not None:
+        raise error
+    diag, off = diag[:, 0].tolist(), off[:, 0].tolist()
     phi = np.empty(N + 1, dtype=complex)
     phi[0] = cmath.exp(log_phi0)
-    below = 0.0
+    now, below = phi[0], 0.0  # numpy scalars, as read back from phi
     for m in range(N):
-        phi[m + 1] = -(diag[m] * phi[m] + below) / off[m]
-        below = off[m] * phi[m]
+        phi[m + 1] = after = -(diag[m] * now + below) / off[m]
+        now, below = after, off[m] * now
     return phi.real if energy.imag == 0.0 else phi
 
 

@@ -516,3 +516,126 @@ def test_checked_inverses_flag_only_the_bad_blocks():
                 expected = np.linalg.inv(stack[k])
                 assert np.array_equal(inverse.view(np.int64),
                                       expected.view(np.int64))
+
+
+# ----------------------------------------- the row reader and the assembler
+
+
+def _hexes(a):
+    return [(v.real.hex(), v.imag.hex()) for v in np.ravel(a).tolist()]
+
+
+@pytest.mark.parametrize("N", [1, 2, 7])
+def test_tridiagonal_blocks_match_diagonal_sums(N):
+    from jgreens.jacobi import _tridiagonal
+
+    rng = np.random.default_rng(N)
+    diag = rng.normal(size=(N, 3)) + 1j * rng.normal(size=(N, 3))
+    off = rng.normal(size=(N, 3)) + 1j * rng.normal(size=(N, 3))
+    blocks = _tridiagonal(diag, off)
+    assert blocks.shape == (3, N, N)
+    for k in range(3):
+        expected = np.diag(diag[:, k]) + np.diag(off[:N - 1, k], 1) \
+            + np.diag(off[:N - 1, k], -1)
+        assert _hexes(blocks[k]) == _hexes(expected)
+
+
+@pytest.mark.parametrize("N", [1, 5, 41])
+def test_truncated_inverse_equals_green_submatrix_bitwise(N):
+    from jgreens.models import CoulombModel, coulomb_jacobi
+
+    model = CoulombModel(Z=4, l=0, b=4.0, m=1863.69, e2=1.44)
+    for J in (perturbed_laplacian(0.5 + 0.2j), coulomb_jacobi(model, 0.3),
+              coulomb_jacobi(model, -0.2)):
+        gm = truncated_inverse([J.diag(i) for i in range(N)],
+                               [J.offdiag(i) for i in range(N - 1)],
+                               tail_ratio(J, N), J.offdiag(N - 1))
+        assert _hexes(gm.entries) == _hexes(green_submatrix(J, N).entries)
+
+
+def _finite(N):
+    """A finite operator with exactly N rows (IndexError past its end)."""
+    def diag(i):
+        if i >= N:
+            raise IndexError(f"row {i} is past the last row {N - 1}")
+        return 2.0 + 0.5 * i
+
+    def offdiag(i):
+        if i >= N - 1:
+            raise IndexError(f"coupling {i} is past the last row {N - 1}")
+        return -1.0
+
+    return JacobiOperator(diag, offdiag, energy=-1.0)
+
+
+@pytest.mark.parametrize("N", [1, 4])
+def test_finite_operator_with_exactly_n_rows(N):
+    from jgreens.jacobi import _corrected_blocks
+
+    J = _finite(N)
+    expected = np.diag([2.0 + 0.5 * i for i in range(N)]).astype(complex)
+    expected += np.diag([-1.0] * (N - 1), 1) + np.diag([-1.0] * (N - 1), -1)
+    assert np.array_equal(dense_truncation(J, N), expected)
+    with pytest.raises(IndexError) as alone:
+        corrected_truncation(J, N)
+    lanes = [constant_operator(), J]
+    blocks, errors = _corrected_blocks(lanes.__getitem__, [0, 1], N)
+    assert errors[0] is None and blocks[0].any()
+    assert type(errors[1]) is IndexError
+    assert str(errors[1]) == str(alone.value)
+    assert not blocks[1].any()
+
+
+def test_diagonal_error_comes_before_the_offdiagonal_error():
+    from jgreens.jacobi import _corrected_blocks, _read_rows
+
+    def diag(i):
+        if i == 3:
+            raise ValueError("diagonal fails at 3")
+        return 2.0
+
+    def offdiag(i):
+        if i == 1:
+            raise ArithmeticError("off-diagonal fails at 1")
+        return -1.0
+
+    both = JacobiOperator(diag, offdiag, energy=-1.0, limit_coeffs=(-1.0, 2.0))
+    off_only = JacobiOperator(lambda i: 2.0, offdiag, energy=-1.0,
+                              limit_coeffs=(-1.0, 2.0))
+    for call in (lambda: dense_truncation(both, 5),
+                 lambda: corrected_truncation(both, 5)):
+        with pytest.raises(ValueError, match="diagonal fails at 3"):
+            call()
+    with pytest.raises(ArithmeticError, match="off-diagonal fails at 1"):
+        dense_truncation(off_only, 5)
+    lanes = [constant_operator(), both, off_only, constant_operator()]
+    diag_rows, off_rows, errors = _read_rows(lanes, 5, 5)
+    assert diag_rows.shape == off_rows.shape == (5, 4)
+    assert [type(e) for e in errors] == [type(None), ValueError,
+                                         ArithmeticError, type(None)]
+    assert np.array_equal(diag_rows[:, 1], [2.0, 2.0, 2.0, 0.0, 0.0])
+    blocks, errors = _corrected_blocks(lanes.__getitem__, range(4), 5)
+    assert [str(e) if e else None for e in errors] == [
+        None, "diagonal fails at 3", "off-diagonal fails at 1", None]
+    assert not blocks[1].any() and not blocks[2].any()
+    assert _hexes(blocks[0]) == _hexes(blocks[3])
+
+
+def test_one_by_one_blocks():
+    from jgreens.jacobi import _corrected_blocks
+
+    J = perturbed_laplacian(0.5 + 0.2j)
+    assert _hexes(dense_truncation(J, 1)) == _hexes(J.diag(0))
+    corner = J.diag(0) + J.offdiag(0) * tail_ratio(J, 1)
+    assert _hexes(corrected_truncation(J, 1)) == _hexes(corner)
+    (block,), (error,) = _corrected_blocks(lambda E: J, [J.energy], 1)
+    assert error is None
+    assert block[0, 0] == pytest.approx(corner, rel=1e-13)
+    assert _hexes(green_submatrix(J, 1).entries) \
+        == _hexes(truncated_inverse([J.diag(0)], [], tail_ratio(J, 1),
+                                    J.offdiag(0)).entries)
+    for call in (lambda: dense_truncation(J, 0),
+                 lambda: corrected_truncation(J, 0),
+                 lambda: _corrected_blocks(lambda E: J, [J.energy], 0)):
+        with pytest.raises(ValueError, match="truncation size must be >= 1"):
+            call()

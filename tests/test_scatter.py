@@ -365,6 +365,15 @@ def test_free_overlap_matches_mpmath_quadrature():
         assert np.max(np.abs(phi - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_free_overlap_of_size_zero_is_phi_0():
+    # N = 0 reads no rows: the vector is the closed-form start alone
+    for E in (30.0, 0.5 - 0.01j):
+        first = free_overlap(charged(0), E, 0)
+        full = free_overlap(charged(0), E, 40)
+        assert first.shape == (1,) and first.dtype == full.dtype
+        assert first.tobytes() == full[:1].tobytes()
+
+
 def test_free_overlap_extreme_sommerfeld_parameter():
     # alpha-alpha l = 0 at E = 0.0015 MeV has eta = 23.1
     model = charged(0)
