@@ -260,10 +260,8 @@ def _node_sum(contour: Contour,
         raise NodeFailure("Green's matrix evaluation failed",
                           nodes=[zs[k] for k in failed]) from errors[failed[0]]
     product *= np.array([w for _, w in contour.nodes])[:, None, None]
-    acc = np.zeros(product.shape[1:], dtype=complex)
-    for term in product:
-        acc += term
-    return acc / (2.0j * math.pi)
+    # along the outer axis numpy adds term by term, not pairwise
+    return np.add.reduce(product, axis=0) / (2.0j * math.pi)
 
 
 def contour_matrix(family: Callable[[complex], JacobiOperator],

@@ -317,19 +317,21 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     w = _tail_w(tail)
-    (outcome,) = _sum_fractions(
+    value, terms, converged, delta, stopped = _sum_fractions(
         _one_lane_reader(cf.coefficient), np.array([cf.b0], dtype=complex), 0,
         np.array([w]), TailOrigin.USER_SUPPLIED, tol, max_terms)
-    if outcome is None:
+    if 0 in stopped and stopped[0] is None:
         try:
             cf.coefficient(1)
         except IndexError:  # no coefficients: S_0, which the sum never forms
             return CfResult(complex(cf.b0) + w, 0, True, 0.0)
         raise NumericBreakdown(
             "finite fraction terminates on a pole approximant")
-    if isinstance(outcome, Exception):
-        raise outcome
-    return CfResult(*outcome)
+    if stopped:
+        raise stopped[0]
+    v = complex(value[0])
+    return CfResult(None if cmath.isnan(v) else v, int(terms[0]),
+                    bool(converged[0]), float(delta[0]))
 
 
 def fixed_points(a: complex, b: complex) -> tuple[TailValue, TailValue]:
@@ -549,7 +551,7 @@ def _one_lane_reader(row: Callable, width: int = 2) -> Callable:
 
 def _sum_fractions(read: Callable, b0: np.ndarray, rounds: int,
                    w: np.ndarray, tail: TailOrigin, tol: float,
-                   max_terms: int, first: int | None = None) -> list:
+                   max_terms: int, first: int | None = None) -> tuple:
     """Sum the lanes' fractions after ``rounds`` Bauer-Muir transforms with
     w[k] (``b0``: the transformed leading terms), in chunks from 15 or
     ``first`` coefficients on (:func:`_fraction_chunk`). The tails are
@@ -558,39 +560,43 @@ def _sum_fractions(read: Callable, b0: np.ndarray, rounds: int,
     on its batch; ``max_terms`` < 1 acts as 1. ``read(lanes, j0, size)``
     gives coefficients j0 .. j0 + size - 1 as (a, b) arrays (size, lanes)
     and {p: (position, error)} of each lane's first fault in them
-    (IndexError ends a fraction). Per lane returns a CfResult (agreement,
-    the budget, an exact end), None for an end on a pole approximant, or
-    the error that stopped it (IndexError: an end with rounds on); a
-    CfResult comes as the tuple of its fields."""
+    (IndexError ends a fraction).
+
+    Returns the CfResult fields as per-lane arrays (value, terms used,
+    converged, last delta) and {lane: outcome} of the lanes that stopped
+    on an error (IndexError: an end with rounds on) or, as None, at an end
+    on a pole approximant; their array entries mean nothing. Every other
+    lane stopped at agreement or an exact end (converged), or at the
+    budget (not converged; its value NaN where a CfResult's is None)."""
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     L = len(w)
-    outcomes: list = [None] * L
-    one, zero = np.ones(L, dtype=complex), np.zeros(L, dtype=complex)
+    out = (np.zeros(L, dtype=complex), np.zeros(L, dtype=int),
+           np.zeros(L, dtype=bool), np.zeros(L), {})
+    x = np.zeros((2, 2, L), dtype=complex)
+    x[0, 0], x[0, 1], x[1, 0] = b0, 1.0, 1.0
     st = {  # x: [[A_m, A_{m-1}], [B_m, B_{m-1}]]; lam, num: each round's
         # lambda and input numerator at the last index (1 before the first)
-        "x": np.array([[b0, one], [one, zero]]),
-        "lam": np.ones((rounds, L), dtype=complex),
+        "x": x, "lam": np.ones((rounds, L), dtype=complex),
         "num": np.ones((rounds, L), dtype=complex),
-        "prev": zero.copy(), "has_prev": np.zeros(L, bool), "w": w}
+        "prev": np.zeros(L, dtype=complex), "has_prev": np.zeros(L, bool),
+        "w": w}
     live, last_step = np.arange(L), max(max_terms, 1)
     with np.errstate(all="ignore"):
         for j0, size in _chunks(first or _CHUNK_FIRST, last_step + 1):
             group = max(1, _CHUNK_CELLS // size)
-            keep = np.ones(live.size, dtype=bool)
-            for g in range(0, live.size, group):
-                view = st if group >= live.size else {
-                    key: v[..., g:g + group] for key, v in st.items()}
-                stopped = _fraction_chunk(read, live[g:g + group], view, j0,
-                                          size, rounds, tail, tol, last_step)
-                for p, value in stopped.items():
-                    outcomes[live[g + p]] = value
-                    keep[g + p] = False
-            if not keep.any():
+            stop = np.concatenate([_fraction_chunk(
+                read, live[g:g + group], st if group >= live.size else {
+                    key: v[..., g:g + group] for key, v in st.items()},
+                j0, size, rounds, tail, tol, last_step, out)
+                for g in range(0, live.size, group)])
+            if stop.all():
                 break
-            live = live[keep]
-            st = {key: v[..., keep] for key, v in st.items()}
-    return outcomes
+            if stop.any():
+                keep = ~stop
+                live = live[keep]
+                st = {key: v[..., keep] for key, v in st.items()}
+    return out
 
 
 def _chunks(size: int, last: float = math.inf) -> Iterator[tuple[int, int]]:
@@ -604,9 +610,10 @@ def _chunks(size: int, last: float = math.inf) -> Iterator[tuple[int, int]]:
 
 def _fraction_chunk(read: Callable, lanes: np.ndarray, st: dict, j0: int,
                     size: int, rounds: int, tail: TailOrigin, tol: float,
-                    max_terms: int) -> dict:
-    """Sum coefficients j0 .. j0 + size - 1 of the lanes in ``st``, and
-    return the outcomes of those that stop. Arrays are (position, lane);
+                    max_terms: int, out: tuple) -> np.ndarray:
+    """Sum coefficients j0 .. j0 + size - 1 of the lanes in ``st``, write
+    the outcomes of those that stop to ``out`` (:func:`_sum_fractions`) at
+    ``lanes``, and return where they stop. Arrays are (position, lane);
     position t holds coefficient j = j0 + t and step j - 1: S_{j-1} with
     its tail from coefficient j, then the update by coefficient j. Its
     events come in the scalar order: the reader's fault, a zero a_j, each
@@ -644,40 +651,58 @@ def _fraction_chunk(read: Callable, lanes: np.ndarray, st: dict, j0: int,
     formed = np.concatenate((st["has_prev"][None], approx[:-1]))
     compared = approx & formed
     delta = np.abs(s - prev)
-    agree = compared & (delta <= tol * np.fmax(1.0, np.abs(s)))
+    agree = compared & ~nonfinite & (delta <= tol * np.fmax(1.0, np.abs(s)))
     event = bad | nonfinite | agree
     event |= ~np.isfinite(x[:, :, 1:]).all(axis=(0, 1))
-    event[-1] |= j0 + size - 2 >= max_terms
+    if j0 + size - 2 >= max_terms:
+        event[-1] = True
     st["prev"][...], st["has_prev"][...] = s[-1], approx[-1]
 
-    stopped: dict[int, object] = {}
-    if not event.any():
-        return stopped
-    hit = np.flatnonzero(event.any(axis=0))
+    stop = event.any(axis=0)
+    if not stop.any():
+        return stop
+    hit = np.flatnonzero(stop)
     ts = event[:, hit].argmax(axis=0)
-    for p, t, value, d, agreed, broke, finite in zip(
-            hit.tolist(), ts.tolist(), s[ts, hit].tolist(),
-            delta[ts, hit].tolist(), agree[ts, hit].tolist(),
-            nonfinite[ts, hit].tolist(), approx[ts, hit].tolist()):
-        m = j0 + t - 1
-        at, cause = faults.get(p, (None, None))
-        if at == t and p not in ends:
-            stopped[p] = cause
-        elif broke:
-            stopped[p] = NumericBreakdown("non-finite approximant")
-        elif agreed:
-            stopped[p] = (value, m, True, d)
-        elif m >= max_terms:  # S_m, or at its pole S_{m-1}
-            seen = np.flatnonzero(compared[:t + 1, p])  # in this chunk
-            last = float(delta[seen[-1], p]) if seen.size else math.inf
-            stopped[p] = (value if finite else complex(prev[t, p])
-                          if formed[t, p] else None, m, False, last)
-        elif at == t:
-            stopped[p] = (value, m, True, 0.0) if finite else None
-        else:
-            stopped[p] = NumericBreakdown(
-                f"non-finite recurrence value at term {m + 1}")
-    return stopped
+    m = ts + (j0 - 1)
+    value, terms, converged, last_delta, stopped = out
+    k = lanes[hit]
+    value[k], terms[k], last_delta[k] = s[ts, hit], m, delta[ts, hit]
+    agreed = agree[ts, hit]
+    if not faults and agreed.all():  # the usual stop
+        converged[k] = True
+        return stop
+    # the first event of each stopping lane, in the order above
+    fault = np.zeros(hit.size, dtype=bool)
+    end = np.zeros(hit.size, dtype=bool)
+    if faults:
+        at = np.full(len(stop), -1)
+        at[list(faults)] = [t for t, _ in faults.values()]
+        fault = at[hit] == ts
+        end = fault & np.isin(hit, list(ends))
+        fault &= ~end
+    broke = nonfinite[ts, hit] & ~fault
+    agreed &= ~fault
+    rest = ~(fault | broke | agreed)
+    budget = rest & (m >= max_terms)  # S_m, or at its pole S_{m-1}
+    end &= rest & ~budget
+    finite = approx[ts, hit]
+    value[k] = np.where(finite, value[k], np.where(
+        formed[ts, hit], prev[ts, hit], np.nan))
+    converged[k] = agreed | (end & finite)
+    last = np.where(agreed, last_delta[k], 0.0)
+    if budget.any():  # the last comparison in this chunk
+        seen = compared[:, hit] & (np.arange(size)[:, None] <= ts)
+        t_seen = size - 1 - seen[::-1].argmax(axis=0)
+        last[budget] = np.where(seen.any(axis=0), delta[t_seen, hit],
+                                math.inf)[budget]
+    last_delta[k] = last
+    for q in np.flatnonzero(~(agreed | budget | (end & finite))).tolist():
+        stopped[int(k[q])] = (
+            faults[int(hit[q])][1] if fault[q] else
+            NumericBreakdown("non-finite approximant") if broke[q] else
+            None if end[q] else NumericBreakdown(
+                f"non-finite recurrence value at term {m[q] + 1}"))
+    return stop
 
 
 def _first_faults(faults: dict, checks: np.ndarray, j0: int
@@ -686,6 +711,8 @@ def _first_faults(faults: dict, checks: np.ndarray, j0: int
     check (masks (check, position, lane): a zero a_j, then per Bauer-Muir
     round a degenerate lambda_j and a zero c_j); and where any fault is."""
     bad = checks.any(axis=0)
+    if not (faults or bad.any()):
+        return faults, bad
     for p, (t, _) in faults.items():
         bad[t, p] = True
     for p in np.flatnonzero(bad.any(axis=0)).tolist():

@@ -155,14 +155,16 @@ class GreenMatrix:
     n: int
 
 
+_AUTO_REFUSES = ("sheet must be chosen explicitly for Im E < 0; automatic "
+                 "resolution refuses to silently continue onto either sheet")
+
+
 def _resolve_sheet(sheet: SheetSelector, energy: complex) -> SheetSelector:
     if sheet is not SheetSelector.AUTO:
         return sheet
     if complex(energy).imag >= 0.0:
         return SheetSelector.PHYSICAL
-    raise ValueError(
-        "sheet must be chosen explicitly for Im E < 0; automatic "
-        "resolution refuses to silently continue onto either sheet")
+    raise ValueError(_AUTO_REFUSES)
 
 
 def cf_coefficients(J: JacobiOperator,
@@ -203,7 +205,9 @@ def cf_coefficients(J: JacobiOperator,
             raise IndexError(f"index {i} below start {start}")
         # the corner-ratio kernel's reader: the coefficients it sums
         with np.errstate(all="ignore"):  # a zero J_{i,i+1} is a fault
-            (a,), (b,), faults = _jacobi_reader([J], i)([0], 1, 1)
+            lane = np.zeros(1, dtype=int)
+            (a,), (b,), faults = _jacobi_reader(_map_readers([J]), i, lane)(
+                lane, 1, 1)
         if faults:
             raise faults[0][1]
         return complex(a[0]), complex(b[0])
@@ -211,14 +215,32 @@ def cf_coefficients(J: JacobiOperator,
     return gen
 
 
-def _bm_depths(energy: complex) -> tuple[int, ...]:
-    """Bauer-Muir depths the automatic policy tries, in order.
+_PLAIN_FIRST, _DEEP_FIRST = np.array((0, 4, 2, -1)), np.array((8, 4, 2, 0))
 
+
+def _bm_depths(limits) -> np.ndarray:
+    """Bauer-Muir depths the automatic policy tries, in order, for lanes
+    whose fraction coefficients have the limits (u, d) in ``limits`` (an
+    array (..., 2)): one row of four per lane, -1 past its last depth.
+
+    Where |d| > 2 sqrt(|u|), the two fixed points of the tail map
+    w -> u/(d + w) differ in modulus (their product is -u): the limit is
+    hyperbolic, and the fraction with its attractive fixed-point tail
+    converges geometrically without any transform. At equality (for real
+    d, a double fixed point) an exactly periodic fraction is summed at
+    once by its tail. There the plan is 0, 4, 2; otherwise (the fixed
+    points may share one modulus, as on the continuum, or come close to
+    it) it is 8, 4, 2, 0. For the Coulomb-like families
+    d = 2(X - 1)/(X + 1) with X = k^2/b^2 (or (E^2 - mu^2)/eta^2), and
+    |d| > 2 exactly where Re X < 0; the oscillator's limit does not
+    depend on the energy.
     Isolated energies can stall both the plain fraction and a particular
     transform depth, so a depth that raises DegenerateTransform or does
     not converge is followed by the next one before giving up.
     """
-    return (0, 4, 2) if complex(energy).real < 0.0 else (8, 4, 2, 0)
+    size = np.abs(limits)
+    plain_first = size[..., 1] >= 2.0 * np.sqrt(size[..., 0])
+    return np.where(plain_first[..., None], _PLAIN_FIRST, _DEEP_FIRST)
 
 
 def tail_ratio(J: JacobiOperator, n: int,
@@ -254,8 +276,11 @@ def tail_ratio(J: JacobiOperator, n: int,
     bm_rounds : int, optional
         Bauer-Muir rounds (ignored for ZeroTail, whose modification value
         would be 0). By default the depths of :func:`_bm_depths` are
-        tried in turn: 0, 4, 2 for Re E < 0 and 8, 4, 2, 0 otherwise,
-        moving to the next after a DegenerateTransform or NotConverged.
+        tried in turn: 0, 4, 2 where the limits (u, d) of
+        ``J.limit_coeffs`` have |d| >= 2 sqrt(|u|) (for the Coulomb
+        families, below threshold, Re E < 0; the oscillator at every E),
+        and 8, 4, 2, 0 otherwise, moving to the next after a
+        DegenerateTransform or NotConverged.
     tol : float
         Relative convergence tolerance, > 0.
     max_terms : int
@@ -278,7 +303,8 @@ def tail_ratio(J: JacobiOperator, n: int,
     ZeroOffdiagonal, DegenerateTransform
         Propagated from coefficient generation and acceleration.
     ValueError
-        For n < 1, tol <= 0, or a sheet the operator cannot serve.
+        For n < 1, bm_rounds < 0, tol <= 0, or a sheet the operator
+        cannot serve.
     """
     if n < 1:
         raise ValueError(f"ratio index must be >= 1, got {n}")
@@ -325,15 +351,25 @@ def corrected_truncation(J: JacobiOperator, N: int,
     return mat
 
 
-def _read_rows(ops: Sequence[JacobiOperator], n_diag: int, n_off: int
+def _map_readers(ops: Sequence[JacobiOperator]) -> tuple[Callable, Callable]:
+    """The (diagonal, off-diagonal) readers (:func:`_read_maps`) of a batch
+    of operators, whose lanes are the operators' positions in ``ops``."""
+    return (_read_maps([op.diag for op in ops]),
+            _read_maps([op.offdiag for op in ops]))
+
+
+def _read_rows(ops: Sequence[JacobiOperator], n_diag: int, n_off: int,
+               readers: tuple | None = None
                ) -> tuple[np.ndarray, np.ndarray, list]:
     """J_ii for i < n_diag and J_{i,i+1} for i < n_off of every operator,
     as (index, lane) arrays, zero from a lane's failing read on, and per
     lane None or its first error in the scalar order: the diagonal's,
-    then the off-diagonal's."""
+    then the off-diagonal's. ``readers``: those of :func:`_map_readers`,
+    when the caller has them."""
+    read_diag, read_off = readers or _map_readers(ops)
     lanes = np.arange(len(ops))
-    diag, _, failed = _read_maps([op.diag for op in ops])(lanes, 0, n_diag)
-    off, _, more = _read_maps([op.offdiag for op in ops])(lanes, 0, n_off)
+    diag, _, failed = read_diag(lanes, 0, n_diag)
+    off, _, more = read_off(lanes, 0, n_off)
     return diag, off, [failed.get(p, more.get(p)) for p in lanes.tolist()]
 
 
@@ -463,12 +499,14 @@ def _corrected_blocks(family: Callable, energies: Sequence, N: int,
                 lanes.append(k)
         except Exception as exc:  # the lane's failure, kept
             errors[k] = exc
-    diag, off, failed = _read_rows(ops, N, N)
+    # the maps' params are stacked once, for the rows and the ratios
+    readers = _map_readers(ops)
+    diag, off, failed = _read_rows(ops, N, N, readers)
     sub = _tridiagonal(diag, off)
-    coupled = [p for p, exc in enumerate(failed)
-               if exc is None and off[-1, p] != 0]
+    coupled = np.flatnonzero(
+        np.array([exc is None for exc in failed], dtype=bool) & (off[-1] != 0))
     ratios, more = _corner_ratios([ops[p] for p in coupled], N, sheet,
-                                  bm_rounds)
+                                  bm_rounds, readers=(*readers, coupled))
     sub[coupled, -1, -1] += off[-1, coupled] * ratios
     for p, exc in zip(coupled, more):
         failed[p] = exc
@@ -509,82 +547,110 @@ def _corner_ratios(ops: Sequence[JacobiOperator], n: int,
                    sheet: SheetSelector = SheetSelector.PHYSICAL,
                    bm_rounds: int | None = None, tol: float = _DEFAULT_TOL,
                    max_terms: int = _DEFAULT_MAX_TERMS,
-                   first: int | None = None) -> tuple[np.ndarray, list]:
+                   first: int | None = None,
+                   readers: tuple | None = None) -> tuple[np.ndarray, list]:
     """``tail_ratio(op, n, sheet, ...)`` of every operator, as lanes: the
     ratios (zero where a lane failed) and per lane, None or the error.
     Lanes at one Bauer-Muir depth of their plans form one batch of
     :func:`jgreens.contfrac._sum_fractions`; a lane moves on through its
     plan as ``tail_ratio`` does, and to depth 0 when its fraction ended.
-    ``first`` is the first chunk at depths above 0."""
-    values, errors = [0j] * len(ops), [None] * len(ops)
+    ``first`` is the first chunk at depths above 0. ``readers`` are the
+    map readers of a larger batch (:func:`_map_readers`) with the position
+    there of each of ``ops``; by default, those of ``ops``."""
+    if bm_rounds is not None and bm_rounds < 0:  # -1 marks no depth
+        raise ValueError(f"bm_rounds must be >= 0, got {bm_rounds}")
+    L = len(ops)
+    errors: list = [None] * L
+    ratios = np.zeros(L, dtype=complex)
     tail = _TAILS.get(sheet, TailOrigin.ATTRACTIVE_FIXED_POINT)
-    plans: dict[int, tuple[int, ...]] = {}
-    for k, op in enumerate(ops):
-        try:
-            _resolve_sheet(sheet, op.energy)
-        except ValueError as exc:
-            errors[k] = exc
-            continue
-        if tail is TailOrigin.ZERO:
-            plans[k] = (0,)
-        elif op.limit_coeffs is None:
-            errors[k] = ValueError(_NO_LIMITS)
-        else:
-            plans[k] = _bm_depths(op.energy) if bm_rounds is None \
-                else (int(bm_rounds),)
-    stage = 0
-    while plans:
-        batches: dict[int, list[int]] = {}
-        for k, plan in plans.items():
-            batches.setdefault(plan[stage], []).append(k)
-        for rounds, lanes in batches.items():
+    if sheet is SheetSelector.AUTO:
+        refused = ~(np.array([op.energy for op in ops], dtype=complex).imag
+                    >= 0.0)
+        for k in np.flatnonzero(refused).tolist():
+            errors[k] = ValueError(_AUTO_REFUSES)
+    # each lane's depths in order, -1 past the last; the spare fifth
+    # column is the depth after a fourth
+    plans = np.full((L, 5), -1)
+    if tail is TailOrigin.ZERO:
+        plans[:, 0] = 0
+    else:
+        given = [op.limit_coeffs for op in ops]
+        for k in [k for k, lim in enumerate(given) if lim is None]:
+            errors[k] = errors[k] or ValueError(_NO_LIMITS)
+        limits = np.array([(0.0, 0.0) if lim is None else lim
+                           for lim in given], dtype=complex).reshape(L, 2)
+        plans[:, :4] = _bm_depths(limits) if bm_rounds is None \
+            else (int(bm_rounds), -1, -1, -1)
+    failed = [k for k, exc in enumerate(errors) if exc is not None]
+    if failed:
+        plans[failed] = -1
+    pending = L - len(failed)  # lanes with no value or error yet
+    read_diag, read_off, at = readers or (*_map_readers(ops), np.arange(L))
+    for stage in range(4):
+        if not pending:
+            break
+        depth = plans[:, stage]
+        for rounds in sorted(set(depth.tolist()) - {-1}):
+            lanes = (depth == rounds).nonzero()[0]
             # the Bauer-Muir modifier: the limits' fixed point on the branch
-            w = _fixed_point_arrays(*np.array(
-                [ops[k].limit_coeffs for k in lanes], dtype=complex).T)[
+            w = _fixed_point_arrays(*limits[lanes].T)[
                 tail is TailOrigin.REPULSIVE_FIXED_POINT] if rounds \
-                else np.zeros(len(lanes), dtype=complex)
-            outcomes = _sum_fractions(
-                _jacobi_reader([ops[k] for k in lanes], n), rounds * w,
-                rounds, w, tail, tol, max_terms, first if rounds else None)
-            for k, out in zip(lanes, outcomes):
-                plan = plans.pop(k)
-                if isinstance(out, tuple) and not out[2]:  # the budget
-                    _, m, _, last = out
-                    out = NotConverged(
-                        f"tail ratio fraction did not converge in {m} terms "
-                        f"(last delta {last:.3e})", terms_used=m,
-                        last_delta=last)
+                else np.zeros(lanes.size, dtype=complex)
+            value, terms, converged, delta, stopped = _sum_fractions(
+                _jacobi_reader((read_diag, read_off), n, at[lanes]),
+                rounds * w if rounds else w, rounds, w, tail, tol, max_terms,
+                first if rounds else None)
+            if converged.all():  # the usual outcome
+                ratios[lanes] = -value
+                pending -= lanes.size
+                if pending:
+                    plans[lanes, stage + 1:] = -1
+                continue
+            ratios[lanes[converged]] = -value[converged]
+            plans[lanes[converged], stage + 1:] = -1
+            more = plans[lanes, stage + 1] >= 0
+            budget = ~converged
+            budget[list(stopped)] = False
+            going_on = budget & more
+            for p in np.flatnonzero(budget & ~more).tolist():
+                errors[lanes[p]] = NotConverged(
+                    f"tail ratio fraction did not converge in {terms[p]} "
+                    f"terms (last delta {delta[p]:.3e})",
+                    terms_used=int(terms[p]), last_delta=float(delta[p]))
+            for p, out in stopped.items():
+                k = lanes[p]
                 if isinstance(out, IndexError):  # ended with rounds on
-                    plans[k] = plan[:stage + 1] + (0,)
+                    plans[k, stage + 1:] = -1
+                    plans[k, stage + 1] = 0
+                    going_on[p] = True
                 elif isinstance(out, (DegenerateTransform, NotConverged)) \
-                        and stage + 1 < len(plan):
-                    plans[k] = plan
-                elif isinstance(out, tuple):
-                    values[k] = -out[0]
-                else:  # None: a finite fraction ended on a pole
+                        and more[p]:
+                    going_on[p] = True
+                else:
+                    plans[k, stage + 1:] = -1
                     errors[k] = out or SingularRatio(
                         "fraction terminated on a pole approximant; the "
                         "leading Green's element vanishes")
-        stage += 1
-    ratios = np.array(values, dtype=complex)
-    for k in np.flatnonzero(~(np.abs(ratios) <= _RATIO_LIMIT)):
+            pending -= lanes.size - int(going_on.sum())
+    trusted = np.abs(ratios) <= _RATIO_LIMIT
+    for k in [] if trusted.all() else np.flatnonzero(~trusted):
         errors[k] = errors[k] or SingularRatio(
             f"tail ratio magnitude {abs(ratios[k]):.3e} exceeds trust "
             "limit; a leading Green's element is numerically zero")
     return ratios, errors
 
 
-def _jacobi_reader(ops: Sequence[JacobiOperator], n: int) -> Callable:
-    """Chunk reader of the fractions K_{i>=n}(u_i/d_i) of ``ops``, in
-    which coefficient j has index i = n + j - 1. A fault at j comes in
-    the scalar order: the reads of J_{i-1,i} and J_{i,i+1}, either one
-    zero (J_{i,i+1} first), the read of J_ii."""
-
-    read_off = _read_maps([op.offdiag for op in ops])
-    read_diag = _read_maps([op.diag for op in ops])
+def _jacobi_reader(readers: tuple[Callable, Callable], n: int,
+                   at: np.ndarray) -> Callable:
+    """Chunk reader of the fractions K_{i>=n}(u_i/d_i) of the lanes ``at``
+    of the (diagonal, off-diagonal) map ``readers``, in which coefficient
+    j has index i = n + j - 1. A fault at j comes in the scalar order: the
+    reads of J_{i-1,i} and J_{i,i+1}, either one zero (J_{i,i+1} first),
+    the read of J_ii."""
+    read_diag, read_off = readers
 
     def read(lanes: np.ndarray, j0: int, size: int):
-        i0 = n + j0 - 1
+        i0, lanes = n + j0 - 1, at[lanes]
         # J_{i-1,i} and J_{i,i+1} of position t are off[t] and off[t + 1]
         off, off_stop, off_err = read_off(lanes, i0 - 1, i0 + size)
         dg, dg_stop, dg_err = read_diag(lanes, i0, i0 + size)
@@ -619,7 +685,7 @@ def _read_maps(fns: Sequence[Callable[[int], complex]]) -> Callable:
                          for f in fns):
         return lambda lanes, lo, hi: _read_lanes([fns[k] for k in lanes],
                                                  lo, hi)
-    params = [np.array(p) for p in zip(*(f.params for f in fns))]
+    params = [np.array(p) for p in zip(*[f.params for f in fns])]
 
     def read(lanes, lo: int, hi: int):
         values = np.empty((hi - lo, len(lanes)), dtype=complex)

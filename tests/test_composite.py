@@ -31,9 +31,11 @@ from jgreens.jacobi import (
     JacobiOperator,
     SheetSelector,
     _bm_depths,
+    _corner_ratios,
     _green_blocks,
     dense_truncation,
     green_submatrix,
+    tail_ratio,
 )
 from jgreens.models import (
     CoulombModel,
@@ -45,6 +47,11 @@ from jgreens.models import (
 # attractive Coulomb in atomic units; l=1 levels are -1/(2 (nr+2)^2)
 ATOM = CoulombModel(Z=-1.0, l=1, D=3, b=0.5, m=1.0, hbar=1.0, e2=1.0)
 R0 = 0.5  # hbar^2 / (2 m |Z| e2)
+
+
+def _hex(a):
+    """float.hex of every real and imaginary part of an array."""
+    return [(v.real.hex(), v.imag.hex()) for v in np.ravel(a).tolist()]
 
 
 def coulomb_family(z):
@@ -405,19 +412,20 @@ def _green_block_lanes(case):
     "coulomb crossing Re z = 0", "finite operator", "equal frequencies"])
 def test_green_blocks_match_green_submatrix(case):
     ops, N = _green_block_lanes(case)
-    depths = {_bm_depths(op.energy)[0] for op in ops}
-    expected_depths = {"oscillator rings": {8},
+    expected_depths = {"oscillator rings": {0},
                        "coulomb bound ellipse": {0},
                        "coulomb free ellipse": {0},
                        "coulomb crossing Re z = 0": {0, 8},
                        "finite operator": {8}}
     if case == "equal frequencies":
         assert all(op.limit_coeffs is None for op in ops)
+        starts = [None] * len(ops)
     else:
-        assert depths == expected_depths[case]
+        starts = [_bm_depths(op.limit_coeffs)[0] for op in ops]
+        assert set(starts) == expected_depths[case]
     blocks, errors = _green_blocks(_same, ops, N)
     assert blocks.shape == (len(ops), N, N)
-    for op, block, error in zip(ops, blocks, errors):
+    for op, block, error, start in zip(ops, blocks, errors, starts):
         # a lane's values do not depend on the batch it runs in
         (alone,), (alone_error,) = _green_blocks(_same, [op], N)
         assert type(alone_error) is type(error)
@@ -429,6 +437,16 @@ def test_green_blocks_match_green_submatrix(case):
             assert type(error) is type(exc) and str(error) == str(exc)
             continue
         assert error is None
+        if start == 0:
+            # tail_ratio's longer first chunk applies only above depth 0,
+            # so there the batch's corner ratio is tail_ratio's, bit for bit
+            (ratio,), _ = _corner_ratios([op], N)
+            assert _hex(ratio) == _hex(tail_ratio(op, N,
+                                                  SheetSelector.PHYSICAL))
+            # numpy's array product and Python's complex product round a
+            # complex J_{N-1,N} * ratio differently; a real one alike
+            if complex(op.offdiag(N - 1)).imag == 0:
+                assert _hex(block) == _hex(scalar)
         scale = np.max(np.abs(scalar))
         assert np.max(np.abs(block - scalar)) <= 1e-13 * scale
 
@@ -445,6 +463,34 @@ def test_green_blocks_match_green_submatrix(case):
         assert errors[k] is None
         assert np.max(np.abs(blocks[k] - dense)) <= 1e-9 * np.max(
             np.abs(dense))
+
+
+@pytest.mark.parametrize("geometry", ["oscillator rings", "coulomb ellipse"])
+def test_node_sum_adds_in_node_order(geometry):
+    # the per-node loop the reduction replaced, on the two geometries of
+    # the composite benchmark: 800 ring nodes at 3 x 3, 96 ellipse nodes
+    # at 4 x 4
+    if geometry == "oscillator rings":
+        osc = OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3)
+        J1 = J2 = lambda z: oscillator_jacobi(osc, z)
+        E, N1, N2 = 4.3, 3, 3
+        contour = encircle_points([1.5 + 2.0 * m for m in range(10)], 0.1, 80)
+    else:
+        bound = CoulombModel(Z=-1.0, l=0, D=3, b=1.0)
+        free = CoulombModel(Z=0.0, l=0, D=3, b=1.0)
+        J1, J2 = (lambda z: coulomb_jacobi(free, z),
+                  lambda z: coulomb_jacobi(bound, z))
+        E, N1, N2 = -1.1, 4, 4
+        contour = build_contour(-0.5, 0.0, margin=0.05, n_points=96,
+                                t_max=-0.02)
+    zs = [z for z, _ in contour.nodes]
+    g1, _ = _green_blocks(J1, [E - z for z in zs], N1)
+    g2, _ = _green_blocks(J2, zs, N2)
+    acc = np.zeros((N1 * N2, N1 * N2), dtype=complex)
+    for (_, w), a, b in zip(contour.nodes, g1, g2):
+        acc += np.kron(a, b) * w
+    got = convolve_greens(J1, J2, E, contour, N1, N2)
+    assert _hex(got) == _hex(acc / (2.0j * math.pi))
 
 
 def test_merkuriev_zeta_values_and_limits():

@@ -477,6 +477,54 @@ def test_mixed_lane_batch_matches_solo_tail_ratios(n):
     assert errors[-1].index == n + 2
 
 
+def _finite_pole_operator():
+    """Three rows of ones: K_{i>=1}(u_i/d_i) = -1/(-1 - 1/(-1)) ends on a
+    pole approximant. Its limits (-1, 1) put depth 8 first, which ends with
+    rounds on and falls back to depth 0."""
+    def entry(i):
+        if i > 2:
+            raise IndexError(i)
+        return 1.0
+
+    return JacobiOperator(entry, entry, energy=0.0, limit_coeffs=(-1.0, 1.0))
+
+
+def test_mixed_outcome_batch_matches_each_lane_alone():
+    from jgreens.jacobi import _corner_ratios
+    from jgreens.models import CoulombModel, coulomb_jacobi
+
+    model = CoulombModel(Z=-1.0, l=0, D=3, b=1.0)
+    bound = coulomb_jacobi(model, -0.3)
+    zero_at = JacobiOperator(bound.diag,
+                             lambda i: 0.0 if i == 3 else bound.offdiag(i),
+                             bound.energy, bound.limit_coeffs)
+    lanes = [
+        bound,  # converges at depth 0
+        coulomb_jacobi(model, 0.5 + 0.1j),  # converges at depth 8
+        # 2-periodic with an elliptic period map: no depth converges
+        JacobiOperator(lambda i: -1.0 - i % 2, lambda i: 1.0, 0.0,
+                       (-1.0, 0.5)),
+        zero_at,
+        _finite_pole_operator(),
+        coulomb_jacobi(model, 0.4 - 0.2j),  # AUTO refuses Im E < 0
+        JacobiOperator(bound.diag, bound.offdiag, bound.energy),  # no limits
+    ]
+    kwargs = {"sheet": SheetSelector.AUTO, "max_terms": 40}
+    ratios, errors = _corner_ratios(lanes, 1, **kwargs)
+    assert [type(e) for e in errors] == [
+        type(None), type(None), NotConverged, ZeroOffdiagonal, SingularRatio,
+        ValueError, ValueError]
+    for op, ratio, error in zip(lanes, ratios, errors):
+        (alone,), (alone_error,) = _corner_ratios([op], 1, **kwargs)
+        assert _hexes(ratio) == _hexes(alone)
+        assert type(error) is type(alone_error)
+        assert str(error) == str(alone_error)
+    assert errors[3].index == 3
+    assert not ratios[2:].any()
+    with pytest.raises(ValueError, match="bm_rounds"):
+        tail_ratio(bound, 1, bm_rounds=-1)
+
+
 def _block(rng, singular_values):
     n = len(singular_values)
     q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))

@@ -1067,3 +1067,51 @@ def test_cs_completeness_on_gaussian():
     par = np.cumsum((partner @ (wr * g)) ** 2)
     assert np.all(np.diff(par) >= 0.0)
     assert abs(par[-1] - g_norm) <= 1e-6 * g_norm
+
+
+def test_depth_plan_reads_the_limit(monkeypatch):
+    from jgreens import jacobi
+    from jgreens.jacobi import _bm_depths, _corner_ratios
+
+    def start(op):
+        return int(_bm_depths(op.limit_coeffs)[0])
+
+    # the Coulomb-like limits d = 2(X - 1)/(X + 1) have |d| > 2 exactly
+    # where Re X < 0: below threshold, as the sign of Re E said before. On
+    # the axis Re E = 0, |d| = 2 holds only to rounding: the grid avoids it
+    xs = np.concatenate((np.linspace(-3.0, 3.0, 24), [-1e-6, 1e-6]))
+    grid = [complex(x, y) for x in xs for y in (-1.5, -0.2, 0.0, 0.3, 2.0)]
+    coulomb = CoulombModel(Z=-1.0, l=0, D=3, b=1.0)
+    gencoulomb = GenCoulombModel(C=0.9, theta=0.8, q=1.7, beta=2.4,
+                                 rho_basis=1.3, l=1, D=3)
+    for build, model in ((coulomb_jacobi, coulomb),
+                         (gencoulomb_jacobi, gencoulomb)):
+        for E in grid:
+            plan = tuple(_bm_depths(build(model, E).limit_coeffs))
+            assert plan == ((0, 4, 2, -1) if E.real < 0 else (8, 4, 2, 0))
+    # the oscillator's limit is hyperbolic and does not depend on E
+    oscillators = [OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3),
+                   OscillatorModel(omega=0.7, omega_basis=0.4, l=1, D=4,
+                                   m=1.7)]
+    for model in oscillators:
+        for E in grid + [1.5, 3.5, 7.9 - 0.1j]:
+            assert start(oscillator_jacobi(model, E)) == 0
+    # relativistic: depth 0 where Re(E^2 - mu^2) < 0, bound lanes included
+    rel = RelCoulombModel(mu=_MU, alpha_fs=1 / _MU, Z=20.0,
+                          kind=KleinGordon(l=1), eta_basis=12.0)
+    ops = [relativistic_jacobi(rel, f * _MU) for f in (0.9, 0.99, 1.01, 1.5)]
+    assert [start(op) for op in ops] == [0, 0, 8, 8]
+
+    # and the batch starts each lane at that depth
+    seen = {}
+    real_sum = jacobi._sum_fractions
+
+    def record(read, b0, rounds, *args):
+        seen.setdefault(len(seen), (rounds, len(b0)))
+        return real_sum(read, b0, rounds, *args)
+
+    monkeypatch.setattr(jacobi, "_sum_fractions", record)
+    mixed = ops + [coulomb_jacobi(coulomb, E) for E in (-0.3, 0.4 + 0.1j)] \
+        + [oscillator_jacobi(oscillators[0], 2.1)]
+    _corner_ratios(mixed, 3)
+    assert seen[0] == (0, 4) and seen[1] == (8, 3)
