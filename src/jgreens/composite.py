@@ -233,11 +233,10 @@ def _node_sum(contour: Contour,
     physical-sheet Green's block of ``family(energy_at(z))``, truncated
     to N x N. Each factor is evaluated once per contour, as one batch of
     lanes over the nodes (``jacobi._green_blocks``); every lane gives the
-    errors of ``green_submatrix`` at its node, and its values to rounding
-    (the batch sums its corner ratios from a shorter first chunk). A node
-    whose factor fails skips the later factors, as a per-node loop would.
-    The terms w * (G_1 kron G_2 ...) are then added one by one in node
-    order, the order of a per-node loop, so the sum is reproducible.
+    errors of ``green_submatrix`` at its node, and its values bit for bit.
+    A node whose factor fails skips the later factors, as a per-node loop
+    would. The terms w * (G_1 kron G_2 ...) are then added one by one in
+    node order, the order of a per-node loop, so the sum is reproducible.
 
     Raises
     ------
@@ -269,8 +268,8 @@ def contour_matrix(family: Callable[[complex], JacobiOperator],
     """Leading N x N block of (1/2pi i) oint G(z) dz for one family.
 
     The Green's blocks at all nodes are evaluated as one batch (see
-    :func:`_node_sum`), each agreeing with ``green_submatrix(family(z),
-    N, PHYSICAL)`` to rounding, and summed in node order.
+    :func:`_node_sum`), each equal to ``green_submatrix(family(z), N,
+    PHYSICAL)`` bit for bit, and summed in node order.
 
     Parameters
     ----------
@@ -334,9 +333,8 @@ def convolve_greens(J1: Callable[[complex], JacobiOperator],
     encircle the relevant spectrum of h2 while E - z' stays away from the
     spectrum of h1 for every enclosed z'. Each family is evaluated once
     per contour, as one batch over the nodes (see :func:`_node_sum`),
-    and every node's block agrees with ``green_submatrix`` there to
-    rounding. The terms w * (G1 kron G2) are summed one by one in node
-    order.
+    and every node's block equals ``green_submatrix``'s there bit for
+    bit. The terms w * (G1 kron G2) are summed one by one in node order.
 
     Parameters
     ----------

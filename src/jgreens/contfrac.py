@@ -55,10 +55,12 @@ _DEGENERATE_REL = 1e-9
 # Forward approximant is treated as a pole when the denominator is this
 # small relative to the numerator.
 _POLE_THRESHOLD = 1e-250
-# Coefficients in a sum's first chunk (unless the caller asks for more);
-# then 4n + 3 up to _CHUNK_MAX, so that n + 1 states, a power of two, are
-# scanned. A chunk runs its lanes in groups of at most _CHUNK_CELLS // n.
-_CHUNK_FIRST, _CHUNK_MAX, _CHUNK_CELLS = 15, 1023, 1 << 12
+# Coefficients in a sum's first chunk: 15, or 63 with Bauer-Muir rounds on,
+# whose fractions are the long near-axis ones (a lane pays the kernel's
+# fixed numpy cost per chunk); then 4n + 3 up to _CHUNK_MAX, so that n + 1
+# states, a power of two, are scanned. A chunk runs its lanes in groups of
+# at most _CHUNK_CELLS // n.
+_CHUNK_FIRST, _CHUNK_DEEP, _CHUNK_MAX, _CHUNK_CELLS = 15, 63, 1023, 1 << 12
 
 Coeffs = Callable[[int], tuple[complex, complex]]
 
@@ -551,16 +553,16 @@ def _one_lane_reader(row: Callable, width: int = 2) -> Callable:
 
 def _sum_fractions(read: Callable, b0: np.ndarray, rounds: int,
                    w: np.ndarray, tail: TailOrigin, tol: float,
-                   max_terms: int, first: int | None = None) -> tuple:
+                   max_terms: int) -> tuple:
     """Sum the lanes' fractions after ``rounds`` Bauer-Muir transforms with
-    w[k] (``b0``: the transformed leading terms), in chunks from 15 or
-    ``first`` coefficients on (:func:`_fraction_chunk`). The tails are
-    each coefficient's attractive or repulsive fixed point, or the constant
-    w[k] (ZERO, USER_SUPPLIED; no rounds). A lane's value does not depend
-    on its batch; ``max_terms`` < 1 acts as 1. ``read(lanes, j0, size)``
-    gives coefficients j0 .. j0 + size - 1 as (a, b) arrays (size, lanes)
-    and {p: (position, error)} of each lane's first fault in them
-    (IndexError ends a fraction).
+    w[k] (``b0``: the transformed leading terms), in chunks from 15
+    coefficients on, or 63 when ``rounds`` > 0 (:func:`_fraction_chunk`).
+    The tails are each coefficient's attractive or repulsive fixed point,
+    or the constant w[k] (ZERO, USER_SUPPLIED; no rounds). A lane's value
+    does not depend on its batch, bit for bit; ``max_terms`` < 1 acts as
+    1. ``read(lanes, j0, size)`` gives coefficients j0 .. j0 + size - 1 as
+    (a, b) arrays (size, lanes) and {p: (position, error)} of each lane's
+    first fault in them (IndexError ends a fraction).
 
     Returns the CfResult fields as per-lane arrays (value, terms used,
     converged, last delta) and {lane: outcome} of the lanes that stopped
@@ -583,7 +585,8 @@ def _sum_fractions(read: Callable, b0: np.ndarray, rounds: int,
         "w": w}
     live, last_step = np.arange(L), max(max_terms, 1)
     with np.errstate(all="ignore"):
-        for j0, size in _chunks(first or _CHUNK_FIRST, last_step + 1):
+        for j0, size in _chunks(_CHUNK_DEEP if rounds else _CHUNK_FIRST,
+                                last_step + 1):
             group = max(1, _CHUNK_CELLS // size)
             stop = np.concatenate([_fraction_chunk(
                 read, live[g:g + group], st if group >= live.size else {

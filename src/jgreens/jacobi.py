@@ -259,9 +259,9 @@ def tail_ratio(J: JacobiOperator, n: int,
     accelerated by that many Bauer-Muir transforms with the constant
     fixed point of ``J.limit_coeffs``.
 
-    This is the one-lane case of :func:`_corner_ratios`, which sums chunks
-    of coefficients with the kernel of :mod:`jgreens.contfrac` and may
-    read past the approximant it stops at; only the indices it reaches
+    This is the one-lane case of :func:`_corner_ratios`, equal to J's lane
+    in any batch bit for bit; its kernel may read chunks of coefficients
+    past the approximant it stops at, but only the indices it reaches
     raise, in the scalar order. A finite fraction is summed exactly.
 
     Parameters
@@ -309,7 +309,7 @@ def tail_ratio(J: JacobiOperator, n: int,
     if n < 1:
         raise ValueError(f"ratio index must be >= 1, got {n}")
     (ratio,), (error,) = _corner_ratios([J], n, sheet, bm_rounds, tol,
-                                        max_terms, _CHUNK_LANE)
+                                        max_terms)
     if error is not None:
         raise error
     return complex(ratio)
@@ -346,9 +346,19 @@ def corrected_truncation(J: JacobiOperator, N: int,
         raise error
     mat = _tridiagonal(diag, off)[0]
     if off[N - 1, 0] != 0:
-        mat[N - 1, N - 1] += complex(off[N - 1, 0]) * tail_ratio(
-            J, N, sheet, bm_rounds, tol, max_terms)
+        ratio = tail_ratio(J, N, sheet, bm_rounds, tol, max_terms)
+        mat[N - 1, N - 1] += complex(*_corner_terms(complex(off[N - 1, 0]),
+                                                    ratio))
     return mat
+
+
+def _corner_terms(off, ratio) -> tuple:
+    """Real and imaginary parts of the corner term J_{N-1,N} * r_N, of
+    Python numbers (one lane) or of arrays (a batch): each product and sum
+    rounds on its own, so a lane gets the same bits either way (numpy's
+    complex multiply may fuse them, and round apart)."""
+    return (off.real * ratio.real - off.imag * ratio.imag,
+            off.real * ratio.imag + off.imag * ratio.real)
 
 
 def _map_readers(ops: Sequence[JacobiOperator]) -> tuple[Callable, Callable]:
@@ -485,8 +495,7 @@ def _corrected_blocks(family: Callable, energies: Sequence, N: int,
     the (L, N, N) blocks, zero where a lane failed, and ``errors``. Lanes
     whose ``errors`` entry is set are skipped; any other records there the
     first error that ``family(E)`` or ``corrected_truncation`` raises.
-    The blocks agree with ``corrected_truncation``'s to rounding: the batch
-    sums its corner ratios from a shorter first chunk than ``tail_ratio``.
+    A lane's block equals ``corrected_truncation``'s bit for bit.
     """
     if N < 1:
         raise ValueError(f"truncation size must be >= 1, got {N}")
@@ -507,7 +516,9 @@ def _corrected_blocks(family: Callable, energies: Sequence, N: int,
         np.array([exc is None for exc in failed], dtype=bool) & (off[-1] != 0))
     ratios, more = _corner_ratios([ops[p] for p in coupled], N, sheet,
                                   bm_rounds, readers=(*readers, coupled))
-    sub[coupled, -1, -1] += off[-1, coupled] * ratios
+    terms = np.empty(coupled.size, dtype=complex)
+    terms.real, terms.imag = _corner_terms(off[-1, coupled], ratios)
+    sub[coupled, -1, -1] += terms
     for p, exc in zip(coupled, more):
         failed[p] = exc
     for p, exc in enumerate(failed):
@@ -521,8 +532,8 @@ def _corrected_blocks(family: Callable, energies: Sequence, N: int,
 
 def _green_blocks(family: Callable, energies: Sequence, N: int,
                   errors: list | None = None) -> tuple[np.ndarray, list]:
-    """``green_submatrix(family(E), N, PHYSICAL)`` at many energies, to
-    rounding: :func:`_corrected_blocks`, inverted."""
+    """``green_submatrix(family(E), N, PHYSICAL)`` at many energies, bit
+    for bit: :func:`_corrected_blocks`, inverted."""
     blocks, errors = _corrected_blocks(family, energies, N, errors=errors)
     live = [k for k, exc in enumerate(errors) if exc is None]
     out = np.zeros_like(blocks)
@@ -532,11 +543,6 @@ def _green_blocks(family: Callable, energies: Sequence, N: int,
     return out, errors
 
 
-# First chunk of tail_ratio's one lane with Bauer-Muir rounds on: those
-# fractions are long (near the real axis), and one lane pays per chunk.
-# Batches keep the kernel's 15, which suits many short lanes, so a lane
-# alone and in a batch agree only to rounding.
-_CHUNK_LANE = 63
 # Tails: physical (AUTO resolves to it or fails) the attractive root, the
 # limit from above the cut; unphysical the repulsive one, through the cut.
 _TAILS = {SheetSelector.UNPHYSICAL: TailOrigin.REPULSIVE_FIXED_POINT,
@@ -547,16 +553,15 @@ def _corner_ratios(ops: Sequence[JacobiOperator], n: int,
                    sheet: SheetSelector = SheetSelector.PHYSICAL,
                    bm_rounds: int | None = None, tol: float = _DEFAULT_TOL,
                    max_terms: int = _DEFAULT_MAX_TERMS,
-                   first: int | None = None,
                    readers: tuple | None = None) -> tuple[np.ndarray, list]:
     """``tail_ratio(op, n, sheet, ...)`` of every operator, as lanes: the
     ratios (zero where a lane failed) and per lane, None or the error.
     Lanes at one Bauer-Muir depth of their plans form one batch of
     :func:`jgreens.contfrac._sum_fractions`; a lane moves on through its
     plan as ``tail_ratio`` does, and to depth 0 when its fraction ended.
-    ``first`` is the first chunk at depths above 0. ``readers`` are the
-    map readers of a larger batch (:func:`_map_readers`) with the position
-    there of each of ``ops``; by default, those of ``ops``."""
+    A lane's ratio and error do not depend on the batch. ``readers`` are
+    the map readers of a larger batch (:func:`_map_readers`) with the
+    position there of each of ``ops``; by default, those of ``ops``."""
     if bm_rounds is not None and bm_rounds < 0:  # -1 marks no depth
         raise ValueError(f"bm_rounds must be >= 0, got {bm_rounds}")
     L = len(ops)
@@ -598,8 +603,7 @@ def _corner_ratios(ops: Sequence[JacobiOperator], n: int,
                 else np.zeros(lanes.size, dtype=complex)
             value, terms, converged, delta, stopped = _sum_fractions(
                 _jacobi_reader((read_diag, read_off), n, at[lanes]),
-                rounds * w if rounds else w, rounds, w, tail, tol, max_terms,
-                first if rounds else None)
+                rounds * w if rounds else w, rounds, w, tail, tol, max_terms)
             if converged.all():  # the usual outcome
                 ratios[lanes] = -value
                 pending -= lanes.size
@@ -762,6 +766,7 @@ def truncated_inverse(A_diag, A_offdiag, corner_ratio: complex,
         raise ValueError(
             f"off-diagonal length {off.shape[0]} does not match size {n}")
     mat = _tridiagonal(diag[:, None], off[:, None])[0]
-    mat[n - 1, n - 1] += complex(a_n_np1) * complex(corner_ratio)
+    mat[n - 1, n - 1] += complex(*_corner_terms(complex(a_n_np1),
+                                                complex(corner_ratio)))
     entries = _checked_inverse(mat)
     return GreenMatrix(entries=entries, energy=None, sheet=None, n=n)

@@ -1051,10 +1051,13 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     Scans the determinant of the corner-corrected truncation on an
     n_points grid and brackets its sign changes.  The corrected
     determinant vanishes exactly at the poles, so the located roots do
-    not depend on ``size``; determinants are evaluated through their
-    sign and log magnitude (clamped at e^600) so large entries cannot
-    overflow.  The grid and every polish step are each one batch of
-    lanes: one ``_corrected_blocks`` call and one stacked ``slogdet``.
+    not depend on ``size``.  Each determinant comes from its sign and log
+    magnitude, divided by one constant e^c for the whole scan (grid and
+    polish), so that the entries' scale cannot overflow or underflow it:
+    c = 0 while every finite log|det| of the grid lies within ±600, else
+    their median; the rest is clamped at e^600.  The grid and every
+    polish step are each one batch of lanes: one ``_corrected_blocks``
+    call and one stacked ``slogdet``.
     Grid points where the evaluation raises a package error are skipped
     (any other error is raised, the first in grid order), and a
     degenerate-representation energy is nudged by one part in 1e13.
@@ -1102,15 +1105,23 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
                 continue
         raise ZeroOffdiagonal(0, "degenerate energy persists after nudge")
 
-    def dets(energies: list[float]) -> list:
+    shift = 0.0  # c, the log of the scan's determinant divisor
+
+    def dets(energies: list[float], grid: bool = False) -> list:
         # one batch of corrected blocks: per lane the determinant or error
+        nonlocal shift
         blocks, errors = _corrected_blocks(operator, energies, size, sheet,
                                            bm_rounds)
-        return [exc or _clamped_det(sign, logabs) for exc, sign, logabs
-                in zip(errors, *np.linalg.slogdet(blocks))]
+        signs, logs = np.linalg.slogdet(blocks)  # a failed lane's is -inf
+        if grid:
+            finite = logs[np.isfinite(logs)]
+            if finite.size and np.abs(finite).max() > 600.0:
+                shift = float(np.median(finite))
+        return [exc or _clamped_det(sign, logabs - shift)
+                for exc, sign, logabs in zip(errors, signs, logs)]
 
     def scanned(grid: list[float]) -> list[float]:
-        values = dets(grid)
+        values = dets(grid, grid=True)
         for v in values:
             if isinstance(v, Exception) and not isinstance(v, JGreensError):
                 raise v
@@ -1120,7 +1131,8 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
 
 
 def _clamped_det(sign: complex, logabs: float) -> float:
-    """Real determinant from ``slogdet``, its magnitude clamped at e^600."""
+    """Real determinant from ``slogdet`` (log|det| less the scan's c in
+    :func:`det_pole_scan`), its magnitude clamped at e^600."""
     if logabs == -math.inf:
         return 0.0
     return float(sign.real) * math.exp(min(logabs, 600.0))

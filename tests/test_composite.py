@@ -419,13 +419,13 @@ def test_green_blocks_match_green_submatrix(case):
                        "finite operator": {8}}
     if case == "equal frequencies":
         assert all(op.limit_coeffs is None for op in ops)
-        starts = [None] * len(ops)
     else:
-        starts = [_bm_depths(op.limit_coeffs)[0] for op in ops]
-        assert set(starts) == expected_depths[case]
+        assert {_bm_depths(op.limit_coeffs)[0] for op in ops} \
+            == expected_depths[case]
     blocks, errors = _green_blocks(_same, ops, N)
+    ratios, _ = _corner_ratios(ops, N)
     assert blocks.shape == (len(ops), N, N)
-    for op, block, error, start in zip(ops, blocks, errors, starts):
+    for op, block, error, ratio in zip(ops, blocks, errors, ratios):
         # a lane's values do not depend on the batch it runs in
         (alone,), (alone_error,) = _green_blocks(_same, [op], N)
         assert type(alone_error) is type(error)
@@ -437,16 +437,12 @@ def test_green_blocks_match_green_submatrix(case):
             assert type(error) is type(exc) and str(error) == str(exc)
             continue
         assert error is None
-        if start == 0:
-            # tail_ratio's longer first chunk applies only above depth 0,
-            # so there the batch's corner ratio is tail_ratio's, bit for bit
-            (ratio,), _ = _corner_ratios([op], N)
+        # at every depth, and for a real or a complex J_{N-1,N}; a zero
+        # J_{N-1,N} (equal frequencies) needs no ratio
+        if op.offdiag(N - 1) != 0:
             assert _hex(ratio) == _hex(tail_ratio(op, N,
                                                   SheetSelector.PHYSICAL))
-            # numpy's array product and Python's complex product round a
-            # complex J_{N-1,N} * ratio differently; a real one alike
-            if complex(op.offdiag(N - 1)).imag == 0:
-                assert _hex(block) == _hex(scalar)
+        assert _hex(block) == _hex(scalar)
         scale = np.max(np.abs(scalar))
         assert np.max(np.abs(block - scalar)) <= 1e-13 * scale
 

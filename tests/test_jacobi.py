@@ -441,7 +441,7 @@ def _solo(op, n):
 
 @pytest.mark.parametrize("n", [1, 41])
 def test_mixed_lane_batch_matches_solo_tail_ratios(n):
-    from jgreens.jacobi import _CHUNK_LANE, _corner_ratios
+    from jgreens.jacobi import _corner_ratios
     from jgreens.models import CoulombModel, coulomb_jacobi
 
     model = CoulombModel(Z=4, l=0, b=4.0, m=1863.69, e2=1.44)
@@ -458,9 +458,8 @@ def test_mixed_lane_batch_matches_solo_tail_ratios(n):
         op.limit_coeffs)
     lanes = formula + [lam, counted, zero_at]
     for batch in (formula, lanes):  # read as one formula, and index by index
-        # tail_ratio's chunks: then a lane's value does not depend on its batch
-        ratios, errors = _corner_ratios(batch, n, SheetSelector.PHYSICAL,
-                                        first=_CHUNK_LANE)
+        # a lane's value does not depend on its batch
+        ratios, errors = _corner_ratios(batch, n, SheetSelector.PHYSICAL)
         for J, ratio, error in zip(batch, ratios.tolist(), errors):
             value, solo_error = _solo(J, n)
             if solo_error is None:
@@ -588,13 +587,16 @@ def test_tridiagonal_blocks_match_diagonal_sums(N):
         assert _hexes(blocks[k]) == _hexes(expected)
 
 
-@pytest.mark.parametrize("N", [1, 5, 41])
+@pytest.mark.parametrize("N", [1, 5, 17, 41])
 def test_truncated_inverse_equals_green_submatrix_bitwise(N):
     from jgreens.models import CoulombModel, coulomb_jacobi
 
     model = CoulombModel(Z=4, l=0, b=4.0, m=1863.69, e2=1.44)
+    # 0.5 + 0.1i: a complex J_{N-1,N}, and a ratio summed at depth 8; at
+    # N = 17 a corner term from numpy's complex multiply, which can round
+    # apart from the separately rounded real products, moves the inverse
     for J in (perturbed_laplacian(0.5 + 0.2j), coulomb_jacobi(model, 0.3),
-              coulomb_jacobi(model, -0.2)):
+              coulomb_jacobi(model, -0.2), coulomb_jacobi(model, 0.5 + 0.1j)):
         gm = truncated_inverse([J.diag(i) for i in range(N)],
                                [J.offdiag(i) for i in range(N - 1)],
                                tail_ratio(J, N), J.offdiag(N - 1))

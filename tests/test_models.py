@@ -18,8 +18,8 @@ from scipy.special import roots_genlaguerre
 from jgreens import models
 from jgreens.errors import (InvalidU, JGreensError, NotConverged,
                             NumericBreakdown, ZeroOffdiagonal)
-from jgreens.jacobi import (IndexFormula, SheetSelector, _corrected_blocks,
-                            _read_maps, cf_coefficients,
+from jgreens.jacobi import (IndexFormula, JacobiOperator, SheetSelector,
+                            _corrected_blocks, _read_maps, cf_coefficients,
                             corrected_truncation, dense_truncation,
                             green_submatrix)
 from jgreens.models import (CoulombModel, DiracLower, DiracUpper,
@@ -596,6 +596,28 @@ def test_oscillator_pole_scan_matches_levels():
     assert len(found) == 6
     for got, ref in zip(found, levels):
         assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("scale,size", [(1e-30, 30), (1e-200, 4),
+                                        (1e30, 30), (1e20, 40)])
+def test_pole_scan_ignores_the_entries_scale(scale, size):
+    # scaling every entry leaves the ratios, and so the poles, unchanged;
+    # the determinants scale by scale**size, far outside e^+-600 here
+    model = OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3)
+
+    def scaled(E):
+        op = oscillator_jacobi(model, E)
+        return JacobiOperator(lambda i: scale * op.diag(i),
+                              lambda i: scale * op.offdiag(i), op.energy,
+                              op.limit_coeffs)
+
+    want = det_pole_scan(lambda E: oscillator_jacobi(model, E), 0.5, 9.0,
+                         size=size, n_points=60)
+    assert len(want) == 4
+    got = det_pole_scan(scaled, 0.5, 9.0, size=size, n_points=60)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-9 * abs(w)
 
 
 def test_gencoulomb_pole_scan_matches_levels():
