@@ -59,7 +59,9 @@ _POLE_THRESHOLD = 1e-250
 # whose fractions are the long near-axis ones (a lane pays the kernel's
 # fixed numpy cost per chunk); then 4n + 3 up to _CHUNK_MAX, so that n + 1
 # states, a power of two, are scanned. A chunk runs its lanes in groups of
-# at most _CHUNK_CELLS // n.
+# at most _CHUNK_CELLS // (n (1 + rounds // 4)) lanes: each Bauer-Muir
+# round keeps three (position, lane) stacks, so from depth 4 on the rounds,
+# not the scan, would set a batch's peak memory.
 _CHUNK_FIRST, _CHUNK_DEEP, _CHUNK_MAX, _CHUNK_CELLS = 15, 63, 1023, 1 << 12
 
 Coeffs = Callable[[int], tuple[complex, complex]]
@@ -587,7 +589,7 @@ def _sum_fractions(read: Callable, b0: np.ndarray, rounds: int,
     with np.errstate(all="ignore"):
         for j0, size in _chunks(_CHUNK_DEEP if rounds else _CHUNK_FIRST,
                                 last_step + 1):
-            group = max(1, _CHUNK_CELLS // size)
+            group = max(1, _CHUNK_CELLS // (size * (1 + rounds // 4)))
             stop = np.concatenate([_fraction_chunk(
                 read, live[g:g + group], st if group >= live.size else {
                     key: v[..., g:g + group] for key, v in st.items()},

@@ -15,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.special import erf, erfc, loggamma
@@ -23,13 +23,14 @@ from scipy.special import erf, erfc, loggamma
 from .errors import (GridTooCoarse, JGreensError, QuadratureSuspect,
                      SingularMatrix)
 from .jacobi import (GreenMatrix, SheetSelector, _checked_inverse,
-                     _corrected_blocks, _read_rows, _resolve_sheet,
-                     corrected_truncation, green_submatrix)
+                     _corner_block, _corner_rows, _corrected_blocks,
+                     _read_rows, _resolve_sheet, corrected_truncation)
 from .models import (CoulombModel, _real_zeros, _secant, coulomb_jacobi,
                      wavenumber)
 from .special import (_laguerre_functions, coulomb_sigma,
                       gauss_laguerre_scaled)
 # Uncalled; kept bound because perfbench/tracer.py wraps them at this module.
+from .jacobi import green_submatrix  # noqa: F401
 from .special import coulomb_f, coulomb_f_complex  # noqa: F401
 
 __all__ = [
@@ -557,19 +558,51 @@ def free_overlap(model: CoulombModel, E: complex, N: int) -> np.ndarray:
     return phi.real if energy.imag == 0.0 else phi
 
 
+def _solutions(p: ScatterProblem, energies: list[float]
+               ) -> Iterator[tuple[np.ndarray, complex]]:
+    """(Psi, A) of :func:`scatter_solve` at each energy, from the last one
+    down.
+
+    The corner ratios of the Coulomb blocks at every energy are one batch
+    of lanes (:func:`jgreens.jacobi._corner_rows`).  The rest comes one
+    energy at a time, from the top: the corrected block and its checked
+    inverse G^C, the free overlaps, the checked system and the amplitude.
+    An energy's error is raised at its turn, so no energy below it is
+    solved.  A lane's ratio does not depend on its batch, so each energy's
+    values equal those of the one-energy call bit for bit.
+    """
+    energies = [float(e) for e in energies]
+    for e in energies:
+        if not 0.0 < e < math.inf:
+            raise ValueError(
+                f"continuum energies must be finite and > 0, got {e}")
+    diag, off, ratios, errors = _corner_rows(
+        lambda e: coulomb_jacobi(p.model, complex(e)), energies, p.N + 1)
+    v = _cached_potential_matrix(p)
+    for k in range(len(energies) - 1, -1, -1):
+        if errors[k] is not None:
+            raise errors[k]
+        g = _checked_inverse(_corner_block(diag[:, k], off[:, k], ratios[k]))
+        phi = free_overlap(p.model, energies[k], p.N)
+        system = np.eye(p.N + 1, dtype=complex) - g @ v
+        psi = _checked_inverse(system) @ phi
+        yield psi, complex(phi @ (v @ psi))
+
+
 def scatter_solve(p: ScatterProblem, E: float) -> tuple[np.ndarray, complex]:
     """Expansion coefficients of the scattering state and its amplitude.
 
     Solves (1 - G^C V) Psi = Phi on the physical sheet (E + i0) for the
     dual-basis coefficients Psi of the scattering state, then forms the
     short-range transition amplitude A = Phi^T V Psi.  Phi are the free
-    overlaps, normalized so that V = 0 gives Psi = Phi and A = 0.
+    overlaps, normalized so that V = 0 gives Psi = Phi and A = 0.  This
+    is the one-energy case of a sweep (:func:`phase_shift`).
 
     Parameters
     ----------
     p : ScatterProblem
     E : float
-        Continuum energy, > 0.
+        Continuum energy, finite and > 0.
 
     Returns
     -------
@@ -583,47 +616,55 @@ def scatter_solve(p: ScatterProblem, E: float) -> tuple[np.ndarray, complex]:
         numerically singular at this energy: exactly singular, not
         finite, or with a condition bound N * kappa_1 = N ||A||_1
         ||A^-1||_1 (which bounds the 2-norm condition number) above 1e14.
+    ValueError
+        For an energy that is not finite or not > 0.
     """
-    if E <= 0:
-        raise ValueError(f"continuum energy must be > 0, got {E}")
-    op = coulomb_jacobi(p.model, complex(E))
-    g = green_submatrix(op, p.N + 1, SheetSelector.PHYSICAL).entries
-    v = _cached_potential_matrix(p)
-    phi = free_overlap(p.model, E, p.N)
-    system = np.eye(p.N + 1, dtype=complex) - g @ v
-    psi = _checked_inverse(system) @ phi
-    return psi, complex(phi @ (v @ psi))
+    [(psi, amp)] = _solutions(p, [E])
+    return psi, amp
+
+
+def _phase_points(p: ScatterProblem, energies: list[float]
+                  ) -> Iterator[tuple[float, float, complex]]:
+    """(raw half-argument of S, eta_l, a_l) at each energy, from the last
+    one down, as :func:`_solutions` gives the amplitudes."""
+    m, hbar = p.model.m, p.model.hbar
+    lam = p.model.l + (p.model.D - 3) / 2.0
+    for E, (_, amp) in zip(energies[::-1], _solutions(p, energies)):
+        k = wavenumber(p.model, E).real
+        gamma = p.model.Z * p.model.e2 * m / (hbar**2 * k)
+        eta = coulomb_sigma(lam, gamma)
+        a_l = -(2.0 * m / (hbar**2 * k * k)) * cmath.exp(2j * eta) * amp
+        s_short = 1.0 + 2j * k * a_l * cmath.exp(-2j * eta)
+        yield cmath.phase(s_short) / 2.0, eta, a_l
 
 
 def _amplitude_point(p: ScatterProblem, E: float) -> tuple[float, float,
                                                            complex]:
     """(raw half-argument of S, eta_l, a_l) at one energy."""
-    _, amp = scatter_solve(p, E)
-    m, hbar = p.model.m, p.model.hbar
-    k = wavenumber(p.model, E).real
-    gamma = p.model.Z * p.model.e2 * m / (hbar**2 * k)
-    eta = coulomb_sigma(p.model.l + (p.model.D - 3) / 2.0, gamma)
-    a_l = -(2.0 * m / (hbar**2 * k * k)) * cmath.exp(2j * eta) * amp
-    s_short = 1.0 + 2j * k * a_l * cmath.exp(-2j * eta)
-    return cmath.phase(s_short) / 2.0, eta, a_l
+    [point] = _phase_points(p, [E])
+    return point
 
 
 def phase_shift(p: ScatterProblem,
                 energies: list[float]) -> list[PhaseShiftPoint]:
     """Continuity-tracked phase shifts over an ascending energy sweep.
 
+    The energies are one batch of lanes: their corner ratios are summed
+    together, and the rest of each amplitude comes an energy at a time,
+    from the top (:func:`scatter_solve` at each energy, bit for bit).
     Each energy yields the amplitude a_l and a raw phase arg(S)/2 known
     only modulo pi.  The sweep is resolved from the highest energy
     downward: the top value is anchored in (-pi/2, pi/2] (a short-range
     phase vanishes at high energy) and each lower point takes the branch
     nearest its predecessor, so consecutive tracked phases differ by
-    less than pi/2.
+    less than pi/2.  The first error in that order is raised: an
+    energy's own error, or GridTooCoarse for the interval above it.
 
     Parameters
     ----------
     p : ScatterProblem
     energies : list of float
-        Strictly ascending, all > 0.
+        Strictly ascending, all finite and > 0.
 
     Returns
     -------
@@ -635,19 +676,20 @@ def phase_shift(p: ScatterProblem,
     GridTooCoarse
         When a nearest-branch jump reaches the half-period ambiguity
         limit; refine the grid near resonances.
+    ValueError
+        For energies that are not strictly ascending, or one that is not
+        finite or not > 0, before any energy is solved.
     """
     if not energies:
         return []
     arr = list(map(float, energies))
-    if any(e <= 0 for e in arr):
-        raise ValueError("all sweep energies must be > 0")
     if any(b <= a for a, b in zip(arr, arr[1:])):
         raise ValueError("sweep energies must be strictly ascending")
     points: list[PhaseShiftPoint] = []
     prev = None
-    for i in range(len(arr) - 1, -1, -1):
+    for i, (raw, eta, a_l) in zip(range(len(arr) - 1, -1, -1),
+                                  _phase_points(p, arr)):
         e = arr[i]
-        raw, eta, a_l = _amplitude_point(p, e)
         if prev is None:
             delta = raw
         else:

@@ -21,7 +21,7 @@ from jgreens.errors import (InvalidU, JGreensError, NotConverged,
 from jgreens.jacobi import (IndexFormula, JacobiOperator, SheetSelector,
                             _corrected_blocks, _read_maps, cf_coefficients,
                             corrected_truncation, dense_truncation,
-                            green_submatrix)
+                            green_submatrix, tail_ratio)
 from jgreens.models import (CoulombModel, DiracLower, DiracUpper,
                             GenCoulombModel, KleinGordon, OscillatorModel,
                             RelCoulombModel, charge_density,
@@ -449,6 +449,55 @@ def test_g00_free_particle_closed_form():
         got = _g00_cf(model, complex(E), sheet,
                       bm_rounds=0 if E < 0 else 8)
         assert abs(got - free) <= 1e-8 * abs(free)
+
+
+def _oracle_ratios(model, E, ns):
+    # G_{0,n}/G_{0,n-1} on the physical sheet (E + i0, k > 0) at 60 digits,
+    # from the model's float parameters: g00 in the hypergeometric form of
+    # coulomb_g00_analytic, G_{0,1} = (1 - J00 g00)/J01 from row 0 of
+    # J G = 1, and the higher G_{0,n} from the rows after it
+    with mpmath.workdps(60):
+        mpf = mpmath.mpf
+        m, hbar, b = mpf(model.m), mpf(model.hbar), mpf(model.b)
+        ze2, E = mpf(model.Z) * mpf(model.e2), mpf(E)
+        l, D = model.l, model.D
+        k = mpmath.sqrt(2 * m * E) / hbar
+        gam = ze2 * m / (hbar**2 * k)
+        z = ((b + 1j * k) / (b - 1j * k)) ** 2
+        a = -l - mpf(D - 3) / 2 + 1j * gam
+        c = l + mpf(D + 1) / 2 + 1j * gam
+        pref = -4 * m * b / (hbar**2 * (b - 1j * k) ** 2)
+        g00 = pref / (l + mpf(D - 1) / 2 + 1j * gam) \
+            * mpmath.hyp2f1(a, 1, c, z)
+        k2, scale = 2 * m * E / hbar**2, hbar**2 / (4 * m * b)
+        dfac, ofac = (k2 - b * b) * scale, (k2 + b * b) * scale
+        two_l = 2 * l + D
+
+        def diag(i):
+            return (2 * i + two_l - 1) * dfac - ze2
+
+        def off(i):
+            return -mpmath.sqrt((i + 1) * (i + two_l - 1)) * ofac
+
+        g = [g00, (1 - diag(0) * g00) / off(0)]
+        for j in range(1, max(ns)):
+            g.append(-(g[j - 1] * off(j - 1) + g[j] * diag(j)) / off(j))
+        return [complex(g[n] / g[n - 1]) for n in ns]
+
+
+def test_real_axis_tail_ratio_matches_60_digit_oracle():
+    # alpha-alpha Coulomb on the cut: near threshold, both sides of the
+    # l=0 resonance, and far above it
+    mass = 1.0 / (2.0 * 10.375)
+    energies = (0.006, 0.05, 0.0919720204, 0.153894, 0.2728230201, 0.4,
+                1.0, 30.0)
+    for l in (0, 2):
+        model = CoulombModel(Z=4, l=l, b=4.0, m=mass, e2=1.44)
+        for E in energies:
+            op = coulomb_jacobi(model, E)
+            for n, want in zip((1, 41), _oracle_ratios(model, E, (1, 41))):
+                got = tail_ratio(op, n, SheetSelector.PHYSICAL)
+                assert abs(got - want) <= 1e-10 * abs(want), (l, n, E)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,7 +1149,9 @@ def test_depth_plan_reads_the_limit(monkeypatch):
 
     # the Coulomb-like limits d = 2(X - 1)/(X + 1) have |d| > 2 exactly
     # where Re X < 0: below threshold, as the sign of Re E said before. On
-    # the axis Re E = 0, |d| = 2 holds only to rounding: the grid avoids it
+    # the axis Re E = 0, |d| = 2 holds only to rounding: the grid avoids it.
+    # On the real axis above threshold u = -1 and d are real with d^2 < 4:
+    # the limit is elliptic, and the plan starts at depth 4
     xs = np.concatenate((np.linspace(-3.0, 3.0, 24), [-1e-6, 1e-6]))
     grid = [complex(x, y) for x in xs for y in (-1.5, -0.2, 0.0, 0.3, 2.0)]
     coulomb = CoulombModel(Z=-1.0, l=0, D=3, b=1.0)
@@ -1110,7 +1161,8 @@ def test_depth_plan_reads_the_limit(monkeypatch):
                          (gencoulomb_jacobi, gencoulomb)):
         for E in grid:
             plan = tuple(_bm_depths(build(model, E).limit_coeffs))
-            assert plan == ((0, 4, 2, -1) if E.real < 0 else (8, 4, 2, 0))
+            assert plan == ((0, 4, 2, -1) if E.real < 0 else
+                            (4, 8, 2, 0) if E.imag == 0 else (8, 4, 2, 0))
     # the oscillator's limit is hyperbolic and does not depend on E
     oscillators = [OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3),
                    OscillatorModel(omega=0.7, omega_basis=0.4, l=1, D=4,
@@ -1118,11 +1170,12 @@ def test_depth_plan_reads_the_limit(monkeypatch):
     for model in oscillators:
         for E in grid + [1.5, 3.5, 7.9 - 0.1j]:
             assert start(oscillator_jacobi(model, E)) == 0
-    # relativistic: depth 0 where Re(E^2 - mu^2) < 0, bound lanes included
+    # relativistic: depth 0 where Re(E^2 - mu^2) < 0, bound lanes included,
+    # and depth 4 at real E above mu
     rel = RelCoulombModel(mu=_MU, alpha_fs=1 / _MU, Z=20.0,
                           kind=KleinGordon(l=1), eta_basis=12.0)
     ops = [relativistic_jacobi(rel, f * _MU) for f in (0.9, 0.99, 1.01, 1.5)]
-    assert [start(op) for op in ops] == [0, 0, 8, 8]
+    assert [start(op) for op in ops] == [0, 0, 4, 4]
 
     # and the batch starts each lane at that depth
     seen = {}
@@ -1136,4 +1189,4 @@ def test_depth_plan_reads_the_limit(monkeypatch):
     mixed = ops + [coulomb_jacobi(coulomb, E) for E in (-0.3, 0.4 + 0.1j)] \
         + [oscillator_jacobi(oscillators[0], 2.1)]
     _corner_ratios(mixed, 3)
-    assert seen[0] == (0, 4) and seen[1] == (8, 3)
+    assert seen[0] == (0, 4) and seen[1] == (4, 2) and seen[2] == (8, 1)

@@ -13,6 +13,7 @@ asserted alongside.
 
 import cmath
 import math
+import warnings
 from functools import lru_cache
 
 import mpmath
@@ -174,8 +175,7 @@ def raw_phases(N):
     return tuple(_amplitude_point(p, E)[0] for E in PHASE_ENERGIES)
 
 
-@lru_cache(maxsize=None)
-def phase_sweep(l):
+def sweep_grid(l):
     base = np.geomspace(0.006, 1000.0, 64 if l == 0 else 48)
     extra: tuple[float, ...] = ()
     if l == 0:
@@ -187,8 +187,12 @@ def phase_sweep(l):
         extra = tuple(np.linspace(1.5, 6.0, 10))
     else:
         extra = tuple(np.linspace(6.0, 20.0, 12))
-    grid = np.unique(np.concatenate([base, extra]))
-    pts = phase_shift(charged_problem(40, l, alpha=5.2), list(grid))
+    return [float(E) for E in np.unique(np.concatenate([base, extra]))]
+
+
+@lru_cache(maxsize=None)
+def phase_sweep(l):
+    pts = phase_shift(charged_problem(40, l, alpha=5.2), sweep_grid(l))
     return {pt.E: pt.delta for pt in pts}
 
 
@@ -747,6 +751,66 @@ def test_phase_shift_validation():
     pts = phase_shift(p, [5.0, 10.0])
     assert [pt.E for pt in pts] == [5.0, 10.0]
     assert abs(pts[0].delta - pts[1].delta) < math.pi / 2
+
+
+def test_sweep_points_equal_one_energy_calls():
+    # the sweep's energies are one batch of lanes, and each point equals
+    # the one-energy path bit for bit; the grid holds the two energies
+    # whose depth-8 tails once ran to the term budget
+    grid = sweep_grid(0)
+    for straggler in (0.12715547, 0.15389395):
+        assert min(abs(E - straggler) for E in grid) < 1e-8
+    p = charged_problem(40, 0, alpha=5.2)
+    for pt in phase_shift(p, grid):
+        raw, eta, a = _amplitude_point(p, pt.E)
+        assert float(pt.eta).hex() == float(eta).hex()
+        assert (pt.amplitude.real.hex(), pt.amplitude.imag.hex()) \
+            == (a.real.hex(), a.imag.hex())
+        turns = round((pt.delta - raw) / math.pi)
+        assert pt.delta.hex() == (raw + math.pi * turns).hex()
+
+
+def test_sweep_raises_the_highest_failing_energy(monkeypatch):
+    # the sweep is tracked from the top, and the first error met on the
+    # way down is raised: that of the higher of two failing energies
+    p = charged_problem(20, 0, alpha=5.2)
+    grid = [1.0, 2.0, 3.0, 4.0, 5.0]
+    build = scatter_module.coulomb_jacobi
+
+    def failing(model, E):
+        if E == 2.0:
+            raise QuadratureSuspect("lower failing energy")
+        if E == 4.0:
+            raise ZeroOffdiagonal(0, "higher failing energy")
+        return build(model, E)
+
+    monkeypatch.setattr(scatter_module, "coulomb_jacobi", failing)
+    with pytest.raises(ZeroOffdiagonal, match="higher failing energy"):
+        phase_shift(p, grid)
+    with pytest.raises(QuadratureSuspect, match="lower failing energy"):
+        phase_shift(p, grid[:3])
+
+
+def test_non_finite_energies_rejected_before_any_lane(monkeypatch):
+    p = charged_problem(20, 0, alpha=5.2)
+    built = []
+    build = scatter_module.coulomb_jacobi
+
+    def counting(model, E):
+        built.append(E)
+        return build(model, E)
+
+    monkeypatch.setattr(scatter_module, "coulomb_jacobi", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                phase_shift(p, [1.0, bad])
+            with pytest.raises(ValueError, match="finite"):
+                scatter_solve(p, bad)
+        with pytest.raises(ValueError, match="finite"):
+            phase_shift(p, [math.nan, 1.0])
+    assert built == []
 
 
 def test_zero_potential_phase_identically_zero():
