@@ -24,7 +24,7 @@ from .errors import (GridTooCoarse, JGreensError, QuadratureSuspect,
                      SingularMatrix)
 from .jacobi import (GreenMatrix, SheetSelector, _checked_inverse,
                      _corner_block, _corner_rows, _corrected_blocks,
-                     _read_rows, _resolve_sheet, corrected_truncation)
+                     _resolve_sheet, corrected_truncation, dense_truncation)
 from .models import (CoulombModel, _real_zeros, _secant, coulomb_jacobi,
                      wavenumber)
 from .special import (_laguerre_functions, coulomb_sigma,
@@ -313,18 +313,12 @@ def _inverse_green_block(p: ScatterProblem, E: complex,
     """(G^C)^{-1} block on the requested sheet, and the sheet resolved.
 
     On the physical and zero-tail branches this is the corner-corrected
-    truncation.  The unphysical branch is built from the physical one by
-    the rank-one spectral jump G^II = G^I - (4im/hbar^2 k) Phi Phi^T,
-    inverted in closed form:
-
-        (G^II)^{-1} = T + c (T Phi)(T Phi)^T / (1 - c Phi^T T Phi),
-
-    where T = (G^I)^{-1} and k is the principal wavenumber.  Phi is
-    :func:`free_overlap` at the same complex E: the regular solution of
-    the recurrence of J = E - H, on the same branch of k.  The
-    corner-corrected tail continues the corner ratio only within a strip
-    below the cut; the jump form is exact at any depth, and no extra
-    matrix inversion appears.
+    truncation T.  The unphysical branch adds the spectral jump G^II =
+    G^I - c Phi Phi^T (c = 4im/(hbar^2 k) at the principal k, Phi the free
+    overlaps), exact at any depth, where the tail's own continuation holds
+    only in a strip below the cut.  T Phi = y e_N, so (G^II)^{-1} = T +
+    c (T Phi)(T Phi)^T / (1 - c Phi^T T Phi) is T plus the scalar
+    c y^2 / (1 - c y Phi_N) at [N, N].
     """
     energy = complex(E)
     resolved = _resolve_sheet(sheet, energy)
@@ -332,15 +326,15 @@ def _inverse_green_block(p: ScatterProblem, E: complex,
     if resolved is not SheetSelector.UNPHYSICAL:
         return corrected_truncation(op, p.N + 1, resolved), resolved
     block = corrected_truncation(op, p.N + 1, SheetSelector.PHYSICAL)
-    phi = free_overlap(p.model, energy, p.N)
-    k = wavenumber(p.model, energy)
-    c = 4j * p.model.m / (p.model.hbar**2 * k)
-    y = block @ phi
-    denom = 1.0 - c * (phi @ y)
+    phi = _overlaps(p.model, _continuum(energy), block)
+    c = 4j * p.model.m / (p.model.hbar**2 * wavenumber(p.model, energy))
+    y = block[-1] @ phi
+    denom = 1.0 - c * y * phi[-1]
     if abs(denom) < 1e-14:
         raise SingularMatrix(
             f"spectral-jump denominator vanished at E={energy}")
-    return block + (c / denom) * np.outer(y, y), resolved
+    block[-1, -1] += c * y * y / denom
+    return block, resolved
 
 
 def det_equation(p: ScatterProblem, E: complex,
@@ -348,7 +342,7 @@ def det_equation(p: ScatterProblem, E: complex,
     """det[(G^C(E))^{-1} - V] whose zeros are the poles of the full resolvent.
 
     (G^C)^{-1} is the corner-corrected tridiagonal block itself (plus a
-    closed-form rank-one update on the unphysical sheet), so no matrix
+    closed-form scalar in its corner on the unphysical sheet), so no matrix
     is inverted here and the determinant stays finite through the
     Coulomb poles (where it vanishes when V = 0).
 
@@ -402,8 +396,8 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     list of float
         Sorted energies; empty when the window holds no state.
     """
-    if not E_min < E_max:
-        raise ValueError(f"need E_min < E_max, got [{E_min}, {E_max}]")
+    if not E_min < E_max < 0.0:
+        raise ValueError(f"need E_min < E_max < 0, got [{E_min}, {E_max}]")
 
     def real_parts(grid: list[float]) -> list[float]:
         # det_equation at every grid energy, AUTO being physical there
@@ -529,11 +523,25 @@ def free_overlap(model: CoulombModel, E: complex, N: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        For real E <= 0.
+        For E not finite, or real and <= 0, before any operator is built.
     """
+    energy = _continuum(E)
+    return _overlaps(model, energy,
+                     dense_truncation(coulomb_jacobi(model, energy), N + 1))
+
+
+def _continuum(E: complex) -> complex:
+    """E as a complex continuum energy: finite, and > 0 if real."""
     energy = complex(E)
-    if energy.imag == 0.0 and energy.real <= 0.0:
-        raise ValueError(f"continuum energy must be > 0, got {E}")
+    if not (cmath.isfinite(energy) and (energy.imag or energy.real > 0.0)):
+        raise ValueError(f"energy must be finite and > 0 if real, got {E}")
+    return energy
+
+
+def _overlaps(model: CoulombModel, energy: complex,
+              block: np.ndarray) -> np.ndarray:
+    """:func:`free_overlap` from the rows of a leading (N+1) x (N+1) block
+    of J = E - H; its corner [N, N] is not read."""
     lam = model.l + (model.D - 3) / 2.0
     b = model.b
     k = wavenumber(model, energy)
@@ -544,17 +552,13 @@ def free_overlap(model: CoulombModel, E: complex, N: int) -> np.ndarray:
                          - loggamma(2 * lam + 2))
                 + (lam + 1) * cmath.log(2.0 * b * k / (b * b + k * k))
                 + 2.0 * eta * cmath.atan(k / b))
-    op = coulomb_jacobi(model, energy)
-    diag, off, (error,) = _read_rows([op], N, N)
-    if error is not None:
-        raise error
-    diag, off = diag[:, 0].tolist(), off[:, 0].tolist()
-    phi = np.empty(N + 1, dtype=complex)
+    diag, off = block.diagonal().tolist(), block.diagonal(1).tolist()
+    phi = np.empty(len(diag), dtype=complex)
     phi[0] = cmath.exp(log_phi0)
     now, below = phi[0], 0.0  # numpy scalars, as read back from phi
-    for m in range(N):
-        phi[m + 1] = after = -(diag[m] * now + below) / off[m]
-        now, below = after, off[m] * now
+    for m, (d, o) in enumerate(zip(diag, off)):
+        phi[m + 1] = after = -(d * now + below) / o
+        now, below = after, o * now
     return phi.real if energy.imag == 0.0 else phi
 
 
@@ -563,29 +567,25 @@ def _solutions(p: ScatterProblem, energies: list[float]
     """(Psi, A) of :func:`scatter_solve` at each energy, from the last one
     down.
 
-    The corner ratios of the Coulomb blocks at every energy are one batch
-    of lanes (:func:`jgreens.jacobi._corner_rows`).  The rest comes one
-    energy at a time, from the top: the corrected block and its checked
-    inverse G^C, the free overlaps, the checked system and the amplitude.
-    An energy's error is raised at its turn, so no energy below it is
-    solved.  A lane's ratio does not depend on its batch, so each energy's
-    values equal those of the one-energy call bit for bit.
+    The corner ratios at every energy are one batch of lanes
+    (:func:`jgreens.jacobi._corner_rows`), which they do not depend on, so
+    each energy equals its one-energy call bit for bit.  Then, an energy
+    at a time from the top, raising its error at its turn: the corrected
+    block J = (G^C)^{-1}, the overlaps Phi from its rows, and, as J Phi =
+    c e_N, Psi from (J - V) Psi = c e_N by one checked inverse.
     """
     energies = [float(e) for e in energies]
     for e in energies:
-        if not 0.0 < e < math.inf:
-            raise ValueError(
-                f"continuum energies must be finite and > 0, got {e}")
+        _continuum(e)
     diag, off, ratios, errors = _corner_rows(
         lambda e: coulomb_jacobi(p.model, complex(e)), energies, p.N + 1)
     v = _cached_potential_matrix(p)
     for k in range(len(energies) - 1, -1, -1):
         if errors[k] is not None:
             raise errors[k]
-        g = _checked_inverse(_corner_block(diag[:, k], off[:, k], ratios[k]))
-        phi = free_overlap(p.model, energies[k], p.N)
-        system = np.eye(p.N + 1, dtype=complex) - g @ v
-        psi = _checked_inverse(system) @ phi
+        block = _corner_block(diag[:, k], off[:, k], ratios[k])
+        phi = _overlaps(p.model, complex(energies[k]), block)
+        psi = (block[-1] @ phi) * _checked_inverse(block - v)[:, -1]
         yield psi, complex(phi @ (v @ psi))
 
 
@@ -612,7 +612,7 @@ def scatter_solve(p: ScatterProblem, E: float) -> tuple[np.ndarray, complex]:
     Raises
     ------
     SingularMatrix
-        When 1 - G^C V, or the corrected Coulomb block that gives G^C, is
+        When (G^C)^{-1} - V (the Coulomb block itself is not inverted) is
         numerically singular at this energy: exactly singular, not
         finite, or with a condition bound N * kappa_1 = N ||A||_1
         ||A^-1||_1 (which bounds the 2-norm condition number) above 1e14.

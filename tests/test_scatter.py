@@ -204,6 +204,20 @@ def _assert_converging(values, slack_scale):
         assert b <= a + slack
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The energies at which scatter builds a Coulomb operator, in order."""
+    built = []
+    build = scatter_module.coulomb_jacobi
+
+    def counting(model, E):
+        built.append(E)
+        return build(model, E)
+
+    monkeypatch.setattr(scatter_module, "coulomb_jacobi", counting)
+    return built
+
+
 # ---------------------------------------------------------------------------
 # smoothing factors
 
@@ -414,11 +428,33 @@ def test_free_overlap_envelope_decays():
             assert np.max(phi[30:41]) < np.max(phi[20:31])
 
 
-def test_free_overlap_validation():
+def test_free_overlap_validation(builds):
     with pytest.raises(ValueError):
         free_overlap(neutral(), 0.0, 10)
     with pytest.raises(ValueError):
         free_overlap(neutral(), -2.0, 10)
+    # a non-finite energy is refused before any operator is built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, math.inf, complex(math.nan, -1.0),
+                    complex(1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                free_overlap(charged(0), bad, 10)
+    assert builds == []
+
+
+def test_overlaps_solve_the_leading_rows_of_the_block():
+    # J Phi = c e_N (J-matrix identity): the overlaps solve rows 0..N-1
+    # of the corrected block, whose last row alone is left over
+    N = 30
+    for D in (2, 3, 4):
+        for l in (0, 2):
+            model = CoulombModel(Z=4, l=l, D=D, b=4.0, m=MASS, e2=1.44)
+            for E in (0.05, 5.0, 30.0, 0.5 - 0.01j, 3.0 - 0.6j, 2.0 + 0.4j):
+                block = corrected_truncation(coulomb_jacobi(model, E), N + 1,
+                                             SheetSelector.PHYSICAL)
+                rows = np.abs(block @ free_overlap(model, E, N))
+                assert np.max(rows[:-1]) <= 1e-13 * np.max(rows)
 
 
 def test_complex_overlap_continuous_at_axis():
@@ -483,6 +519,10 @@ def test_bound_state_grid_raises_first_failure_in_grid_order(monkeypatch):
 def test_find_bound_states_rejects_degenerate_grid():
     with pytest.raises(ValueError, match="grid"):
         find_bound_states(table_problem(8), -35.0, -25.0, n_grid=1)
+    # a window that reaches threshold holds no bound state to find
+    for lo, hi in ((1.0, 5.0), (-5.0, 0.0), (-5.0, math.nan)):
+        with pytest.raises(ValueError, match="< 0"):
+            find_bound_states(table_problem(20), lo, hi)
 
 
 def test_det_equation_sheet_validation():
@@ -625,6 +665,13 @@ def test_sheet_routes_consistent_near_axis():
         want = complex(np.linalg.det(corner - v))
         got = det_equation(p, E, SheetSelector.UNPHYSICAL)
         assert abs(got - want) / abs(want) <= 1e-10
+        # the jump is a scalar in the corner of the physical block
+        jump, _ = scatter_module._inverse_green_block(
+            p, E, SheetSelector.UNPHYSICAL)
+        physical = corrected_truncation(op, p.N + 1, SheetSelector.PHYSICAL)
+        assert jump[-1, -1] != physical[-1, -1]
+        jump[-1, -1] = physical[-1, -1]
+        assert jump.tobytes() == physical.tobytes()
 
 
 def test_total_green_zero_potential_is_bare_green():
@@ -704,6 +751,14 @@ def test_short_range_s_matrix_unitary():
                               smoothing=SmoothingScheme(alpha=5.2)), E)
               for D in (2, 4) for E in (0.5, 5.0)]
     for p, E in cases:
+        # Psi solves (1 - G^C V) Psi = Phi, G^C the inverted Coulomb block
+        psi, _ = scatter_solve(p, E)
+        phi = free_overlap(p.model, E, p.N)
+        g = np.linalg.inv(corrected_truncation(
+            coulomb_jacobi(p.model, complex(E)), p.N + 1,
+            SheetSelector.PHYSICAL))
+        residual = psi - g @ (potential_matrix(p) @ psi) - phi
+        assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(phi))
         raw, eta, a = _amplitude_point(p, E)
         k = wavenumber(p.model, E).real
         s = 1.0 + 2j * k * a * cmath.exp(-2j * eta)
@@ -791,16 +846,15 @@ def test_sweep_raises_the_highest_failing_energy(monkeypatch):
         phase_shift(p, grid[:3])
 
 
-def test_non_finite_energies_rejected_before_any_lane(monkeypatch):
+def test_sweep_builds_each_operator_once(builds):
+    # the overlaps come from the rows the sweep's batch already read
+    grid = sweep_grid(0)
+    phase_shift(charged_problem(20, 0, alpha=5.2), grid)
+    assert sorted(E.real for E in builds) == grid
+
+
+def test_non_finite_energies_rejected_before_any_lane(builds):
     p = charged_problem(20, 0, alpha=5.2)
-    built = []
-    build = scatter_module.coulomb_jacobi
-
-    def counting(model, E):
-        built.append(E)
-        return build(model, E)
-
-    monkeypatch.setattr(scatter_module, "coulomb_jacobi", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (math.nan, math.inf):
@@ -810,7 +864,7 @@ def test_non_finite_energies_rejected_before_any_lane(monkeypatch):
                 scatter_solve(p, bad)
         with pytest.raises(ValueError, match="finite"):
             phase_shift(p, [math.nan, 1.0])
-    assert built == []
+    assert builds == []
 
 
 def test_zero_potential_phase_identically_zero():
