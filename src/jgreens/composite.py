@@ -60,9 +60,10 @@ class Contour:
     Raises
     ------
     GeometryError
-        If the node set is empty or the weights fail the closed-curve
-        exactness check ``|sum w| <= 1e-12 * sum |w|`` (the integrand 1
-        must integrate to zero around a closed curve).
+        If the node set is empty, a node or weight is not finite, or the
+        weights fail the closed-curve exactness check
+        ``|sum w| <= 1e-12 * sum |w|`` (the integrand 1 must integrate to
+        zero around a closed curve).
     """
 
     nodes: tuple[tuple[complex, complex], ...]
@@ -70,15 +71,17 @@ class Contour:
     direction: str = field(default="counterclockwise")
 
     def __post_init__(self) -> None:
-        if len(self.nodes) == 0:
+        nodes = tuple((complex(z), complex(w)) for z, w in self.nodes)
+        if len(nodes) == 0:
             raise GeometryError("contour has no quadrature nodes")
-        total = sum(w for _, w in self.nodes)
-        scale = sum(abs(w) for _, w in self.nodes)
+        if not np.isfinite(nodes).all():
+            raise GeometryError("contour has a non-finite node or weight")
+        total = sum(w for _, w in nodes)
+        scale = sum(abs(w) for _, w in nodes)
         if abs(total) > _CLOSURE_TOL * max(scale, 1.0):
             raise GeometryError(
                 f"contour weights do not close: |sum w| = {abs(total):.3e}")
-        object.__setattr__(self, "nodes", tuple(
-            (complex(z), complex(w)) for z, w in self.nodes))
+        object.__setattr__(self, "nodes", nodes)
 
     def integrate(self, f: Callable[[complex], complex]) -> complex:
         """Evaluate (1/2pi i) * oint f(z) dz with the node rule."""
@@ -112,17 +115,14 @@ class MerkurievSplit:
             raise ValueError(f"nu must be > 2, got {self.nu}")
 
 
-def _ellipse_nodes(left: float, right: float, n_points: int,
-                   aspect: float) -> tuple[list[tuple[complex, complex]],
-                                           tuple[float, float]]:
-    """Midpoint-offset trapezoid nodes of an axis-aligned ellipse.
+def _ellipse_nodes(center: float, a: float, b: float, n_points: int
+                   ) -> list[tuple[complex, complex]]:
+    """Midpoint-offset trapezoid nodes of an axis-aligned ellipse with
+    real semi-axis a and imaginary semi-axis b (a circle when a = b).
 
     The offset keeps every node strictly off the real axis for even and
     odd n alike, so spectra on the axis are never sampled directly.
     """
-    center = 0.5 * (left + right)
-    a = 0.5 * (right - left)
-    b = aspect * a
     step = 2.0 * math.pi / n_points
     nodes = []
     for k in range(n_points):
@@ -130,7 +130,7 @@ def _ellipse_nodes(left: float, right: float, n_points: int,
         z = complex(center + a * math.cos(th), b * math.sin(th))
         w = complex(-a * math.sin(th), b * math.cos(th)) * step
         nodes.append((z, w))
-    return nodes, (left, right)
+    return nodes
 
 
 def build_contour(spec_min: float, E: complex, margin: float = 0.5,
@@ -164,7 +164,8 @@ def build_contour(spec_min: float, E: complex, margin: float = 0.5,
     ------
     GeometryError
         If margin <= 0, n_points < 8, aspect invalid, or the resulting
-        interval is empty (analyticity constraint unsatisfiable).
+        interval is empty (analyticity constraint unsatisfiable) or has
+        a non-finite end.
     """
     if margin <= 0:
         raise GeometryError(f"margin must be > 0, got {margin}")
@@ -179,8 +180,11 @@ def build_contour(spec_min: float, E: complex, margin: float = 0.5,
         raise GeometryError(
             f"empty contour interval [{left}, {t_max}]: analyticity "
             "constraint unsatisfiable for this E and margin")
-    nodes, extent = _ellipse_nodes(left, float(t_max), n_points, aspect)
-    return Contour(nodes=tuple(nodes), encircles=extent)
+    right = float(t_max)
+    half = 0.5 * (right - left)
+    nodes = _ellipse_nodes(0.5 * (left + right), half, aspect * half,
+                           n_points)
+    return Contour(nodes=tuple(nodes), encircles=(left, right))
 
 
 def encircle_points(centers: Sequence[float], radius: float,
@@ -212,13 +216,8 @@ def encircle_points(centers: Sequence[float], radius: float,
         if hi - lo <= 2.0 * radius:
             raise GeometryError(
                 f"circles around {lo} and {hi} overlap at radius {radius}")
-    step = 2.0 * math.pi / n_per
-    nodes = []
-    for c in ordered:
-        for k in range(n_per):
-            th = step * (k + 0.5)
-            ring = radius * complex(math.cos(th), math.sin(th))
-            nodes.append((c + ring, 1.0j * ring * step))
+    nodes = [node for c in ordered
+             for node in _ellipse_nodes(c, radius, radius, n_per)]
     return Contour(nodes=tuple(nodes),
                    encircles=(ordered[0] - radius, ordered[-1] + radius))
 

@@ -340,8 +340,6 @@ def tail_ratio(J: JacobiOperator, n: int,
 
 def dense_truncation(J: JacobiOperator, N: int) -> np.ndarray:
     """Dense N x N tridiagonal block of the operator (no corner term)."""
-    if N < 1:
-        raise ValueError(f"truncation size must be >= 1, got {N}")
     diag, off, (error,) = _read_rows([J], N, N - 1)
     if error is not None:
         raise error
@@ -362,8 +360,6 @@ def corrected_truncation(J: JacobiOperator, N: int,
     A vanishing J_{N-1,N} decouples the block from the rest of the
     operator, so the corner term is zero without evaluating the ratio.
     """
-    if N < 1:
-        raise ValueError(f"truncation size must be >= 1, got {N}")
     diag, off, (error,) = _read_rows([J], N, N)
     if error is not None:
         raise error
@@ -407,6 +403,8 @@ def _read_rows(ops: Sequence[JacobiOperator], n_diag: int, n_off: int,
     lane None or its first error in the scalar order: the diagonal's,
     then the off-diagonal's. ``readers``: those of :func:`_map_readers`,
     when the caller has them."""
+    if n_diag < 1:
+        raise ValueError(f"truncation size must be >= 1, got {n_diag}")
     read_diag, read_off = readers or _map_readers(ops)
     lanes = np.arange(len(ops))
     diag, _, failed = read_diag(lanes, 0, n_diag)
@@ -531,8 +529,6 @@ def _corner_rows(family: Callable, energies: Sequence, N: int,
     ``corrected_truncation`` raises. :func:`_corner_block` of a lane's
     rows and ratio is ``corrected_truncation``'s block, bit for bit.
     """
-    if N < 1:
-        raise ValueError(f"truncation size must be >= 1, got {N}")
     L = len(energies)
     errors = [None] * L if errors is None else errors
     ops, lanes = [], []
@@ -786,7 +782,8 @@ def truncated_inverse(A_diag, A_offdiag, corner_ratio: complex,
     Generic form of :func:`green_submatrix`: builds the symmetric
     tridiagonal matrix from the given diagonals, adds
     a_n_np1 * corner_ratio to the last diagonal entry, and inverts.
-    With corner_ratio = 0 this is the plain truncated inverse.
+    With corner_ratio = 0 this is the plain truncated inverse, and with
+    a_n_np1 = 0 too: the ratio is then not read (:func:`_corner_block`).
 
     Parameters
     ----------
@@ -820,8 +817,6 @@ def truncated_inverse(A_diag, A_offdiag, corner_ratio: complex,
     if off.shape[0] != n - 1:
         raise ValueError(
             f"off-diagonal length {off.shape[0]} does not match size {n}")
-    mat = _tridiagonal(diag[:, None], off[:, None])[0]
-    mat[n - 1, n - 1] += complex(*_corner_terms(complex(a_n_np1),
-                                                complex(corner_ratio)))
-    entries = _checked_inverse(mat)
+    entries = _checked_inverse(
+        _corner_block(diag, np.append(off, a_n_np1), corner_ratio))
     return GreenMatrix(entries=entries, energy=None, sheet=None, n=n)

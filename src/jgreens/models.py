@@ -594,14 +594,14 @@ def gencoulomb_h_of_r(model: GenCoulombModel, r: float) -> float:
 
     The map r(h) = C^{-1/2}[theta atanh(sqrt(h/(h+theta))) +
     sqrt(h(h+theta))] is strictly increasing with r(0) = 0; the inverse
-    is found by a bracketed Newton iteration seeded from the r -> 0 and
-    r -> infinity asymptotic forms.  theta = 0 collapses to h = sqrt(C) r.
+    is found by Brent's method on the bracket (0, sqrt(C) r], since
+    r(h) >= h / sqrt(C).  theta = 0 collapses to h = sqrt(C) r.
 
     Parameters
     ----------
     model : GenCoulombModel
     r : float
-        Radius, >= 0.
+        Radius, finite and >= 0.
 
     Returns
     -------
@@ -610,10 +610,10 @@ def gencoulomb_h_of_r(model: GenCoulombModel, r: float) -> float:
     Raises
     ------
     NoConvergence
-        If 200 Newton/bisection steps fail to locate h (not expected).
+        If 200 steps of Brent's method fail to locate h (not expected).
     """
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {r}")
     sqc = math.sqrt(model.C)
     if model.theta == 0 or r == 0:
         return sqc * r
@@ -626,24 +626,14 @@ def gencoulomb_h_of_r(model: GenCoulombModel, r: float) -> float:
         return (0.5 * theta * math.log((1.0 + s) ** 2 * (h + theta) / theta)
                 + math.sqrt(h * (h + theta)) - target)
 
+    from scipy.optimize import brentq  # loaded here: it adds 16 MB of RSS
     # r(h) >= h/sqrt(C), so the root always lies in (0, sqrt(C) r]
-    lo, hi = 0.0, target
-    h = min(target, target * target / (4.0 * theta))
-    for _ in range(200):
-        val = shifted(h)
-        if val > 0:
-            hi = h
-        else:
-            lo = h
-        step = val / math.sqrt((h + theta) / h)
-        h_new = h - step
-        if not lo < h_new < hi:
-            h_new = 0.5 * (lo + hi)
-        if abs(h_new - h) <= 4e-16 * h_new:
-            return h_new
-        h = h_new
-    raise NoConvergence(
-        f"coordinate inversion stalled at r={r!r} (h around {h!r})")
+    try:
+        return brentq(shifted, 0.0, target, xtol=1e-300,
+                      rtol=4.0 * np.finfo(float).eps, maxiter=200)
+    except RuntimeError as exc:
+        raise NoConvergence(
+            f"coordinate inversion stalled at r={r!r}") from exc
 
 
 def gencoulomb_potential(model: GenCoulombModel, r: float) -> float:
@@ -841,20 +831,16 @@ def coulomb_wavefunction(model: CoulombModel, n: int, r: float) -> float:
     -------
     float
     """
-    if n < 0:
+    if n < 0:  # before a0: n = -p would divide by zero
         raise ValueError(f"index must be >= 0, got {n}")
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
     if model.Z * model.e2 >= 0:
         raise ValueError("bound states require Z*e2 < 0")
     r0 = model.hbar**2 / (2.0 * model.m * abs(model.Z) * model.e2)
     p = model.l + (model.D - 1) / 2.0
     a0 = 1.0 / ((n + p) * r0)
-    x = a0 * r
-    if x == 0.0:
-        return 0.0
-    lag = _laguerre_functions(n, 2 * model.l + model.D - 2, x, p)
-    return a0 * math.sqrt(0.5 * r0) * float(lag[n])
+    phi, _ = _radial_laguerre(n, p - 1.0, 2 * model.l + model.D - 2,
+                              0.5 * a0, r)
+    return a0 * math.sqrt(0.5 * r0) * phi
 
 
 def oscillator_wavefunction(model: OscillatorModel, n: int, r: float,
@@ -995,7 +981,8 @@ def _lockstep(steppers: list[Generator],
 def _real_zeros(scan: Callable[[list[float]], list[float]],
                 polish: Callable[[list[float]], list],
                 x_min: float, x_max: float, n_points: int) -> list[float]:
-    """Real zeros of a determinant-like f from a grid scan of [x_min, x_max].
+    """Real zeros of a determinant-like f from a grid scan of [x_min, x_max],
+    a finite window (checked before ``scan`` is called).
 
     ``scan`` maps the whole grid to its values (one batch of lanes), NaN
     where f is unusable; only sign changes between two finite neighbours
@@ -1018,6 +1005,8 @@ def _real_zeros(scan: Callable[[list[float]], list[float]],
     """
     if n_points < 2:
         raise ValueError(f"need a grid of >= 2 points, got {n_points}")
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ValueError(f"need a finite window, got [{x_min}, {x_max}]")
     grid = [float(x) for x in np.linspace(x_min, x_max, n_points)]
     values = scan(grid)
     roots = [x for x, v in zip(grid, values) if v == 0.0]
@@ -1081,7 +1070,7 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     family : callable
         Map from energy to the JacobiOperator at that energy.
     e_min, e_max : float
-        Scan interval, e_min < e_max.
+        Scan interval, finite, e_min < e_max.
     size : int
         Truncation size of the corrected block, >= 1.
     n_points : int

@@ -99,7 +99,7 @@ class SmoothingScheme:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError(f"shape parameter must be > 0, got {self.alpha}")
 
     def factors(self, N: int) -> np.ndarray:
@@ -186,7 +186,7 @@ def sigma_factor(n: int, N: int, alpha: float) -> float:
     """
     if not 0 <= n <= N:
         raise ValueError(f"index must satisfy 0 <= n <= N, got n={n}, N={N}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"shape parameter must be > 0, got {alpha}")
     if n == 0:
         return 1.0
@@ -228,12 +228,11 @@ def _cached_potential_matrix(p: ScatterProblem) -> np.ndarray:
     # Relative to the matrix scale: sub-scale entries carry accumulated
     # rounding noise ~1e-12 of the scale even at converged orders.
     scale = float(np.max(np.abs(check)))
-    if scale > 0.0:
-        worst = float(np.max(np.abs(check - raw))) / scale
-        if worst > 1e-9:
-            raise QuadratureSuspect(
-                f"doubling the quadrature order moved an entry by relative "
-                f"{worst:.3e} (> 1e-9); raise quad_order")
+    worst = float(np.max(np.abs(check - raw))) / scale if scale else 0.0
+    if not worst <= 1e-9:  # a non-finite entry fails too
+        raise QuadratureSuspect(
+            f"doubling the quadrature order moved an entry by relative "
+            f"{worst:.3e} (> 1e-9); raise quad_order")
     s = p.smoothing.factors(p.N)
     out = s[:, None] * raw * s[None, :]
     out.setflags(write=False)
@@ -260,7 +259,7 @@ def potential_matrix(p: ScatterProblem) -> np.ndarray:
     ------
     QuadratureSuspect
         When doubling quad_order changes any entry by more than 1e-9
-        relative.
+        relative, or an entry is not finite.
     """
     return _cached_potential_matrix(p).copy()
 
@@ -321,6 +320,8 @@ def _inverse_green_block(p: ScatterProblem, E: complex,
     c y^2 / (1 - c y Phi_N) at [N, N].
     """
     energy = complex(E)
+    if not cmath.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {E}")
     resolved = _resolve_sheet(sheet, energy)
     op = coulomb_jacobi(p.model, energy)
     if resolved is not SheetSelector.UNPHYSICAL:
@@ -387,7 +388,7 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     ----------
     p : ScatterProblem
     E_min, E_max : float
-        Search window, E_min < E_max < 0 relative to threshold.
+        Search window, finite, E_min < E_max < 0 relative to threshold.
     n_grid : int
         Grid resolution, >= 2.
 
@@ -440,8 +441,8 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
     ----------
     p : ScatterProblem
     region : (complex, complex)
-        Opposite corners of the search rectangle, strictly below the
-        real axis.
+        Opposite corners of the search rectangle, finite and strictly
+        below the real axis.
     seeds : (int, int)
         Seed grid shape (real x imaginary), each >= 1.
 
@@ -452,6 +453,8 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
     """
     re_lo, re_hi = sorted((region[0].real, region[1].real))
     im_lo, im_hi = sorted((region[0].imag, region[1].imag))
+    if not all(map(cmath.isfinite, region)):
+        raise ValueError(f"search rectangle must be finite, got {region}")
     if im_hi >= 0.0:
         raise ValueError("search rectangle must lie below the real axis")
     if min(seeds) < 1:

@@ -133,6 +133,21 @@ def test_contour_validation():
         Contour(nodes=((1.0 + 0j, 1.0 + 0j), (2.0 + 0j, 1.0 + 0j)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_contour(math.nan, 10.0),
+    lambda: build_contour(0.0, 10.0, t_max=math.nan),
+    lambda: encircle_points([math.nan, 1.0], 0.1),
+    lambda: encircle_points([1.5], math.inf),
+    lambda: Contour(nodes=((complex(math.nan, 0.0), 1.0 + 0j),
+                           (1.0 + 0j, -1.0 + 0j))),
+], ids=["nan_spec_min", "nan_t_max", "nan_center", "inf_radius",
+        "nan_node"])
+def test_non_finite_contours_rejected(make):
+    # NaN fails the closure test |sum w| > tol, so it needs its own check
+    with pytest.raises(GeometryError, match="non-finite"):
+        make()
+
+
 def test_cauchy_formula_inside_and_outside():
     c = build_contour(-1.0, 0.0, margin=0.5, n_points=64, t_max=1.5,
                       aspect=1.0)

@@ -376,6 +376,12 @@ def test_truncated_inverse_zero_ratio_is_plain_inverse():
     plain = np.linalg.inv(np.diag(diag)
                           + np.diag(off, 1) + np.diag(off, -1))
     np.testing.assert_allclose(gm.entries, plain, rtol=1e-13)
+    # a_n_np1 = 0 decouples the block: the ratio is not read
+    for ratio in (math.inf, math.nan):
+        assert truncated_inverse([2.0], [], ratio, 0.0).entries[0, 0] == 0.5
+        np.testing.assert_allclose(
+            truncated_inverse(diag, off, ratio, 0.0).entries, plain,
+            rtol=1e-13)
 
 
 def test_truncated_inverse_scalar_case():

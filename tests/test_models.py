@@ -13,11 +13,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.special import roots_genlaguerre
 
 from jgreens import models
-from jgreens.errors import (InvalidU, JGreensError, NotConverged,
-                            NumericBreakdown, ZeroOffdiagonal)
+from jgreens.errors import (InvalidU, JGreensError, NoConvergence,
+                            NotConverged, NumericBreakdown, ZeroOffdiagonal)
 from jgreens.jacobi import (IndexFormula, JacobiOperator, SheetSelector,
                             _corrected_blocks, _read_maps, cf_coefficients,
                             corrected_truncation, dense_truncation,
@@ -937,6 +938,22 @@ def test_h_of_r_limits():
     assert abs(big / (math.sqrt(1.7) * 1e8) - 1.0) < 1e-5
     small = gencoulomb_h_of_r(model, 1e-8)
     assert abs(small / (1.7e-16 / (4.0 * 2.0)) - 1.0) < 1e-6
+
+
+def test_h_of_r_edge_radii(monkeypatch):
+    model = GenCoulombModel(C=1.7, theta=2.0, q=1.0, beta=2.0, rho_basis=1.0)
+    # h = C r^2 / (4 theta) underflows to 0 (this raised ZeroDivisionError)
+    assert gencoulomb_h_of_r(model, 1e-300) == 0.0
+    for r in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            gencoulomb_h_of_r(model, r)
+
+    def stalls(*args, **kwargs):
+        raise RuntimeError("Failed to converge after 200 iterations")
+
+    monkeypatch.setattr(scipy.optimize, "brentq", stalls)
+    with pytest.raises(NoConvergence, match="r=1.0"):
+        gencoulomb_h_of_r(model, 1.0)
 
 
 def test_potential_coulomb_limit():

@@ -245,6 +245,19 @@ def test_sigma_factor_validation():
         SmoothingScheme(alpha=-1.0)
 
 
+def test_nan_shape_parameter_and_potential_rejected():
+    # NaN passes a check written alpha <= 0, and a NaN matrix passes
+    # the doubled-order check written worst > 1e-9
+    with pytest.raises(ValueError, match="shape"):
+        SmoothingScheme(alpha=math.nan)
+    with pytest.raises(ValueError, match="shape"):
+        sigma_factor(1, 5, math.nan)
+    spiked = ShortRangePotential(
+        lambda r: np.where(r < 0.5, np.nan, -np.exp(-r * r)))
+    with pytest.raises(QuadratureSuspect):
+        potential_matrix(ScatterProblem(neutral(), spiked, 10))
+
+
 def test_smoothing_scheme_factors():
     s = SmoothingScheme(alpha=5.2)
     np.testing.assert_allclose(
@@ -531,6 +544,39 @@ def test_det_equation_sheet_validation():
         det_equation(p, complex(1.0, -0.5))
     val = det_equation(p, complex(5.0))
     assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+def test_non_finite_determinant_energies_rejected(builds):
+    p = charged_problem(20, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: det_equation(p, math.nan),
+                     lambda: det_equation(p, math.inf),
+                     lambda: total_green(p, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+    assert builds == []
+
+
+def test_non_finite_search_windows_rejected(builds):
+    p = charged_problem(20, 2)
+    families = []
+
+    def family(E):
+        families.append(E)
+        return coulomb_jacobi(CoulombModel(Z=-1.0, b=1.2), E)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for corner in (complex(math.nan, -1.0), complex(3.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                find_resonances(p, (corner, complex(3.4, -0.3)),
+                                seeds=(1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            find_bound_states(table_problem(20), -math.inf, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            det_pole_scan(family, -math.inf, -0.04, size=3)
+    assert builds == [] and families == []
 
 
 def test_bound_state_table():
