@@ -224,15 +224,25 @@ def encircle_points(centers: Sequence[float], radius: float,
 
 def _node_sum(contour: Contour,
               factors: Sequence[tuple[Callable[[complex], JacobiOperator],
-                                      int, Callable[[complex], complex]]],
+                                      int, Callable[[np.ndarray],
+                                                    np.ndarray]]],
               ) -> np.ndarray:
     """(1/2pi i) sum_nodes w * (G_1 kron G_2 kron ...) over the contour.
 
-    Each factor is (family, N, energy_at): its block at node z is the
-    physical-sheet Green's block of ``family(energy_at(z))``, truncated
-    to N x N. Each factor is evaluated once per contour, as one batch of
-    lanes over the nodes (``jacobi._green_blocks``); every lane gives the
-    errors of ``green_submatrix`` at its node, and its values bit for bit.
+    Each factor is (family, N, energies_at): its block at node z is the
+    physical-sheet Green's block of ``family(E)``, truncated to N x N,
+    where E is z's entry of ``energies_at(zs)`` (zs the (nodes,) array).
+    Each factor is evaluated once per contour, as one batch of lanes over
+    the nodes (``jacobi._green_blocks``); every lane gives the errors of
+    ``green_submatrix`` at its node, and its values bit for bit.
+
+    The family contract: the family is called once, with the array of
+    the node energies (those of the nodes where no earlier factor
+    failed), and either raises or returns the stacked operator whose lane
+    k equals ``family(E_k)`` (:class:`jgreens.jacobi.JacobiOperator`; the
+    model builders do this). On anything else it is called node by node,
+    with Python complex energies, and the blocks are the same.
+
     A node whose factor fails skips the later factors, as a per-node loop
     would. The terms w * (G_1 kron G_2 ...) are then added one by one in
     node order, the order of a per-node loop, so the sum is reproducible.
@@ -244,19 +254,18 @@ def _node_sum(contour: Contour,
         order, chained from the first such error (an earlier factor's
         error before a later one's at the same node).
     """
-    zs = [z for z, _ in contour.nodes]
+    zs = np.array([z for z, _ in contour.nodes])
     errors: list[Exception | None] = [None] * len(zs)
     product = np.ones((len(zs), 1, 1), dtype=complex)
-    for family, n, energy_at in factors:
-        blocks, _ = _green_blocks(family, [energy_at(z) for z in zs], n,
-                                  errors)
+    for family, n, energies_at in factors:
+        blocks, _ = _green_blocks(family, energies_at(zs), n, errors)
         size = product.shape[1] * n
         product = (product[:, :, None, :, None]
                    * blocks[:, None, :, None, :]).reshape(len(zs), size, size)
     failed = [k for k, exc in enumerate(errors) if exc is not None]
     if failed:
         raise NodeFailure("Green's matrix evaluation failed",
-                          nodes=[zs[k] for k in failed]) from errors[failed[0]]
+                          nodes=zs[failed].tolist()) from errors[failed[0]]
     product *= np.array([w for _, w in contour.nodes])[:, None, None]
     # along the outer axis numpy adds term by term, not pairwise
     return np.add.reduce(product, axis=0) / (2.0j * math.pi)
@@ -273,7 +282,11 @@ def contour_matrix(family: Callable[[complex], JacobiOperator],
     Parameters
     ----------
     family : callable
-        Maps a complex energy to the JacobiOperator at that energy.
+        Maps a complex energy to the JacobiOperator at that energy. It is
+        first called once with the array of node energies, and must then
+        raise or return the stacked operator whose lane k equals
+        ``family(z_k)``, as the model builders do (:func:`_node_sum`);
+        otherwise it is called node by node.
     contour : Contour
         Closed contour avoiding all poles of the Green's matrix.
     N : int
@@ -293,7 +306,7 @@ def contour_matrix(family: Callable[[complex], JacobiOperator],
     """
     if N < 1:
         raise ValueError(f"block size N must be >= 1, got {N}")
-    return _node_sum(contour, [(family, N, lambda z: z)])
+    return _node_sum(contour, [(family, N, lambda zs: zs)])
 
 
 def contour_projection(family: Callable[[complex], JacobiOperator],
@@ -339,6 +352,10 @@ def convolve_greens(J1: Callable[[complex], JacobiOperator],
     ----------
     J1, J2 : callable
         Energy -> JacobiOperator families of the two commuting parts.
+        Each is first called once with the array of its node energies,
+        and must then raise or return the stacked operator whose lane k
+        equals its call at the k-th energy, as the model builders do
+        (:func:`_node_sum`); otherwise it is called node by node.
     E : complex
         Composite energy at which the resolvent is assembled.
     contour : Contour
@@ -363,8 +380,8 @@ def convolve_greens(J1: Callable[[complex], JacobiOperator],
     if N1 < 1 or N2 < 1:
         raise ValueError(f"block sizes must be >= 1, got ({N1}, {N2})")
     E = complex(E)
-    return _node_sum(contour, [(J1, N1, lambda z: E - z),
-                               (J2, N2, lambda z: z)])
+    return _node_sum(contour, [(J1, N1, lambda zs: E - zs),
+                               (J2, N2, lambda zs: zs)])
 
 
 def merkuriev_zeta(split: MerkurievSplit, x, y):

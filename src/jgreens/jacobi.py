@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,6 +87,12 @@ class IndexFormula:
     maps of many lanes that share one ``fn`` as fn(i[:, None], *params
     stacked over the lanes), in a few numpy calls. The model builders of
     :mod:`jgreens.models` return their entries as IndexFormula maps.
+
+    In the lane-axis form (the map of an operator built at an array of L
+    energies, see :class:`JacobiOperator`) each param is a number shared
+    by every lane or an (L,) array, one value per lane; the map then gives
+    an (L,) array at an int index and (len(i), L) at an index column, or
+    the shared values where no param has a lane axis.
     """
 
     __slots__ = ("fn", "params")
@@ -112,24 +118,83 @@ class JacobiOperator:
     read index by index, and the first index at which it raises is where
     its lane fails.
 
+    An operator may also stack L lanes, as the model builders return it
+    at an array of energies: ``energy`` is the (L,) array, both maps are
+    IndexFormula maps in their lane-axis form, and ``limit_coeffs`` is an
+    (L, 2) array, row k the limits of lane k. Lane k equals the operator
+    built at the k-th energy alone, bit for bit. Only the batch paths of
+    this package (:func:`_corner_rows` and the contour node loop) read
+    such an operator; the functions that take one operator take one lane.
+
     Parameters
     ----------
     diag : callable
         Map i -> J_ii for i >= 0.
     offdiag : callable
         Map i -> J_{i,i+1} for i >= 0 (symmetric: J_{i+1,i} = J_{i,i+1}).
-    energy : complex
+    energy : complex or numpy.ndarray
         Energy at which the entries were built; used for automatic sheet
-        resolution.
-    limit_coeffs : tuple of complex, optional
+        resolution. An (L,) array for a stacked operator.
+    limit_coeffs : tuple of complex or numpy.ndarray, optional
         Limits (u, d) of the derived continued fraction coefficients when
-        the fraction is limit 1-periodic; enables fixed-point tails.
+        the fraction is limit 1-periodic; enables fixed-point tails. An
+        (L, 2) array for a stacked operator.
     """
 
     diag: Callable[[int], complex]
     offdiag: Callable[[int], complex]
-    energy: complex = 0.0 + 0.0j
-    limit_coeffs: tuple[complex, complex] | None = None
+    energy: complex | np.ndarray = 0.0 + 0.0j
+    limit_coeffs: tuple[complex, complex] | np.ndarray | None = None
+
+
+class _Lanes(NamedTuple):
+    """A batch of operators as arrays, whichever front end of
+    :func:`_corner_rows` made it: the (diagonal, off-diagonal) readers
+    (:func:`_read_maps`) whose lanes are the batch positions, the energies
+    (L,), the limit coefficients (L, 2), zero where a lane has none, and
+    the mask (L,) of the lanes that have none."""
+
+    read_diag: Callable
+    read_off: Callable
+    energy: np.ndarray
+    limits: np.ndarray
+    no_limits: np.ndarray
+
+
+def _map_readers(ops: Sequence[JacobiOperator]) -> tuple[Callable, Callable]:
+    """The (diagonal, off-diagonal) readers (:func:`_read_maps`) of a batch
+    of one-lane operators, whose lanes are the operators' positions."""
+    return (_read_maps([op.diag for op in ops]),
+            _read_maps([op.offdiag for op in ops]))
+
+
+def _op_lanes(ops: Sequence[JacobiOperator]) -> _Lanes:
+    """The batch of one-lane operators, lane k ``ops[k]``."""
+    given = [op.limit_coeffs for op in ops]
+    return _Lanes(
+        *_map_readers(ops),
+        np.array([op.energy for op in ops], dtype=complex),
+        np.array([(0.0, 0.0) if lim is None else lim for lim in given],
+                 dtype=complex).reshape(len(ops), 2),
+        np.array([lim is None for lim in given], dtype=bool))
+
+
+def _stacked_lanes(op, L: int) -> _Lanes | None:
+    """The batch of a stacked operator of L lanes (see
+    :class:`JacobiOperator`), or None where ``op`` is not one."""
+    if not isinstance(op, JacobiOperator):
+        return None
+    maps = (op.diag, op.offdiag)
+    if not (all(type(f) is IndexFormula and all(
+                not isinstance(p, np.ndarray) or p.shape == (L,)
+                for p in f.params) for f in maps)
+            and np.shape(op.energy) == (L,)
+            and np.shape(op.limit_coeffs) == (L, 2)):
+        return None
+    return _Lanes(*(_formula_reader(f.fn, f.params) for f in maps),
+                  np.asarray(op.energy, dtype=complex),
+                  np.asarray(op.limit_coeffs, dtype=complex),
+                  np.zeros(L, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -331,8 +396,8 @@ def tail_ratio(J: JacobiOperator, n: int,
     """
     if n < 1:
         raise ValueError(f"ratio index must be >= 1, got {n}")
-    (ratio,), (error,) = _corner_ratios([J], n, sheet, bm_rounds, tol,
-                                        max_terms)
+    (ratio,), (error,) = _corner_ratios(_op_lanes([J]), n, sheet, bm_rounds,
+                                        tol, max_terms)
     if error is not None:
         raise error
     return complex(ratio)
@@ -340,7 +405,7 @@ def tail_ratio(J: JacobiOperator, n: int,
 
 def dense_truncation(J: JacobiOperator, N: int) -> np.ndarray:
     """Dense N x N tridiagonal block of the operator (no corner term)."""
-    diag, off, (error,) = _read_rows([J], N, N - 1)
+    diag, off, (error,) = _read_rows(_map_readers([J]), 1, N, N - 1)
     if error is not None:
         raise error
     return _tridiagonal(diag, off)[0]
@@ -360,7 +425,7 @@ def corrected_truncation(J: JacobiOperator, N: int,
     A vanishing J_{N-1,N} decouples the block from the rest of the
     operator, so the corner term is zero without evaluating the ratio.
     """
-    diag, off, (error,) = _read_rows([J], N, N)
+    diag, off, (error,) = _read_rows(_map_readers([J]), 1, N, N)
     if error is not None:
         raise error
     ratio = tail_ratio(J, N, sheet, bm_rounds, tol, max_terms) \
@@ -374,42 +439,57 @@ def _corner_block(diag: np.ndarray, off: np.ndarray, ratio) -> np.ndarray:
     J_{N-1,N} != 0: what :func:`corrected_truncation` returns."""
     mat = _tridiagonal(diag[:, None], off[:, None])[0]
     if off[-1] != 0:
-        mat[-1, -1] += complex(*_corner_terms(complex(off[-1]),
-                                              complex(ratio)))
+        mat[-1, -1] += complex(off[-1]) * complex(ratio)
     return mat
 
 
-def _corner_terms(off, ratio) -> tuple:
-    """Real and imaginary parts of the corner term J_{N-1,N} * r_N, of
-    Python numbers (one lane) or of arrays (a batch): each product and sum
-    rounds on its own, so a lane gets the same bits either way (numpy's
-    complex multiply may fuse them, and round apart)."""
-    return (off.real * ratio.real - off.imag * ratio.imag,
-            off.real * ratio.imag + off.imag * ratio.real)
+# Python rounds a complex product and quotient its own way (numpy's may
+# fuse a product and a sum, or divide otherwise, and round apart: on
+# random operands 30% of products and half the quotients differ). These
+# two give Python's bits at arrays too, so that a lane of a batch equals
+# its one-lane computation.
 
 
-def _map_readers(ops: Sequence[JacobiOperator]) -> tuple[Callable, Callable]:
-    """The (diagonal, off-diagonal) readers (:func:`_read_maps`) of a batch
-    of operators, whose lanes are the operators' positions in ``ops``."""
-    return (_read_maps([op.diag for op in ops]),
-            _read_maps([op.offdiag for op in ops]))
+def _times(a, b):
+    """a * b: of Python numbers the product itself; where either is an
+    array, from the parts, each product and sum rounding on its own, as
+    Python forms it (a real operand has imaginary part 0)."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a * b
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(all="ignore"):  # inf and nan as Python makes them
+        out = (a.real * b.real - a.imag * b.imag).astype(complex)
+        out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
-def _read_rows(ops: Sequence[JacobiOperator], n_diag: int, n_off: int,
-               readers: tuple | None = None
+def _over(a, b):
+    """a / b: of Python numbers the quotient itself; where either is an
+    array, Python's quotient lane by lane (ZeroDivisionError where a
+    lane's b is zero)."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a / b
+    a, b = np.broadcast_arrays(a, b)
+    return np.array([x / y for x, y in zip(a.tolist(), b.tolist())],
+                    dtype=complex).reshape(a.shape)
+
+
+def _read_rows(readers: Sequence[Callable], L: int, n_diag: int, n_off: int
                ) -> tuple[np.ndarray, np.ndarray, list]:
-    """J_ii for i < n_diag and J_{i,i+1} for i < n_off of every operator,
-    as (index, lane) arrays, zero from a lane's failing read on, and per
-    lane None or its first error in the scalar order: the diagonal's,
-    then the off-diagonal's. ``readers``: those of :func:`_map_readers`,
-    when the caller has them."""
+    """J_ii for i < n_diag and J_{i,i+1} for i < n_off of the L lanes of
+    the (diagonal, off-diagonal) map readers, as (index, lane) arrays,
+    zero from a lane's failing read on, and per lane None or its first
+    error in the scalar order: the diagonal's, then the off-diagonal's."""
     if n_diag < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_diag}")
-    read_diag, read_off = readers or _map_readers(ops)
-    lanes = np.arange(len(ops))
+    read_diag, read_off = readers
+    lanes = np.arange(L)
     diag, _, failed = read_diag(lanes, 0, n_diag)
     off, _, more = read_off(lanes, 0, n_off)
-    return diag, off, [failed.get(p, more.get(p)) for p in lanes.tolist()]
+    errors: list = [None] * lanes.size
+    for p, exc in {**more, **failed}.items():
+        errors[p] = exc
+    return diag, off, errors
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -528,34 +608,51 @@ def _corner_rows(family: Callable, energies: Sequence, N: int,
     records there the first error that ``family(E)`` or
     ``corrected_truncation`` raises. :func:`_corner_block` of a lane's
     rows and ratio is ``corrected_truncation``'s block, bit for bit.
+
+    Where two or more lanes are left, the family is first called once,
+    at the array of their energies. Its contract: called with an energy
+    array, it raises or returns the stacked operator whose lane k equals
+    ``family(E_k)`` (as the model builders do). Where it raises or
+    returns anything but a stacked operator of those lanes
+    (:class:`JacobiOperator`), and for a single lane (an array of one
+    would save nothing, and numpy converts it to a number with a
+    deprecation warning), it is called lane by lane, at each energy as
+    given (a Python number where ``energies`` is an array).
     """
-    L = len(energies)
-    errors = [None] * L if errors is None else errors
-    ops, lanes = [], []
-    for k, E in enumerate(energies):
+    given = energies.tolist() if isinstance(energies, np.ndarray) \
+        else list(energies)
+    errors = [None] * len(given) if errors is None else errors
+    lanes = [k for k, exc in enumerate(errors) if exc is None]
+    batch = None
+    if len(lanes) > 1:
         try:
-            if errors[k] is None:
-                ops.append(family(E))
-                lanes.append(k)
-        except Exception as exc:  # the lane's failure, kept
-            errors[k] = exc
-    # the maps' params are stacked once, for the rows and the ratios
-    readers = _map_readers(ops)
-    diag, off, failed = _read_rows(ops, N, N, readers)
+            batch = _stacked_lanes(family(np.asarray(energies)[lanes]),
+                                   len(lanes))
+        except Exception:  # the family builds its lanes one at a time
+            pass
+    if batch is None:
+        ops, built = [], []
+        for k in lanes:
+            try:
+                ops.append(family(given[k]))
+                built.append(k)
+            except Exception as exc:  # the lane's failure, kept
+                errors[k] = exc
+        lanes, batch = built, _op_lanes(ops)
+    diag, off, failed = _read_rows(batch[:2], len(lanes), N, N)
     coupled = np.flatnonzero(
         np.array([exc is None for exc in failed], dtype=bool) & (off[-1] != 0))
-    ratios = np.zeros(len(ops), dtype=complex)
-    ratios[coupled], more = _corner_ratios(
-        [ops[p] for p in coupled], N, sheet, bm_rounds,
-        readers=(*readers, coupled))
+    ratios = np.zeros(len(lanes), dtype=complex)
+    ratios[coupled], more = _corner_ratios(batch, N, sheet, bm_rounds,
+                                           at=coupled)
     for p, exc in zip(coupled, more):
         failed[p] = exc
     for p, exc in enumerate(failed):
         if exc is not None:
             errors[lanes[p]] = exc
             diag[:, p] = off[:, p] = ratios[p] = 0.0
-    if len(lanes) < L:  # zero rows where family(E) raised
-        rows = np.zeros((2 * N + 1, L), dtype=complex)
+    if len(lanes) < len(given):  # zero rows where family(E) raised
+        rows = np.zeros((2 * N + 1, len(given)), dtype=complex)
         rows[:, lanes] = np.vstack((diag, off, ratios))
         diag, off, ratios = rows[:N], rows[N:-1], rows[-1]
     return diag, off, ratios, errors
@@ -575,9 +672,7 @@ def _corrected_blocks(family: Callable, energies: Sequence, N: int,
                                              bm_rounds, errors)
     blocks = _tridiagonal(diag, off)
     coupled = np.flatnonzero(off[-1] != 0)
-    terms = np.empty(coupled.size, dtype=complex)
-    terms.real, terms.imag = _corner_terms(off[-1, coupled], ratios[coupled])
-    blocks[coupled, -1, -1] += terms
+    blocks[coupled, -1, -1] += _times(off[-1, coupled], ratios[coupled])
     return blocks, errors
 
 
@@ -600,28 +695,27 @@ _TAILS = {SheetSelector.UNPHYSICAL: TailOrigin.REPULSIVE_FIXED_POINT,
           SheetSelector.ZERO_TAIL: TailOrigin.ZERO}
 
 
-def _corner_ratios(ops: Sequence[JacobiOperator], n: int,
+def _corner_ratios(batch: _Lanes, n: int,
                    sheet: SheetSelector = SheetSelector.PHYSICAL,
                    bm_rounds: int | None = None, tol: float = _DEFAULT_TOL,
                    max_terms: int = _DEFAULT_MAX_TERMS,
-                   readers: tuple | None = None) -> tuple[np.ndarray, list]:
-    """``tail_ratio(op, n, sheet, ...)`` of every operator, as lanes: the
-    ratios (zero where a lane failed) and per lane, None or the error.
-    Lanes at one Bauer-Muir depth of their plans form one batch of
+                   at: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+    """``tail_ratio(op, n, sheet, ...)`` of the batch's lanes at positions
+    ``at`` (by default, every lane), in that order: the ratios (zero where
+    a lane failed) and per lane, None or the error. Lanes at one
+    Bauer-Muir depth of their plans form one batch of
     :func:`jgreens.contfrac._sum_fractions`; a lane moves on through its
     plan as ``tail_ratio`` does, and to depth 0 when its fraction ended.
-    A lane's ratio and error do not depend on the batch. ``readers`` are
-    the map readers of a larger batch (:func:`_map_readers`) with the
-    position there of each of ``ops``; by default, those of ``ops``."""
+    A lane's ratio and error do not depend on the batch."""
     if bm_rounds is not None and bm_rounds < 0:  # -1 marks no depth
         raise ValueError(f"bm_rounds must be >= 0, got {bm_rounds}")
-    L = len(ops)
+    at = np.arange(batch.energy.size) if at is None else np.asarray(at)
+    L = at.size
     errors: list = [None] * L
     ratios = np.zeros(L, dtype=complex)
     tail = _TAILS.get(sheet, TailOrigin.ATTRACTIVE_FIXED_POINT)
     if sheet is SheetSelector.AUTO:
-        refused = ~(np.array([op.energy for op in ops], dtype=complex).imag
-                    >= 0.0)
+        refused = ~(batch.energy[at].imag >= 0.0)
         for k in np.flatnonzero(refused).tolist():
             errors[k] = ValueError(_AUTO_REFUSES)
     # each lane's depths in order, -1 past the last; the spare fifth
@@ -630,18 +724,18 @@ def _corner_ratios(ops: Sequence[JacobiOperator], n: int,
     if tail is TailOrigin.ZERO:
         plans[:, 0] = 0
     else:
-        given = [op.limit_coeffs for op in ops]
-        for k in [k for k, lim in enumerate(given) if lim is None]:
-            errors[k] = errors[k] or ValueError(_NO_LIMITS)
-        limits = np.array([(0.0, 0.0) if lim is None else lim
-                           for lim in given], dtype=complex).reshape(L, 2)
+        missing = batch.no_limits[at]
+        if missing.any():
+            for k in np.flatnonzero(missing).tolist():
+                errors[k] = errors[k] or ValueError(_NO_LIMITS)
+        limits = batch.limits[at]
         plans[:, :4] = _bm_depths(limits) if bm_rounds is None \
             else (int(bm_rounds), -1, -1, -1)
     failed = [k for k, exc in enumerate(errors) if exc is not None]
     if failed:
         plans[failed] = -1
     pending = L - len(failed)  # lanes with no value or error yet
-    read_diag, read_off, at = readers or (*_map_readers(ops), np.arange(L))
+    read_diag, read_off = batch.read_diag, batch.read_off
     for stage in range(4):
         if not pending:
             break
@@ -734,18 +828,27 @@ def _read_maps(fns: Sequence[Callable[[int], complex]]) -> Callable:
     is :func:`_read_lanes` of the maps at ``lanes`` (indices into
     ``fns``). When every map is an :class:`IndexFormula` of one formula,
     its params are stacked over the batch here, once, and a read is one
-    evaluation over (index, lane); otherwise a read goes index by index."""
+    evaluation over (index, lane) (:func:`_formula_reader`); otherwise a
+    read goes index by index."""
     fn = getattr(fns[0], "fn", None) if len(fns) else None
     if fn is None or any(type(f) is not IndexFormula or f.fn is not fn
                          for f in fns):
         return lambda lanes, lo, hi: _read_lanes([fns[k] for k in lanes],
                                                  lo, hi)
-    params = [np.array(p) for p in zip(*[f.params for f in fns])]
+    return _formula_reader(fn, [np.array(p)
+                                for p in zip(*[f.params for f in fns])])
+
+
+def _formula_reader(fn: Callable, params: Sequence) -> Callable:
+    """Reader of the lanes of fn(i, *params), each param an (L,) array or
+    a number shared by every lane (which rounds as the lanes' copies
+    would): read(lanes, lo, hi) as :func:`_read_lanes` gives it, in one
+    evaluation over (index, lane)."""
 
     def read(lanes, lo: int, hi: int):
         values = np.empty((hi - lo, len(lanes)), dtype=complex)
-        values[...] = fn(np.arange(lo, hi)[:, None],
-                         *(p[lanes] for p in params))
+        values[...] = fn(np.arange(lo, hi)[:, None], *(
+            p[lanes] if isinstance(p, np.ndarray) else p for p in params))
         stops = np.empty(len(lanes), dtype=int)
         stops.fill(hi - lo)  # half the time of np.full at one lane
         return values, stops, {}

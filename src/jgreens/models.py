@@ -11,13 +11,17 @@ Each family couples an immutable parameter record to
 
 Builders bake the energy into the operator entries; the returned
 operators are consumed by :func:`jgreens.jacobi.green_submatrix` and
-:func:`jgreens.jacobi.corrected_truncation`.
+:func:`jgreens.jacobi.corrected_truncation`. At a 1-D array of energies
+a builder returns one operator with a lane axis (see
+:class:`jgreens.jacobi.JacobiOperator`), which the batch paths (contour
+node loop, phase sweeps, determinant scans) read in one go.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Generator, Union
 
@@ -25,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidU, JGreensError, NoConvergence, ZeroOffdiagonal
 from .jacobi import (IndexFormula, JacobiOperator, SheetSelector,
-                     _corrected_blocks)
+                     _corrected_blocks, _over, _times)
 # Not called here: det_pole_scan uses _corrected_blocks. The name stays
 # bound because perfbench/tracer.py wraps corrected_truncation at this
 # module, and the benchmark's tests require every traced name to exist.
@@ -328,6 +332,54 @@ def _relativistic_offdiag(n, minus_x, u):
     return minus_x * np.sqrt((n + 1) * (n + 2 * u + 2))
 
 
+# Each builder computes its energy-dependent params once, for a Python
+# complex energy or for an (L,) array of them. The array form rounds as
+# the scalar one does, lane by lane: its products and quotients are
+# jacobi._times and jacobi._over, its moduli np.hypot (np.abs of a
+# complex array may round apart from Python's abs), and where a lane
+# would raise or lack limits, the array call raises, so that a caller
+# builds the lanes one at a time and meets each lane's own outcome.
+
+
+def _energies(E) -> complex | np.ndarray:
+    """A builder's energy argument: an ndarray of one axis as a complex
+    array (the lanes), anything else as a Python complex."""
+    if not isinstance(E, np.ndarray) or E.ndim == 0:
+        return complex(E)
+    if E.ndim != 1:
+        raise ValueError(f"energies must be a number or a 1-D array, got "
+                         f"shape {E.shape}")
+    return E.astype(complex)
+
+
+def _degenerate(term, part, offset: float) -> bool:
+    """|term| <= 1e-14 (|part| + offset) at the energy or at any lane:
+    every off-diagonal entry vanishes. A lane whose modulus is not finite
+    counts too (Python's abs raises OverflowError where it overflows)."""
+    if not isinstance(term, np.ndarray):
+        return abs(term) <= _DEGENERATE_RTOL * (abs(part) + offset)
+    gap = np.hypot(term.real, term.imag)
+    return bool(np.any(~np.isfinite(gap) | (gap <= _DEGENERATE_RTOL * (
+        np.hypot(part.real, part.imag) + offset))))
+
+
+def _operator(diag: IndexFormula, offdiag: IndexFormula, energy,
+              d_limit) -> JacobiOperator:
+    """A builder's operator, with limit coefficients (-1, d_limit), none
+    where d_limit is None; at an array of energies, (L, 2) limits, and
+    ValueError where the lanes have none."""
+    if not isinstance(energy, np.ndarray):
+        limits = None if d_limit is None else (-1.0 + 0.0j, d_limit)
+    elif d_limit is None:
+        raise ValueError("a lane has no limit coefficients; build the "
+                         "lanes one at a time")
+    else:
+        limits = np.empty((energy.size, 2), dtype=complex)
+        limits[:, 0], limits[:, 1] = -1.0, d_limit
+    return JacobiOperator(diag=diag, offdiag=offdiag, energy=energy,
+                          limit_coeffs=limits)
+
+
 def wavenumber(model: CoulombModel | OscillatorModel, E: complex) -> complex:
     """Wave number k = sqrt(2 m E / hbar^2) on the principal branch.
 
@@ -344,8 +396,10 @@ def coulomb_jacobi(model: CoulombModel, E: complex) -> JacobiOperator:
     Parameters
     ----------
     model : CoulombModel
-    E : complex
-        Energy in the same units as the model parameters.
+    E : complex or 1-D array
+        Energy in the same units as the model parameters. An array gives
+        one operator with a lane axis, lane k bit-equal to the scalar
+        call at E[k].
 
     Returns
     -------
@@ -356,22 +410,24 @@ def coulomb_jacobi(model: CoulombModel, E: complex) -> JacobiOperator:
     ------
     ZeroOffdiagonal
         At the degenerate energy E = -hbar^2 b^2 / (2m), where every
-        off-diagonal entry vanishes and the representation breaks down.
+        off-diagonal entry vanishes and the representation breaks down
+        (at an array: where any lane is degenerate).
     """
-    k2 = 2.0 * model.m * complex(E) / model.hbar**2
+    energy = _energies(E)
+    k2 = _over(_times(2.0 * model.m, energy), model.hbar**2)
     b2 = model.b * model.b
     pref = model.hbar**2 / (4.0 * model.m * model.b)
-    dfac = (k2 - b2) * pref
-    ofac = (k2 + b2) * pref
-    if abs(k2 + b2) <= _DEGENERATE_RTOL * (abs(k2) + b2):
+    dfac = _times(k2 - b2, pref)
+    ofac = _times(k2 + b2, pref)
+    if _degenerate(k2 + b2, k2, b2):
         raise ZeroOffdiagonal(
             0, "k^2 + b^2 vanishes at this energy; every off-diagonal "
                "element is zero")
     two_l = 2 * model.l + model.D
-    return JacobiOperator(
-        diag=IndexFormula(_coulomb_diag, (dfac, two_l, model.Z * model.e2)),
-        offdiag=IndexFormula(_coulomb_offdiag, (ofac, two_l)),
-        energy=complex(E), limit_coeffs=(-1.0 + 0.0j, 2.0 * dfac / ofac))
+    return _operator(
+        IndexFormula(_coulomb_diag, (dfac, two_l, model.Z * model.e2)),
+        IndexFormula(_coulomb_offdiag, (ofac, two_l)), energy,
+        _over(_times(2.0, dfac), ofac))
 
 
 def oscillator_jacobi(model: OscillatorModel, E: complex) -> JacobiOperator:
@@ -385,8 +441,10 @@ def oscillator_jacobi(model: OscillatorModel, E: complex) -> JacobiOperator:
     Parameters
     ----------
     model : OscillatorModel
-    E : complex
-        Energy in the same units as hbar*omega.
+    E : complex or 1-D array
+        Energy in the same units as hbar*omega. An array gives one
+        operator with a lane axis, lane k bit-equal to the scalar call at
+        E[k]; with equal frequencies (no limits) it raises ValueError.
 
     Returns
     -------
@@ -398,12 +456,11 @@ def oscillator_jacobi(model: OscillatorModel, E: complex) -> JacobiOperator:
     dfac = model.hbar * (w * w + wb * wb) / (2.0 * wb)
     ofac = model.hbar * (w * w - wb * wb) / (2.0 * wb)
     shift = model.l + model.D / 2.0
-    energy = complex(E)
-    limits = None if ofac == 0 else (-1.0 + 0.0j, complex(2.0 * dfac / ofac))
-    return JacobiOperator(
-        diag=IndexFormula(_oscillator_diag, (energy, dfac, shift)),
-        offdiag=IndexFormula(_oscillator_offdiag, (ofac, shift)),
-        energy=energy, limit_coeffs=limits)
+    energy = _energies(E)
+    return _operator(
+        IndexFormula(_oscillator_diag, (energy, dfac, shift)),
+        IndexFormula(_oscillator_offdiag, (ofac, shift)), energy,
+        None if ofac == 0 else complex(2.0 * dfac / ofac))
 
 
 def gencoulomb_jacobi(model: GenCoulombModel, eps: complex) -> JacobiOperator:
@@ -412,8 +469,9 @@ def gencoulomb_jacobi(model: GenCoulombModel, eps: complex) -> JacobiOperator:
     Parameters
     ----------
     model : GenCoulombModel
-    eps : complex
-        Scaled energy 2 m E / hbar^2.
+    eps : complex or 1-D array
+        Scaled energy 2 m E / hbar^2. An array gives one operator with a
+        lane axis, lane k bit-equal to the scalar call at eps[k].
 
     Returns
     -------
@@ -423,24 +481,25 @@ def gencoulomb_jacobi(model: GenCoulombModel, eps: complex) -> JacobiOperator:
     Raises
     ------
     ZeroOffdiagonal
-        At the degenerate scaled energy eps = -C rho^2 / 4.
+        At the degenerate scaled energy eps = -C rho^2 / 4 (at an array:
+        where any lane is degenerate).
     """
     rho = model.rho_basis
     sc = math.sqrt(model.C) * rho
-    e_term = complex(eps) / sc
+    energy = _energies(eps)
+    e_term = _over(energy, sc)
     o_term = e_term + sc / 4.0
-    if abs(o_term) <= _DEGENERATE_RTOL * (abs(e_term) + sc / 4.0):
+    if _degenerate(o_term, e_term, sc / 4.0):
         raise ZeroOffdiagonal(
             0, "eps + C rho^2/4 vanishes at this energy; every "
                "off-diagonal element is zero")
     beta = model.beta
-    d_lim = 2.0 * (e_term - sc / 4.0) / o_term
-    return JacobiOperator(
-        diag=IndexFormula(_gencoulomb_diag,
-                          (e_term, beta, rho * model.theta,
-                           model.q / math.sqrt(model.C), sc / 4.0)),
-        offdiag=IndexFormula(_gencoulomb_offdiag, (o_term, beta)),
-        energy=complex(eps), limit_coeffs=(-1.0 + 0.0j, d_lim))
+    return _operator(
+        IndexFormula(_gencoulomb_diag,
+                     (e_term, beta, rho * model.theta,
+                      model.q / math.sqrt(model.C), sc / 4.0)),
+        IndexFormula(_gencoulomb_offdiag, (o_term, beta)), energy,
+        _over(_times(2.0, e_term - sc / 4.0), o_term))
 
 
 def relativistic_jacobi(model: RelCoulombModel, E: complex) -> JacobiOperator:
@@ -453,10 +512,12 @@ def relativistic_jacobi(model: RelCoulombModel, E: complex) -> JacobiOperator:
     Parameters
     ----------
     model : RelCoulombModel
-    E : complex
+    E : complex or 1-D array
         Total energy divided by hbar*c (an inverse length; includes the
         rest mass).  See :func:`rel_energy_from_binding` for the
-        atomic-units conversion.
+        atomic-units conversion. An array gives one operator with a lane
+        axis, lane k bit-equal to the scalar call at E[k]; where a lane
+        has no limits it raises ValueError.
 
     Returns
     -------
@@ -471,14 +532,14 @@ def relativistic_jacobi(model: RelCoulombModel, E: complex) -> JacobiOperator:
     """
     u = model.u
     eta = model.eta_basis
-    et = complex(E)
-    x = (et * et - model.mu**2 + eta * eta) / (2.0 * eta)
-    limits = None if x == 0 else (-1.0 + 0.0j, 2.0 * (x - eta) / x)
-    return JacobiOperator(
-        diag=IndexFormula(_relativistic_diag,
-                          (2.0 * model.alpha_fs * model.Z * et, u, x - eta)),
-        offdiag=IndexFormula(_relativistic_offdiag, (-x, u)),
-        energy=et, limit_coeffs=limits)
+    et = _energies(E)
+    x = _over(_times(et, et) - model.mu**2 + eta * eta, 2.0 * eta)
+    return _operator(
+        IndexFormula(_relativistic_diag,
+                     (_times(2.0 * model.alpha_fs * model.Z, et), u,
+                      x - eta)),
+        IndexFormula(_relativistic_offdiag, (-x, u)), et,
+        None if np.any(x == 0) else _over(_times(2.0, x - eta), x))
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +682,17 @@ def gencoulomb_h_of_r(model: GenCoulombModel, r: float) -> float:
     target = sqc * r
 
     def shifted(h: float) -> float:
+        # sqrt(C) r(h) - target as (h - target) + theta (atanh(s) +
+        # s/(1+s)), s = sqrt(h/(h+theta)): sqrt(h(h+theta)) = h +
+        # theta s/(1+s) and atanh(s) = log1p(2s(1+s)(h+theta)/theta)/2. No
+        # term cancels as s -> 0, nothing overflows below h ~ 4e307 theta,
+        # and the value is > 0 at h = target, so the bracket holds a sign
+        # change. Beyond that h the log1p argument is capped: theta atanh(s)
+        # is then far below an ulp of h.
         s = math.sqrt(h / (h + theta))
-        # atanh(s) = log((1+s)^2 (h+theta)/theta)/2, stable as s -> 1
-        return (0.5 * theta * math.log((1.0 + s) ** 2 * (h + theta) / theta)
-                + math.sqrt(h * (h + theta)) - target)
+        x = 2.0 * s * (1.0 + s) * (h + theta) / theta
+        return (h - target) + theta * (
+            0.5 * math.log1p(min(x, sys.float_info.max)) + s / (1.0 + s))
 
     from scipy.optimize import brentq  # loaded here: it adds 16 MB of RSS
     # r(h) >= h/sqrt(C), so the root always lies in (0, sqrt(C) r]
@@ -1068,7 +1136,11 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     Parameters
     ----------
     family : callable
-        Map from energy to the JacobiOperator at that energy.
+        Map from energy to the JacobiOperator at that energy. Each batch
+        first calls it once with an array of energies, and it must then
+        raise or return the stacked operator whose lane k equals its call
+        at the k-th energy, as the model builders do; otherwise it is
+        called energy by energy (see :func:`jgreens.jacobi._corner_rows`).
     e_min, e_max : float
         Scan interval, finite, e_min < e_max.
     size : int
@@ -1086,12 +1158,16 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     if not e_min < e_max:
         raise ValueError(f"need e_min < e_max, got {e_min!r} >= {e_max!r}")
 
-    def operator(energy: float) -> JacobiOperator:
-        for shift in (0.0, 1e-13 * max(1.0, abs(energy))):
-            try:
-                return family(energy + shift)
-            except ZeroOffdiagonal:
-                continue
+    def operator(energy) -> JacobiOperator:
+        try:
+            return family(energy)
+        except ZeroOffdiagonal:
+            if isinstance(energy, np.ndarray):  # each lane is nudged alone
+                raise
+        try:
+            return family(energy + 1e-13 * max(1.0, abs(energy)))
+        except ZeroOffdiagonal:
+            pass
         raise ZeroOffdiagonal(0, "degenerate energy persists after nudge")
 
     shift = 0.0  # c, the log of the scan's determinant divisor

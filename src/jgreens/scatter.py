@@ -403,7 +403,7 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     def real_parts(grid: list[float]) -> list[float]:
         # det_equation at every grid energy, AUTO being physical there
         blocks, errors = _corrected_blocks(
-            lambda e: coulomb_jacobi(p.model, complex(e)), grid, p.N + 1)
+            lambda e: coulomb_jacobi(p.model, e), grid, p.N + 1)
         for exc in filter(None, errors):
             raise exc
         dets = np.linalg.det(blocks - _cached_potential_matrix(p)).tolist()
@@ -581,7 +581,7 @@ def _solutions(p: ScatterProblem, energies: list[float]
     for e in energies:
         _continuum(e)
     diag, off, ratios, errors = _corner_rows(
-        lambda e: coulomb_jacobi(p.model, complex(e)), energies, p.N + 1)
+        lambda e: coulomb_jacobi(p.model, e), energies, p.N + 1)
     v = _cached_potential_matrix(p)
     for k in range(len(energies) - 1, -1, -1):
         if errors[k] is not None:

@@ -33,6 +33,7 @@ from jgreens.jacobi import (
     _bm_depths,
     _corner_ratios,
     _green_blocks,
+    _op_lanes,
     dense_truncation,
     green_submatrix,
     tail_ratio,
@@ -438,7 +439,7 @@ def test_green_blocks_match_green_submatrix(case):
         assert {_bm_depths(op.limit_coeffs)[0] for op in ops} \
             == expected_depths[case]
     blocks, errors = _green_blocks(_same, ops, N)
-    ratios, _ = _corner_ratios(ops, N)
+    ratios, _ = _corner_ratios(_op_lanes(ops), N)
     assert blocks.shape == (len(ops), N, N)
     for op, block, error, ratio in zip(ops, blocks, errors, ratios):
         # a lane's values do not depend on the batch it runs in
@@ -502,6 +503,94 @@ def test_node_sum_adds_in_node_order(geometry):
         acc += np.kron(a, b) * w
     got = convolve_greens(J1, J2, E, contour, N1, N2)
     assert _hex(got) == _hex(acc / (2.0j * math.pi))
+
+
+def _refusing_families(model):
+    """The family z -> coulomb_jacobi(model, z), stacked at an array of
+    energies, and three that refuse arrays: by complex(z), through a
+    memo dict, and with plain-callable maps."""
+    memo = {}
+
+    def memoised(z):
+        if z not in memo:
+            memo[z] = coulomb_jacobi(model, z)
+        return memo[z]
+
+    def plain(z):
+        op = coulomb_jacobi(model, z)
+        return JacobiOperator(lambda i: op.diag(i), lambda i: op.offdiag(i),
+                              op.energy, op.limit_coeffs)
+
+    return {"stacked": lambda z: coulomb_jacobi(model, z),
+            "complex": lambda z: coulomb_jacobi(model, complex(z)),
+            "memoised": memoised, "plain": plain}
+
+
+def _degenerate_ring(center, radius, at):
+    """A 16-node ring around ``center`` whose nodes 3 and 11 are moved onto
+    the real energy ``at`` (the weights still close)."""
+    ring = encircle_points([center], radius, 16)
+    return Contour(nodes=tuple((complex(at), w) if k in (3, 11) else (z, w)
+                               for k, (z, w) in enumerate(ring.nodes)))
+
+
+def test_families_that_refuse_arrays_match_the_stacked_family():
+    # b = 1.2 puts the degenerate energy -b^2/2 = -0.72 apart from the
+    # levels -1/(2 (n+1)^2)
+    bound = CoulombModel(Z=-1.0, l=0, D=3, b=1.2)
+    free = CoulombModel(Z=0.0, l=0, D=3, b=1.0)
+    families = _refusing_families(bound)
+    ground = encircle_points([-0.5], 0.1, 16)
+    ellipse = build_contour(-0.5, 0.0, margin=0.05, n_points=32, t_max=-0.02)
+    ring = _degenerate_ring(-0.75, 0.1, -0.72)
+    fam_f = lambda z: coulomb_jacobi(free, z)
+    outcomes = {}
+    for name, family in families.items():
+        projector = contour_matrix(family, ground, 3)
+        block = convolve_greens(fam_f, family, -1.1, ellipse, 2, 3)
+        failures = []
+        for run in (lambda: contour_matrix(family, ring, 3),
+                    lambda: convolve_greens(fam_f, family, -1.1, ring, 2, 2)):
+            with pytest.raises(NodeFailure) as info:
+                run()
+            cause = info.value.__cause__
+            failures.append((info.value.nodes, type(cause), str(cause),
+                             cause.index))
+        outcomes[name] = (_hex(projector), _hex(block), failures)
+    for name in families:
+        assert outcomes[name] == outcomes["stacked"], name
+    # the two moved nodes fail, from the degenerate representation
+    nodes, cause, _, index = outcomes["stacked"][2][0]
+    assert nodes == [-0.72 + 0j, -0.72 + 0j] and cause is ZeroOffdiagonal
+    assert index == 0
+
+
+def test_convolve_greens_calls_each_family_once_per_contour():
+    osc = OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3)
+    bound = CoulombModel(Z=-1.0, l=0, D=3, b=1.2)
+    calls = {"J1": [], "J2": []}
+
+    def counted(name, build, model):
+        def family(z):
+            calls[name].append(np.shape(z))
+            return build(model, z)
+        return family
+
+    rings = encircle_points([1.5, 3.5], 0.1, 16)
+    convolve_greens(counted("J1", oscillator_jacobi, osc),
+                    counted("J2", oscillator_jacobi, osc), 4.3, rings, 3, 3)
+    contour_matrix(counted("J2", oscillator_jacobi, osc), rings, 2)
+    assert calls == {"J1": [(32,)], "J2": [(32,), (32,)]}
+    # two nodes put J1 at its degenerate energy -0.72: its array call
+    # raises and each node is built alone; J2's one call covers the 14
+    # nodes left
+    for name in calls:
+        calls[name].clear()
+    with pytest.raises(NodeFailure):
+        convolve_greens(counted("J1", coulomb_jacobi, bound),
+                        counted("J2", oscillator_jacobi, osc), -1.0,
+                        _degenerate_ring(-0.3, 0.1, -0.28), 2, 2)
+    assert calls == {"J1": [(16,)] + [()] * 16, "J2": [(14,)]}
 
 
 def test_merkuriev_zeta_values_and_limits():

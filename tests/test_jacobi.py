@@ -447,7 +447,7 @@ def _solo(op, n):
 
 @pytest.mark.parametrize("n", [1, 41])
 def test_mixed_lane_batch_matches_solo_tail_ratios(n):
-    from jgreens.jacobi import _corner_ratios
+    from jgreens.jacobi import _corner_ratios, _op_lanes
     from jgreens.models import CoulombModel, coulomb_jacobi
 
     model = CoulombModel(Z=4, l=0, b=4.0, m=1863.69, e2=1.44)
@@ -465,7 +465,8 @@ def test_mixed_lane_batch_matches_solo_tail_ratios(n):
     lanes = formula + [lam, counted, zero_at]
     for batch in (formula, lanes):  # read as one formula, and index by index
         # a lane's value does not depend on its batch
-        ratios, errors = _corner_ratios(batch, n, SheetSelector.PHYSICAL)
+        ratios, errors = _corner_ratios(_op_lanes(batch), n,
+                                        SheetSelector.PHYSICAL)
         for J, ratio, error in zip(batch, ratios.tolist(), errors):
             value, solo_error = _solo(J, n)
             if solo_error is None:
@@ -495,7 +496,7 @@ def _finite_pole_operator():
 
 
 def test_mixed_outcome_batch_matches_each_lane_alone():
-    from jgreens.jacobi import _corner_ratios
+    from jgreens.jacobi import _corner_ratios, _op_lanes
     from jgreens.models import CoulombModel, coulomb_jacobi
 
     model = CoulombModel(Z=-1.0, l=0, D=3, b=1.0)
@@ -515,12 +516,13 @@ def test_mixed_outcome_batch_matches_each_lane_alone():
         JacobiOperator(bound.diag, bound.offdiag, bound.energy),  # no limits
     ]
     kwargs = {"sheet": SheetSelector.AUTO, "max_terms": 40}
-    ratios, errors = _corner_ratios(lanes, 1, **kwargs)
+    ratios, errors = _corner_ratios(_op_lanes(lanes), 1, **kwargs)
     assert [type(e) for e in errors] == [
         type(None), type(None), NotConverged, ZeroOffdiagonal, SingularRatio,
         ValueError, ValueError]
     for op, ratio, error in zip(lanes, ratios, errors):
-        (alone,), (alone_error,) = _corner_ratios([op], 1, **kwargs)
+        (alone,), (alone_error,) = _corner_ratios(_op_lanes([op]), 1,
+                                                  **kwargs)
         assert _hexes(ratio) == _hexes(alone)
         assert type(error) is type(alone_error)
         assert str(error) == str(alone_error)
@@ -643,7 +645,7 @@ def test_finite_operator_with_exactly_n_rows(N):
 
 
 def test_diagonal_error_comes_before_the_offdiagonal_error():
-    from jgreens.jacobi import _corrected_blocks, _read_rows
+    from jgreens.jacobi import _corrected_blocks, _map_readers, _read_rows
 
     def diag(i):
         if i == 3:
@@ -665,7 +667,7 @@ def test_diagonal_error_comes_before_the_offdiagonal_error():
     with pytest.raises(ArithmeticError, match="off-diagonal fails at 1"):
         dense_truncation(off_only, 5)
     lanes = [constant_operator(), both, off_only, constant_operator()]
-    diag_rows, off_rows, errors = _read_rows(lanes, 5, 5)
+    diag_rows, off_rows, errors = _read_rows(_map_readers(lanes), 4, 5, 5)
     assert diag_rows.shape == off_rows.shape == (5, 4)
     assert [type(e) for e in errors] == [type(None), ValueError,
                                          ArithmeticError, type(None)]

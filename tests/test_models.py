@@ -20,7 +20,8 @@ from jgreens import models
 from jgreens.errors import (InvalidU, JGreensError, NoConvergence,
                             NotConverged, NumericBreakdown, ZeroOffdiagonal)
 from jgreens.jacobi import (IndexFormula, JacobiOperator, SheetSelector,
-                            _corrected_blocks, _read_maps, cf_coefficients,
+                            _corrected_blocks, _read_maps, _stacked_lanes,
+                            cf_coefficients,
                             corrected_truncation, dense_truncation,
                             green_submatrix, tail_ratio)
 from jgreens.models import (CoulombModel, DiracLower, DiracUpper,
@@ -315,6 +316,35 @@ def test_index_formulas_match_scalar_expressions_bitwise(build, scalar,
                     value = maps[lane](i)
                     assert type(value) is type(oracle[which](i))
                     assert _hex(value) == expected[i]
+    # the array form: one operator with a lane axis whose lane k is the
+    # scalar build at E_k, bit for bit, at these energies, one with a
+    # negative zero imaginary part and 200 random ones around them
+    rng = np.random.default_rng(18)
+    real = np.real(energies)
+    lanes = np.concatenate((
+        np.array(energies, dtype=complex), [complex(real[0], -0.0)],
+        real.mean() + (1.0 + np.ptp(real)) * (rng.standard_normal(200)
+                                              + 1j * rng.standard_normal(200))))
+    rows = 64
+    for model in models:
+        stacked = build(model, lanes)
+        batch = _stacked_lanes(stacked, lanes.size)
+        assert batch is not None and stacked.limit_coeffs.shape == (
+            lanes.size, 2)
+        chunks = [read(np.arange(lanes.size), 0, rows)[0]
+                  for read in batch[:2]]
+        at_41 = [np.broadcast_to(fn(41), lanes.shape)  # a lane axis or one
+                 for fn in (stacked.diag, stacked.offdiag)]  # shared value
+        for k, E in enumerate(lanes.tolist()):
+            op = build(model, E)
+            assert _hex(stacked.energy[k]) == _hex(op.energy)
+            assert [_hex(v) for v in stacked.limit_coeffs[k]] \
+                == [_hex(v) for v in op.limit_coeffs]
+            for which, fn in enumerate((op.diag, op.offdiag)):
+                alone = _read_maps([fn])([0], 0, rows)[0][:, 0]
+                assert [_hex(v) for v in chunks[which][:, k].tolist()] \
+                    == [_hex(v) for v in alone.tolist()]
+                assert _hex(at_41[which][k]) == _hex(fn(41))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +368,39 @@ def test_gencoulomb_degenerate_energy_rejected():
     model = GenCoulombModel(C=0.9, theta=0.8, q=1.7, beta=2.4, rho_basis=1.3)
     with pytest.raises(ZeroOffdiagonal):
         gencoulomb_jacobi(model, -0.25 * 0.9 * 1.3**2)
+
+
+def test_array_builds_raise_where_a_lane_would():
+    # so that a batch builds its lanes one at a time, each to its outcome
+    coulomb = CoulombModel(Z=-1.0)
+    gen = GenCoulombModel(C=0.9, theta=0.8, q=1.7, beta=2.4, rho_basis=1.3)
+    equal = OscillatorModel(omega=1.0, omega_basis=1.0, l=0, D=3)
+    # x = (E^2 - mu^2 + eta^2) / (2 eta) vanishes at E = 4: no limits
+    rel = RelCoulombModel(mu=5.0, alpha_fs=1 / 137.036, Z=1.0,
+                          kind=KleinGordon(l=0), eta_basis=3.0)
+    assert relativistic_jacobi(rel, 4.0).limit_coeffs is None
+    cases = [(coulomb_jacobi, coulomb, [-0.3, -0.5, 0.2j], ZeroOffdiagonal),
+             (gencoulomb_jacobi, gen, [0.3, -0.25 * 0.9 * 1.3**2],
+              ZeroOffdiagonal),
+             (oscillator_jacobi, equal, [1.0, 2.0 + 0.1j], ValueError),
+             (relativistic_jacobi, rel, [3.9, 4.0, 4.1], ValueError)]
+    for build, model, energies, error in cases:
+        with pytest.raises(error):
+            build(model, np.array(energies))
+        blocks, errors = _corrected_blocks(lambda E: build(model, E),
+                                           energies, 3, SheetSelector.AUTO)
+        for E, block, exc in zip(energies, blocks, errors):
+            try:
+                alone = corrected_truncation(build(model, E), 3)
+            except Exception as alone_exc:
+                assert type(exc) is type(alone_exc)
+                assert str(exc) == str(alone_exc)
+                continue
+            assert exc is None
+            assert [_hex(v) for v in block.ravel().tolist()] \
+                == [_hex(v) for v in alone.ravel().tolist()]
+    with pytest.raises(ValueError, match="1-D"):
+        coulomb_jacobi(coulomb, np.ones((2, 2)))
 
 
 def test_oscillator_equal_frequencies_is_diagonal_fast_path():
@@ -913,6 +976,28 @@ def test_secant_clips_steps_to_cap():
 # coordinate map, potential and charge density
 
 
+def _r_of_h(model, h):
+    """r(h) of the interpolating family in 40-digit arithmetic, where
+    theta atanh(s) = theta log((1+s)^2 (h+theta)/theta)/2 loses at most
+    15 digits (as s -> 0) and nothing overflows."""
+    h, theta = mpmath.mpf(h), mpmath.mpf(model.theta)
+    s = mpmath.sqrt(h / (h + theta))
+    return (theta / 2 * mpmath.log((1 + s) ** 2 * (h + theta) / theta)
+            + mpmath.sqrt(h * (h + theta))) / mpmath.sqrt(model.C)
+
+
+def _h_of_r_oracle(model, r, h):
+    """The root h of r(h) = r in 40 digits, by Newton's method from h
+    (dr/dh = 1/(s sqrt(C)) > 0, and r(h) is concave, so it converges)."""
+    h = mpmath.mpf(h)
+    for _ in range(60):
+        s = mpmath.sqrt(h / (h + model.theta))
+        step = (_r_of_h(model, h) - r) * s * mpmath.sqrt(model.C)
+        h -= step
+    assert abs(step) <= mpmath.mpf(10) ** -30 * h
+    return h
+
+
 def test_h_of_r_round_trip():
     rng = np.random.default_rng(7)
     for theta in (1e-6, 0.3, 7.0, 1e5):
@@ -920,12 +1005,17 @@ def test_h_of_r_round_trip():
             model = GenCoulombModel(C=c_str, theta=theta, q=1.0, beta=2.0,
                                     rho_basis=1.0)
             for h_ref in 10.0 ** rng.uniform(-8, 8, size=6):
-                t = h_ref + theta
-                s = math.sqrt(h_ref / t)
-                r = (0.5 * theta * math.log((1.0 + s) ** 2 * t / theta)
-                     + math.sqrt(h_ref * t)) / math.sqrt(c_str)
-                got = gencoulomb_h_of_r(model, r)
+                got = gencoulomb_h_of_r(model, float(_r_of_h(model, h_ref)))
                 assert abs(got - h_ref) <= 1e-12 * h_ref
+    # a log of 1 + 2s lost nine digits at r = 1e-8, and h (h + theta)
+    # overflowed from h ~ 1.3e154, which capped h near 1.34e154
+    for c_str, theta, r in ((1.0, 9.8, 1e-8), (0.9, 0.8, 1e155),
+                            (0.9, 0.8, 1e160)):
+        model = GenCoulombModel(C=c_str, theta=theta, q=1.0, beta=2.0,
+                                rho_basis=1.0)
+        got = gencoulomb_h_of_r(model, r)
+        want = _h_of_r_oracle(model, r, got)
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_h_of_r_limits():
@@ -1159,7 +1249,7 @@ def test_cs_completeness_on_gaussian():
 
 def test_depth_plan_reads_the_limit(monkeypatch):
     from jgreens import jacobi
-    from jgreens.jacobi import _bm_depths, _corner_ratios
+    from jgreens.jacobi import _bm_depths, _corner_ratios, _op_lanes
 
     def start(op):
         return int(_bm_depths(op.limit_coeffs)[0])
@@ -1205,5 +1295,5 @@ def test_depth_plan_reads_the_limit(monkeypatch):
     monkeypatch.setattr(jacobi, "_sum_fractions", record)
     mixed = ops + [coulomb_jacobi(coulomb, E) for E in (-0.3, 0.4 + 0.1j)] \
         + [oscillator_jacobi(oscillators[0], 2.1)]
-    _corner_ratios(mixed, 3)
+    _corner_ratios(_op_lanes(mixed), 3)
     assert seen[0] == (0, 4) and seen[1] == (4, 2) and seen[2] == (8, 1)

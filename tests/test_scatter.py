@@ -206,12 +206,13 @@ def _assert_converging(values, slack_scale):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The energies at which scatter builds a Coulomb operator, in order."""
+    """The energies at which scatter builds a Coulomb operator, in order;
+    a call at an array of energies builds each of its lanes."""
     built = []
     build = scatter_module.coulomb_jacobi
 
     def counting(model, E):
-        built.append(E)
+        built.extend(E.tolist() if isinstance(E, np.ndarray) else [E])
         return build(model, E)
 
     monkeypatch.setattr(scatter_module, "coulomb_jacobi", counting)
