@@ -57,8 +57,11 @@ _DEGENERATE_REL = 1e-9
 _POLE_THRESHOLD = 1e-250
 # Coefficients in a sum's first chunk: 15, or 63 with Bauer-Muir rounds on,
 # whose fractions are the long near-axis ones (a lane pays the kernel's
-# fixed numpy cost per chunk); then 4n + 3 up to _CHUNK_MAX, so that n + 1
-# states, a power of two, are scanned. A chunk runs its lanes in groups of
+# fixed numpy cost per chunk). After a chunk of n < 63 the next holds
+# 4n + 3, after n >= 63 it holds 2n + 1 (63, 127, 255, 511, 1023 at
+# _CHUNK_MAX), so that n + 1 states, a power of two, are scanned, and a lane
+# past its first chunk scans about twice the coefficients it needs at most
+# (about five times with 4n + 3). A chunk runs its lanes in groups of
 # at most _CHUNK_CELLS // (n (1 + rounds // 4)) lanes: each Bauer-Muir
 # round keeps three (position, lane) stacks, so from depth 4 on the rounds,
 # not the scan, would set a batch's peak memory.
@@ -557,8 +560,9 @@ def _sum_fractions(read: Callable, b0: np.ndarray, rounds: int,
                    w: np.ndarray, tail: TailOrigin, tol: float,
                    max_terms: int) -> tuple:
     """Sum the lanes' fractions after ``rounds`` Bauer-Muir transforms with
-    w[k] (``b0``: the transformed leading terms), in chunks from 15
-    coefficients on, or 63 when ``rounds`` > 0 (:func:`_fraction_chunk`).
+    w[k] (``b0``: the transformed leading terms), in chunks of 15, 63, 127,
+    255, 511 and then 1023 coefficients, or from 63 on when ``rounds`` > 0
+    (:func:`_chunks`, :func:`_fraction_chunk`).
     The tails are each coefficient's attractive or repulsive fixed point,
     or the constant w[k] (ZERO, USER_SUPPLIED; no rounds). A lane's value
     does not depend on its batch, bit for bit; ``max_terms`` < 1 acts as
@@ -605,12 +609,15 @@ def _sum_fractions(read: Callable, b0: np.ndarray, rounds: int,
 
 
 def _chunks(size: int, last: float = math.inf) -> Iterator[tuple[int, int]]:
-    """(first coefficient, size) of each chunk up to coefficient last."""
+    """(first coefficient, size) of each chunk up to coefficient last: from
+    ``size`` on, 4n + 3 after a chunk of n < 63 and 2n + 1 after one of
+    n >= 63, up to _CHUNK_MAX."""
     j0 = 1
     while j0 <= last:
         size = min(size, last + 1 - j0)
         yield j0, size
-        j0, size = j0 + size, min(4 * size + 3, _CHUNK_MAX)
+        j0, size = j0 + size, min(
+            2 * size + 1 if size >= _CHUNK_DEEP else 4 * size + 3, _CHUNK_MAX)
 
 
 def _fraction_chunk(read: Callable, lanes: np.ndarray, st: dict, j0: int,

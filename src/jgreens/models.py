@@ -654,15 +654,20 @@ def gencoulomb_h_of_r(model: GenCoulombModel, r: float) -> float:
     """Invert the coordinate map r(h) of the interpolating family.
 
     The map r(h) = C^{-1/2}[theta atanh(sqrt(h/(h+theta))) +
-    sqrt(h(h+theta))] is strictly increasing with r(0) = 0; the inverse
-    is found by Brent's method on the bracket (0, sqrt(C) r], since
-    r(h) >= h / sqrt(C).  theta = 0 collapses to h = sqrt(C) r.
+    sqrt(h(h+theta))] is strictly increasing with r(0) = 0, and
+    sqrt(C) r(h) lies between max(h, 2 sqrt(h theta)) and
+    2 sqrt(h (h+theta)). The inverse is found by Brent's method to 4 eps
+    relative on the bracket [hi/8, hi], hi = min(sqrt(C) r,
+    C r^2 / (2 theta)), which those bounds place around the root. Where
+    hi/8 is below the normal range, h is the leading term C r^2 / (4 theta)
+    of the small-h expansion h = C r^2 / (4 theta) (1 - h / (3 theta)).
+    theta = 0 collapses to h = sqrt(C) r.
 
     Parameters
     ----------
     model : GenCoulombModel
     r : float
-        Radius, finite and >= 0.
+        Radius, finite and >= 0, with sqrt(C) r finite.
 
     Returns
     -------
@@ -670,35 +675,43 @@ def gencoulomb_h_of_r(model: GenCoulombModel, r: float) -> float:
 
     Raises
     ------
+    ValueError
+        If r is negative or not finite, or sqrt(C) r overflows.
     NoConvergence
         If 200 steps of Brent's method fail to locate h (not expected).
     """
     if not 0 <= r < math.inf:
         raise ValueError(f"radius must be finite and >= 0, got {r}")
     sqc = math.sqrt(model.C)
+    target = sqc * float(r)
+    if target == math.inf:
+        raise ValueError(f"radius {r!r} times sqrt(C) overflows")
     if model.theta == 0 or r == 0:
-        return sqc * r
-    theta = model.theta
-    target = sqc * r
+        return target
+    theta = float(model.theta)
+    hi = min(target, target * (target / (2.0 * theta)))
+    lo = hi / 8.0
+    if lo < sys.float_info.min:
+        return target * (target / (4.0 * theta))
 
     def shifted(h: float) -> float:
         # sqrt(C) r(h) - target as (h - target) + theta (atanh(s) +
         # s/(1+s)), s = sqrt(h/(h+theta)): sqrt(h(h+theta)) = h +
         # theta s/(1+s) and atanh(s) = log1p(2s(1+s)(h+theta)/theta)/2. No
         # term cancels as s -> 0, nothing overflows below h ~ 4e307 theta,
-        # and the value is > 0 at h = target, so the bracket holds a sign
-        # change. Beyond that h the log1p argument is capped: theta atanh(s)
-        # is then far below an ulp of h.
-        s = math.sqrt(h / (h + theta))
+        # and s, from two square roots, stays normal where h/(h+theta)
+        # would not. Beyond that h the log1p argument is capped: theta
+        # atanh(s) is then far below an ulp of h.
+        s = math.sqrt(h) / math.sqrt(h + theta)
         x = 2.0 * s * (1.0 + s) * (h + theta) / theta
         return (h - target) + theta * (
             0.5 * math.log1p(min(x, sys.float_info.max)) + s / (1.0 + s))
 
     from scipy.optimize import brentq  # loaded here: it adds 16 MB of RSS
-    # r(h) >= h/sqrt(C), so the root always lies in (0, sqrt(C) r]
+    eps = np.finfo(float).eps
     try:
-        return brentq(shifted, 0.0, target, xtol=1e-300,
-                      rtol=4.0 * np.finfo(float).eps, maxiter=200)
+        return brentq(shifted, lo, hi, xtol=eps * lo, rtol=4.0 * eps,
+                      maxiter=200)
     except RuntimeError as exc:
         raise NoConvergence(
             f"coordinate inversion stalled at r={r!r}") from exc

@@ -1,5 +1,6 @@
 """Tests for continued fraction evaluation and transforms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from jgreens.contfrac import (
     TailOrigin,
     TailValue,
     ZERO_TAIL,
+    _chunks,
     _prefix_products,
     bauer_muir,
     eval_backward,
@@ -389,6 +391,21 @@ def test_prefix_products_match_sequential_products():
                 # equal up to a positive scale
                 got = got / np.max(np.abs(got))
                 assert np.max(np.abs(got - prod)) <= 1e-9
+
+
+def test_chunks_quadruple_to_63_then_double_to_the_cap():
+    def first(size, count, last=math.inf):
+        return list(itertools.islice(_chunks(size, last), count))
+
+    assert first(15, 8) == [(1, 15), (16, 63), (79, 127), (206, 255),
+                            (461, 511), (972, 1023), (1995, 1023),
+                            (3018, 1023)]
+    assert first(63, 6) == [(1, 63), (64, 127), (191, 255), (446, 511),
+                            (957, 1023), (1980, 1023)]
+    # clipped at coefficient last, which ends the schedule
+    assert first(63, 9, last=200) == [(1, 63), (64, 127), (191, 10)]
+    assert first(15, 9, last=10) == [(1, 10)]
+    assert first(63, 9, last=190) == [(1, 63), (64, 127)]
 
 
 def failing_unit_fraction(at, how, reads):

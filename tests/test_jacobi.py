@@ -483,6 +483,42 @@ def test_mixed_lane_batch_matches_solo_tail_ratios(n):
     assert errors[-1].index == n + 2
 
 
+def test_real_axis_lanes_match_solo_in_every_chunk(monkeypatch):
+    # depth-4 lanes on the cut that stop in the chunks of 63, 127, 255 and
+    # 511 coefficients, in a batch that runs the 255- and 511-chunk lanes
+    # in two groups each (of 8 and 4 lanes at most)
+    from jgreens import jacobi
+    from jgreens.jacobi import _corner_ratios, _op_lanes
+    from jgreens.models import CoulombModel, coulomb_jacobi
+
+    model = CoulombModel(Z=1.0, l=0, b=1.0)
+    ops = [coulomb_jacobi(model, E)
+           for E in (0.001, 0.01, 1.0, 3.16, 31.6, 100.0, 316.0, 562.0)]
+    batch = ops + ops[::-1][:4] + ops[6:]
+    terms = []
+    summed = jacobi._sum_fractions
+
+    def recorded(*args):
+        out = summed(*args)
+        terms.append((args[2], out[1].tolist()))
+        return out
+
+    monkeypatch.setattr(jacobi, "_sum_fractions", recorded)
+    ratios, errors = _corner_ratios(_op_lanes(batch), 1,
+                                    SheetSelector.PHYSICAL)
+    [(rounds, used)] = terms
+    assert rounds == 4
+    # a stop after m terms reads coefficient m + 1: chunk ends 63, 190,
+    # 445 and 956
+    chunk = np.searchsorted([63, 190, 445, 956], np.add(used, 1))
+    assert chunk[:8].tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+    for op, ratio, error in zip(batch, ratios.tolist(), errors):
+        assert error is None
+        alone = tail_ratio(op, 1, SheetSelector.PHYSICAL)
+        assert (ratio.real.hex(), ratio.imag.hex()) \
+            == (alone.real.hex(), alone.imag.hex())
+
+
 def _finite_pole_operator():
     """Three rows of ones: K_{i>=1}(u_i/d_i) = -1/(-1 - 1/(-1)) ends on a
     pole approximant. Its limits (-1, 1) put depth 8 first, which ends with

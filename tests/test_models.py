@@ -9,6 +9,7 @@ reference.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -977,13 +978,16 @@ def test_secant_clips_steps_to_cap():
 
 
 def _r_of_h(model, h):
-    """r(h) of the interpolating family in 40-digit arithmetic, where
-    theta atanh(s) = theta log((1+s)^2 (h+theta)/theta)/2 loses at most
-    15 digits (as s -> 0) and nothing overflows."""
+    """r(h) of the interpolating family to 40 digits. theta atanh(s) =
+    theta log((1+s)^2 (h+theta)/theta)/2 loses about log10(theta/h)/2
+    digits as s -> 0, so it runs with log10(theta/h) more; nothing
+    overflows."""
     h, theta = mpmath.mpf(h), mpmath.mpf(model.theta)
-    s = mpmath.sqrt(h / (h + theta))
-    return (theta / 2 * mpmath.log((1 + s) ** 2 * (h + theta) / theta)
-            + mpmath.sqrt(h * (h + theta))) / mpmath.sqrt(model.C)
+    with mpmath.workdps(mpmath.mp.dps + max(0, int(mpmath.log10(theta / h)))):
+        s = mpmath.sqrt(h / (h + theta))
+        r = (theta / 2 * mpmath.log((1 + s) ** 2 * (h + theta) / theta)
+             + mpmath.sqrt(h * (h + theta))) / mpmath.sqrt(model.C)
+    return +r
 
 
 def _h_of_r_oracle(model, r, h):
@@ -1018,6 +1022,28 @@ def test_h_of_r_round_trip():
         assert abs(got - want) <= 1e-12 * want
 
 
+def test_h_of_r_to_4_eps_at_the_edges():
+    # brentq's absolute xtol=1e-300 gave 5e-301 at r = 1e-150 (C = 1.7,
+    # theta = 2), and h/(h+theta) went subnormal below h ~ 2e-308 theta
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(19)
+    cases = [(1.7, 2.0, 1e-150), (0.4, 1e5, 3e-150), (1.0, 1e-3, 1e306)]
+    cases += [(c, theta, r) for c, theta, r in zip(
+        rng.uniform(0.1, 5.0, 40), 10.0 ** rng.uniform(-6, 6, 40),
+        10.0 ** rng.uniform(-160, 300, 40))]
+    for c_str, theta, r in cases:
+        model = GenCoulombModel(C=c_str, theta=theta, q=1.0, beta=2.0,
+                                rho_basis=1.0)
+        got = gencoulomb_h_of_r(model, r)
+        want = _h_of_r_oracle(model, r, got)
+        assert abs(got - want) <= 4 * eps * want, (c_str, theta, r)
+    # below the normal range h is C r^2 / (4 theta), rounded
+    model = GenCoulombModel(C=1.7, theta=2.0, q=1.0, beta=2.0, rho_basis=1.0)
+    got = gencoulomb_h_of_r(model, 1e-155)
+    assert 0 < got < sys.float_info.min
+    assert abs(got - _h_of_r_oracle(model, 1e-155, got)) <= math.ulp(0.0)
+
+
 def test_h_of_r_limits():
     model = GenCoulombModel(C=1.7, theta=0.0, q=1.0, beta=2.0, rho_basis=1.0)
     assert gencoulomb_h_of_r(model, 3.2) \
@@ -1042,6 +1068,11 @@ def test_h_of_r_edge_radii(monkeypatch):
         raise RuntimeError("Failed to converge after 200 iterations")
 
     monkeypatch.setattr(scipy.optimize, "brentq", stalls)
+    # sqrt(C) r overflows: refused before brentq (scipy raised its own
+    # "function value at x=inf is NaN")
+    wide = GenCoulombModel(C=2.7, theta=2.0, q=1.0, beta=2.0, rho_basis=1.0)
+    with pytest.raises(ValueError, match="radius"):
+        gencoulomb_h_of_r(wide, 1.7e308)
     with pytest.raises(NoConvergence, match="r=1.0"):
         gencoulomb_h_of_r(model, 1.0)
 

@@ -872,6 +872,32 @@ def test_sweep_points_equal_one_energy_calls():
         assert pt.delta.hex() == (raw + math.pi * turns).hex()
 
 
+@pytest.mark.parametrize("l", [0, 2])
+def test_sweep_scans_at_most_twice_the_terms_it_sums(monkeypatch, l):
+    # the chunk schedule's waste: (position, lane) cells the kernel scans
+    # against the terms its sums use; chunks growing 4n + 3 past 63
+    # coefficients scanned 2.54 (l=0) and 2.35 (l=2) times the terms
+    from jgreens import contfrac, jacobi
+
+    work = {"cells": 0, "terms": 0}
+    chunk, summed = contfrac._fraction_chunk, jacobi._sum_fractions
+
+    def scanned(read, lanes, st, j0, size, *args):
+        work["cells"] += size * len(lanes)
+        return chunk(read, lanes, st, j0, size, *args)
+
+    def counted(*args):
+        out = summed(*args)
+        work["terms"] += int(out[1].sum())
+        return out
+
+    monkeypatch.setattr(contfrac, "_fraction_chunk", scanned)
+    monkeypatch.setattr(jacobi, "_sum_fractions", counted)
+    phase_shift(charged_problem(40, l, alpha=5.2), sweep_grid(l))
+    assert work["terms"] > 0
+    assert work["cells"] <= 2.0 * work["terms"]
+
+
 def test_sweep_raises_the_highest_failing_energy(monkeypatch):
     # the sweep is tracked from the top, and the first error met on the
     # way down is raised: that of the higher of two failing energies
