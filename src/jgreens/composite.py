@@ -396,7 +396,7 @@ def merkuriev_zeta(split: MerkurievSplit, x, y):
     split : MerkurievSplit
         Scale and sharpness parameters.
     x, y : float or array_like
-        Nonnegative pair and spectator coordinates.
+        Pair and spectator coordinates, finite and >= 0.
 
     Returns
     -------
@@ -405,8 +405,9 @@ def merkuriev_zeta(split: MerkurievSplit, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(y < 0):
-        raise ValueError("coordinates must be >= 0")
+    if not all(np.all((v >= 0) & (v < np.inf)) for v in (x, y)):
+        raise ValueError(
+            f"coordinates must be finite and >= 0, got x={x}, y={y}")
     # cap the exponent: exp(700) already maps to zeta = 0 at double precision
     expo = np.minimum((x / split.x0) ** split.nu / (1.0 + y / split.y0), 700.0)
     out = 2.0 / (1.0 + np.exp(expo))

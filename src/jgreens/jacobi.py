@@ -123,8 +123,9 @@ class JacobiOperator:
     IndexFormula maps in their lane-axis form, and ``limit_coeffs`` is an
     (L, 2) array, row k the limits of lane k. Lane k equals the operator
     built at the k-th energy alone, bit for bit. Only the batch paths of
-    this package (:func:`_corner_rows` and the contour node loop) read
-    such an operator; the functions that take one operator take one lane.
+    this package (:func:`_corrected_blocks` and the contour node loop)
+    read such an operator; the functions that take one operator take one
+    lane.
 
     Parameters
     ----------
@@ -149,10 +150,10 @@ class JacobiOperator:
 
 class _Lanes(NamedTuple):
     """A batch of operators as arrays, whichever front end of
-    :func:`_corner_rows` made it: the (diagonal, off-diagonal) readers
-    (:func:`_read_maps`) whose lanes are the batch positions, the energies
-    (L,), the limit coefficients (L, 2), zero where a lane has none, and
-    the mask (L,) of the lanes that have none."""
+    :func:`_corrected_blocks` made it: the (diagonal, off-diagonal)
+    readers (:func:`_read_maps`) whose lanes are the batch positions, the
+    energies (L,), the limit coefficients (L, 2), zero where a lane has
+    none, and the mask (L,) of the lanes that have none."""
 
     read_diag: Callable
     read_off: Callable
@@ -595,19 +596,17 @@ def green_submatrix(J: JacobiOperator, N: int,
                        sheet=resolved, n=N)
 
 
-def _corner_rows(family: Callable, energies: Sequence, N: int,
-                 sheet: SheetSelector = SheetSelector.PHYSICAL,
-                 bm_rounds: int | None = None, errors: list | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """The rows and corner ratios of ``corrected_truncation(family(E), N,
-    sheet, bm_rounds)`` at many energies, as one batch of lanes (the
-    ratios by :func:`_corner_ratios`): diag and off (N, L), as
-    :func:`_read_rows` gives them, the ratios (L,), zero where
-    J_{N-1,N} = 0, and ``errors``; a failed lane's rows and ratio are
-    zero. Lanes whose ``errors`` entry is set are skipped; any other
-    records there the first error that ``family(E)`` or
-    ``corrected_truncation`` raises. :func:`_corner_block` of a lane's
-    rows and ratio is ``corrected_truncation``'s block, bit for bit.
+def _corrected_blocks(family: Callable, energies: Sequence, N: int,
+                      sheet: SheetSelector = SheetSelector.PHYSICAL,
+                      bm_rounds: int | None = None,
+                      errors: list | None = None) -> tuple[np.ndarray, list]:
+    """``corrected_truncation(family(E), N, sheet, bm_rounds)`` at many
+    energies, as one batch of lanes (the corner ratios by
+    :func:`_corner_ratios`): the (L, N, N) blocks, zero where a lane
+    failed, and ``errors``. Lanes whose ``errors`` entry is set are
+    skipped; any other records there the first error that ``family(E)``
+    or ``corrected_truncation`` raises. A lane's block equals
+    ``corrected_truncation``'s bit for bit.
 
     Where two or more lanes are left, the family is first called once,
     at the array of their energies. Its contract: called with an energy
@@ -642,38 +641,19 @@ def _corner_rows(family: Callable, energies: Sequence, N: int,
     diag, off, failed = _read_rows(batch[:2], len(lanes), N, N)
     coupled = np.flatnonzero(
         np.array([exc is None for exc in failed], dtype=bool) & (off[-1] != 0))
-    ratios = np.zeros(len(lanes), dtype=complex)
-    ratios[coupled], more = _corner_ratios(batch, N, sheet, bm_rounds,
-                                           at=coupled)
+    ratios, more = _corner_ratios(batch, N, sheet, bm_rounds, at=coupled)
+    diag[-1, coupled] += _times(off[-1, coupled], ratios)  # the corner
     for p, exc in zip(coupled, more):
         failed[p] = exc
     for p, exc in enumerate(failed):
         if exc is not None:
             errors[lanes[p]] = exc
-            diag[:, p] = off[:, p] = ratios[p] = 0.0
+            diag[:, p] = off[:, p] = 0.0
     if len(lanes) < len(given):  # zero rows where family(E) raised
-        rows = np.zeros((2 * N + 1, len(given)), dtype=complex)
-        rows[:, lanes] = np.vstack((diag, off, ratios))
-        diag, off, ratios = rows[:N], rows[N:-1], rows[-1]
-    return diag, off, ratios, errors
-
-
-def _corrected_blocks(family: Callable, energies: Sequence, N: int,
-                      sheet: SheetSelector = SheetSelector.PHYSICAL,
-                      bm_rounds: int | None = None,
-                      errors: list | None = None) -> tuple[np.ndarray, list]:
-    """``corrected_truncation(family(E), N, sheet, bm_rounds)`` at many
-    energies, as one batch of lanes (:func:`_corner_rows`): the (L, N, N)
-    blocks, zero where a lane failed, and ``errors``, as
-    :func:`_corner_rows` records them. A lane's block equals
-    ``corrected_truncation``'s bit for bit.
-    """
-    diag, off, ratios, errors = _corner_rows(family, energies, N, sheet,
-                                             bm_rounds, errors)
-    blocks = _tridiagonal(diag, off)
-    coupled = np.flatnonzero(off[-1] != 0)
-    blocks[coupled, -1, -1] += _times(off[-1, coupled], ratios[coupled])
-    return blocks, errors
+        rows = np.zeros((2 * N, len(given)), dtype=complex)
+        rows[:, lanes] = np.vstack((diag, off))
+        diag, off = rows[:N], rows[N:]
+    return _tridiagonal(diag, off), errors
 
 
 def _green_blocks(family: Callable, energies: Sequence, N: int,

@@ -729,14 +729,14 @@ def gencoulomb_potential(model: GenCoulombModel, r: float) -> float:
     ----------
     model : GenCoulombModel
     r : float
-        Radius, > 0.
+        Radius, finite and > 0.
 
     Returns
     -------
     float
     """
-    if r <= 0:
-        raise ValueError(f"radius must be > 0, got {r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {r}")
     h = gencoulomb_h_of_r(model, r)
     ht = h + model.theta
     lam = (model.l + (model.D - 3) / 2.0) * (model.l + (model.D - 1) / 2.0)
@@ -760,7 +760,7 @@ def charge_density(model: GenCoulombModel, r: float, *, m: float = 1.0,
     ----------
     model : GenCoulombModel
     r : float
-        Radius, > 0.
+        Radius, finite and > 0.
     m, hbar, e : float
         Physical constants of the sourced Poisson equation.
 
@@ -768,8 +768,8 @@ def charge_density(model: GenCoulombModel, r: float, *, m: float = 1.0,
     -------
     float
     """
-    if r <= 0:
-        raise ValueError(f"radius must be > 0, got {r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {r}")
     step = min(1e-4 * max(1.0, r), 0.25 * r)
     v = [gencoulomb_potential(model, r + k * step) for k in (-2, -1, 0, 1, 2)]
     d2 = (-v[4] + 16.0 * v[3] - 30.0 * v[2] + 16.0 * v[1] - v[0]) \
@@ -798,7 +798,7 @@ def cs_basis_eval(n: int, l: int, D: int, b: float,
         Radial index, >= 0.
     l, D, b : basis quantum numbers and scale, as in :class:`CoulombModel`.
     r : float
-        Radius, >= 0.
+        Radius, finite and >= 0.
 
     Returns
     -------
@@ -824,7 +824,7 @@ def gcs_basis_eval(model: GenCoulombModel, n: int,
     n : int
         Radial index, >= 0.
     r : float
-        Radius, >= 0.
+        Radius, finite and >= 0 (checked by :func:`gencoulomb_h_of_r`).
 
     Returns
     -------
@@ -833,8 +833,6 @@ def gcs_basis_eval(model: GenCoulombModel, n: int,
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
     rho, beta, theta = model.rho_basis, model.beta, model.theta
     h = gencoulomb_h_of_r(model, r)
     if h == 0.0:
@@ -860,7 +858,7 @@ def rel_basis_eval(model: RelCoulombModel, n: int,
     n : int
         Radial index, >= 0.
     r : float
-        Radius, >= 0.
+        Radius, finite and >= 0.
 
     Returns
     -------
@@ -879,8 +877,8 @@ def _radial_laguerre(n: int, s: float, alpha: float, scale: float,
     is its r -> 0 limit (0 for s > 0, finite for s = 0, infinite below)."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {r}")
     if r == 0.0:
         if s > 0:
             return 0.0, 0.0
@@ -906,7 +904,7 @@ def coulomb_wavefunction(model: CoulombModel, n: int, r: float) -> float:
     n : int
         Radial quantum number, >= 0.
     r : float
-        Radius, >= 0.
+        Radius, finite and >= 0.
 
     Returns
     -------
@@ -937,7 +935,7 @@ def oscillator_wavefunction(model: OscillatorModel, n: int, r: float,
     n : int
         Radial quantum number, >= 0.
     r : float
-        Radius, >= 0.
+        Radius, finite and >= 0.
     frequency : float, optional
         Oscillator frequency; defaults to the Hamiltonian's.  Pass
         ``model.omega_basis`` to evaluate basis functions.
@@ -948,8 +946,8 @@ def oscillator_wavefunction(model: OscillatorModel, n: int, r: float,
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {r}")
     freq = model.omega if frequency is None else frequency
     if freq <= 0:
         raise ValueError(f"frequency must be > 0, got {freq}")
@@ -1153,7 +1151,8 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
         first calls it once with an array of energies, and it must then
         raise or return the stacked operator whose lane k equals its call
         at the k-th energy, as the model builders do; otherwise it is
-        called energy by energy (see :func:`jgreens.jacobi._corner_rows`).
+        called energy by energy (see
+        :func:`jgreens.jacobi._corrected_blocks`).
     e_min, e_max : float
         Scan interval, finite, e_min < e_max.
     size : int

@@ -23,8 +23,8 @@ from scipy.special import erf, erfc, loggamma
 from .errors import (GridTooCoarse, JGreensError, QuadratureSuspect,
                      SingularMatrix)
 from .jacobi import (GreenMatrix, SheetSelector, _checked_inverse,
-                     _corner_block, _corner_rows, _corrected_blocks,
-                     _resolve_sheet, corrected_truncation, dense_truncation)
+                     _corrected_blocks, _resolve_sheet, corrected_truncation,
+                     dense_truncation)
 from .models import (CoulombModel, _real_zeros, _secant, coulomb_jacobi,
                      wavenumber)
 from .special import (_laguerre_functions, coulomb_sigma,
@@ -570,23 +570,23 @@ def _solutions(p: ScatterProblem, energies: list[float]
     """(Psi, A) of :func:`scatter_solve` at each energy, from the last one
     down.
 
-    The corner ratios at every energy are one batch of lanes
-    (:func:`jgreens.jacobi._corner_rows`), which they do not depend on, so
-    each energy equals its one-energy call bit for bit.  Then, an energy
-    at a time from the top, raising its error at its turn: the corrected
-    block J = (G^C)^{-1}, the overlaps Phi from its rows, and, as J Phi =
+    The corrected blocks J = (G^C)^{-1} at every energy are one batch of
+    lanes (:func:`jgreens.jacobi._corrected_blocks`), which they do not
+    depend on, so each energy equals its one-energy call bit for bit.
+    Then, an energy at a time from the top, raising its error at its
+    turn: the overlaps Phi from the rows of its block, and, as J Phi =
     c e_N, Psi from (J - V) Psi = c e_N by one checked inverse.
     """
     energies = [float(e) for e in energies]
     for e in energies:
         _continuum(e)
-    diag, off, ratios, errors = _corner_rows(
+    blocks, errors = _corrected_blocks(
         lambda e: coulomb_jacobi(p.model, e), energies, p.N + 1)
     v = _cached_potential_matrix(p)
     for k in range(len(energies) - 1, -1, -1):
         if errors[k] is not None:
             raise errors[k]
-        block = _corner_block(diag[:, k], off[:, k], ratios[k])
+        block = blocks[k]
         phi = _overlaps(p.model, complex(energies[k]), block)
         psi = (block[-1] @ phi) * _checked_inverse(block - v)[:, -1]
         yield psi, complex(phi @ (v @ psi))

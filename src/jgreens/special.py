@@ -12,7 +12,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .errors import CoulombWaveFailure, HypergeometricNoConverge
@@ -401,7 +400,8 @@ def coulomb_f(l, eta, rho):
 def genlaguerre_table(n_max, alpha, x):
     """Generalized Laguerre values L_k^(alpha)(x) for k = 0..n_max.
 
-    Upward three-term recurrence, vectorized over the evaluation points.
+    Upward three-term recurrence, vectorized over the evaluation points
+    (:func:`_laguerre_table`).
 
     Parameters
     ----------
@@ -417,28 +417,49 @@ def genlaguerre_table(n_max, alpha, x):
     -------
     ndarray, shape (n_max + 1,) + x.shape
     """
+    values, exponents = _laguerre_table(n_max, alpha, x)
+    return np.ldexp(values, exponents)
+
+
+def _laguerre_table(n_max, alpha, x):
+    """(values, exponents) with L_k^(alpha)(x) = values[k] 2^exponents[k]
+    for k = 0..n_max, by the upward three-term recurrence.
+
+    Where a point's value passes 1e100, its two carried values are divided
+    by a power of two, exactly, and the exponent is carried to the rows
+    above, as :func:`_run_laguerre` renormalizes: the values cannot
+    overflow at far quadrature nodes, and elsewhere they are the plain
+    recurrence's bit for bit.  Row k does not depend on n_max.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape, dtype=float)
-    out[0] = 1.0
-    if n_max == 0:
-        return out
-    out[1] = 1.0 + alpha - x
+    values = np.empty((n_max + 1,) + x.shape, dtype=float)
+    exponents = np.zeros(values.shape, dtype=int)
+    values[0] = 1.0
+    values[1:2] = 1.0 + alpha - x  # no row 1 at n_max = 0
+    below = values[0]  # L_{k-1} on the scale of row k
     for k in range(1, n_max):
-        out[k + 1] = ((2 * k + 1 + alpha - x) * out[k] - (k + alpha) * out[k - 1]) / (
-            k + 1
-        )
-    return out
+        top = ((2 * k + 1 + alpha - x) * values[k]
+               - (k + alpha) * below) / (k + 1)
+        below = values[k]
+        exponents[k + 1] = exponents[k]
+        big = np.abs(top) > 1e100
+        if np.any(big):
+            shift = np.where(big, np.frexp(top)[1], 0)
+            top, below = np.ldexp(top, -shift), np.ldexp(below, -shift)
+            exponents[k + 1] += shift
+        values[k + 1] = top
+    return values, exponents
 
 
 def _laguerre_functions(n_top, alpha, x, p):
     """sqrt(n!/Gamma(n+alpha+1)) x^p e^{-x/2} L_n^(alpha)(x) for n = 0..n_top.
 
     The Laguerre-type basis functions of every model family.  Where the
-    envelope x^p e^{-x/2} is a normal double the three factors are
-    multiplied; where it underflows, norm, power and exponential are
-    summed with log|L_n| in the log domain, so a large polynomial value
-    is not lost with the envelope.  p = 0 gives the x -> 0 limit at
-    x = 0.
+    envelope x^p e^{-x/2} is a normal double and the Laguerre value was
+    not rescaled (:func:`_laguerre_table`), the three factors are
+    multiplied; elsewhere norm, power and exponential are summed with
+    log|L_n| in the log domain, so a large polynomial value is not lost
+    with the envelope.  p = 0 gives the x -> 0 limit at x = 0.
 
     Parameters
     ----------
@@ -456,7 +477,7 @@ def _laguerre_functions(n_top, alpha, x, p):
     ndarray, shape (n_top + 1,) + x.shape
     """
     x = np.asarray(x, dtype=float)
-    lag = genlaguerre_table(n_top, alpha, x)
+    lag, exponents = _laguerre_table(n_top, alpha, x)
     ln_norm = [0.5 * (math.lgamma(n + 1) - math.lgamma(n + alpha + 1))
                for n in range(n_top + 1)]
     column = (-1,) + (1,) * x.ndim
@@ -465,10 +486,10 @@ def _laguerre_functions(n_top, alpha, x, p):
         ln_env = (p * np.log(x) if p else 0.0) - 0.5 * x
         env = np.exp(ln_env)
         out = norms * lag * env
-        lost = env < np.finfo(float).tiny
+        lost = (env < np.finfo(float).tiny) | (exponents != 0)
         if np.any(lost):
             ln_mag = (np.reshape(ln_norm, column) + ln_env
-                      + np.log(np.abs(lag)))
+                      + np.log(np.abs(lag)) + exponents * math.log(2.0))
             out = np.where(lost, np.copysign(np.exp(ln_mag), lag), out)
     return out
 
@@ -482,9 +503,13 @@ def gauss_laguerre_scaled(order):
     like exp(-x) times a smooth factor.  Stable at high order where the
     raw weights underflow.
 
-    The eigenvalue nodes are Newton-polished on L_n with the derivative
-    taken from the difference form of the Laguerre recurrence, which
-    carries d_k = L_k - L_{k-1} directly.  The three-term form would
+    The start nodes are the eigenvalues of the order x order Jacobi
+    matrix of the rule, solved dense: O(order^3), but once per order (the
+    rule is cached), at about 12 ms for order 400 and 0.6 s for order
+    2000 on a 2-vCPU x86-64 host (a tridiagonal solver takes 3.5 and
+    70 ms).  They are Newton-polished on L_n with the derivative taken
+    from the difference form of the Laguerre recurrence, which carries
+    d_k = L_k - L_{k-1} directly.  The three-term form would
     obtain d_n by subtracting L_{n-1} from L_n, and near x = 0 the two
     agree to many digits: that cancellation leaves the smallest node
     jittering at ~1e-13 relative, which the weight formula amplifies.
@@ -503,7 +528,7 @@ def gauss_laguerre_scaled(order):
         raise ValueError("order must be positive")
     diag = np.arange(1, 2 * order, 2, dtype=float)
     off = np.arange(1, order, dtype=float)
-    x = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     # Newton polish with L_n' = n (L_n - L_{n-1}) / x, the difference
     # carried by its own recurrence
     for _ in range(50):

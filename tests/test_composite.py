@@ -621,6 +621,14 @@ def test_merkuriev_validation():
     split = MerkurievSplit(x0=1.0, y0=1.0, nu=2.5)
     with pytest.raises(ValueError):
         merkuriev_zeta(split, -0.1, 0.0)
+    # NaN passed a check written x < 0 and came back as zeta = NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"finite.*got x={bad}, y=0.0"):
+            merkuriev_zeta(split, bad, 0.0)
+        with pytest.raises(ValueError, match=f"finite.*got x=1.0, y={bad}"):
+            merkuriev_zeta(split, 1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            merkuriev_zeta(split, np.array([0.5, bad]), 2.0)
 
 
 def test_split_potential_sums_exactly():

@@ -27,6 +27,7 @@ from jgreens.errors import (
     DivisionByZero,
     NoMinimalSolution,
     NotConverged,
+    NumericBreakdown,
 )
 from jgreens.jacobi import SheetSelector, cf_coefficients, tail_ratio
 from jgreens.models import (
@@ -489,3 +490,40 @@ def test_tail_ratio_is_eval_forward_of_cf_coefficients(J):
         else:
             assert res.converged
             assert ratio == -res.value
+
+
+def _pole_ending():
+    # 1/(1 + -1/1): S_2 has B_2 = 1 - 1 = 0, and the fraction ends there
+    return ContinuedFraction(0.0, lambda i: [(1.0, 1.0), (-1.0, 1.0)][i - 1])
+
+
+def test_forward_finite_fraction_ending_on_a_pole_breaks_down():
+    assert list(forward_approximants(_pole_ending())) \
+        == [(0, 0j), (1, 1 + 0j), (2, None)]
+    with pytest.raises(NumericBreakdown, match="terminates on a pole"):
+        eval_forward(_pole_ending(), 1e-12, 100)
+
+
+@pytest.mark.parametrize("tail", [complex(math.nan, 0.0),
+                                  complex(math.inf, 0.0)])
+def test_forward_non_finite_approximant_breaks_down(tail):
+    golden = ContinuedFraction(0.0, lambda i: (1.0, 1.0))
+    with pytest.raises(NumericBreakdown, match="non-finite approximant"):
+        next(forward_approximants(golden, tail))
+
+
+def test_forward_non_finite_recurrence_value_breaks_down():
+    # B_2 = 1e200 * 1e200 overflows before the scan rescales it
+    huge = ContinuedFraction(0.0, lambda i: (1.0, 1e200))
+    got = []
+    with pytest.raises(NumericBreakdown, match="recurrence value at term 2"):
+        for pair in forward_approximants(huge):
+            got.append(pair)
+    assert got == [(0, 0j), (1, 1e-200 + 0j)]
+
+
+def test_pincherle_breakdown_is_no_minimal_solution():
+    rec = Recurrence(lambda n: [(1.0, 1.0), (-1.0, 1.0)][n - 1])
+    with pytest.raises(NoMinimalSolution, match="broke down") as info:
+        pincherle_ratio(rec)
+    assert isinstance(info.value.__cause__, NumericBreakdown)

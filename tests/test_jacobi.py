@@ -733,3 +733,44 @@ def test_one_by_one_blocks():
                  lambda: _corrected_blocks(lambda E: J, [J.energy], 0)):
         with pytest.raises(ValueError, match="truncation size must be >= 1"):
             call()
+
+
+@pytest.mark.parametrize("d,plan,want", [
+    (1.0, [4, 8, 2, 0], 0.5 - 0.8660254j),
+    (1.0 + 0.3j, [8, 4, 2, 0], 0.4150637 - 0.7330143j),
+])
+def test_degenerate_depths_move_on_to_depth_zero(d, plan, want):
+    # an exactly periodic operator: its limit's fixed point is the exact
+    # tail, so every Bauer-Muir depth of its plan degenerates, and the
+    # plain fraction, summed with that tail, gives the fixed point
+    from jgreens import jacobi
+    from jgreens.jacobi import _bm_depths, _corner_ratios, _op_lanes
+    from jgreens.models import CoulombModel, coulomb_jacobi
+
+    op = JacobiOperator(lambda i: d, lambda i: -1.0, 0.0, (-1.0, d))
+    assert _bm_depths(np.array([op.limit_coeffs]))[0].tolist() == plan
+    depths = []
+    summed = jacobi._sum_fractions
+
+    def spy(read, b0, rounds, *args):
+        out = summed(read, b0, rounds, *args)
+        depths.append((rounds, [type(e) for e in out[4].values()]))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jacobi, "_sum_fractions", spy)
+        ratio = tail_ratio(op, 3)
+    assert depths == [(k, [DegenerateTransform]) for k in plan[:3]] \
+        + [(0, [])]
+    assert abs(ratio - want) < 1e-7
+    assert abs(ratio * ratio - d * ratio + 1.0) < 1e-15  # -ratio: w^2 + dw + 1
+    coulomb = coulomb_jacobi(CoulombModel(Z=4, l=0, b=4.0, m=1863.69,
+                                          e2=1.44), 0.3)
+    lanes = [op, coulomb, JacobiOperator(lambda i: d, lambda i: -1.0, 0.0,
+                                         (-1.0, d))]
+    ratios, errors = _corner_ratios(_op_lanes(lanes), 3)
+    assert errors == [None] * 3
+    for J, got in zip(lanes, ratios.tolist()):
+        solo = tail_ratio(J, 3)
+        assert (got.real.hex(), got.imag.hex()) \
+            == (solo.real.hex(), solo.imag.hex())

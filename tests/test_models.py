@@ -1328,3 +1328,31 @@ def test_depth_plan_reads_the_limit(monkeypatch):
         + [oscillator_jacobi(oscillators[0], 2.1)]
     _corner_ratios(_op_lanes(mixed), 3)
     assert seen[0] == (0, 4) and seen[1] == (4, 2) and seen[2] == (8, 1)
+
+
+_GC = GenCoulombModel(C=0.9, theta=0.8, q=1.7, beta=2.4, rho_basis=1.3,
+                      l=1, D=3)
+_RADIAL = {
+    "cs_basis_eval": lambda r: cs_basis_eval(2, 1, 3, 0.7, r),
+    "rel_basis_eval": lambda r: rel_basis_eval(RelCoulombModel(
+        mu=137.036, alpha_fs=1 / 137.036, Z=1.0, kind=DiracUpper(j=0.5),
+        eta_basis=1.0), 2, r),
+    "coulomb_wavefunction": lambda r: coulomb_wavefunction(
+        CoulombModel(Z=-1.0, l=1, b=0.7), 2, r),
+    "oscillator_wavefunction": lambda r: oscillator_wavefunction(
+        OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3), 2, r),
+    "gcs_basis_eval": lambda r: gcs_basis_eval(_GC, 2, r),
+    "gencoulomb_potential": lambda r: gencoulomb_potential(_GC, r),
+    "charge_density": lambda r: charge_density(_GC, r),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RADIAL))
+def test_non_finite_radii_rejected(name):
+    # the Laguerre-basis functions returned NaN here, and charge_density
+    # at r = inf reported the NaN of its stencil, not the radius
+    call = _RADIAL[name]
+    assert np.isfinite(call(1.5)).all()
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"radius .*got {r}$"):
+            call(r)

@@ -22,7 +22,8 @@ import pytest
 import scipy.integrate
 
 import jgreens.scatter as scatter_module
-from jgreens.errors import GridTooCoarse, QuadratureSuspect, ZeroOffdiagonal
+from jgreens.errors import (GridTooCoarse, QuadratureSuspect, SingularMatrix,
+                            ZeroOffdiagonal)
 from jgreens.jacobi import SheetSelector, corrected_truncation, \
     green_submatrix
 from jgreens.models import (CoulombModel, coulomb_jacobi, det_pole_scan,
@@ -348,6 +349,29 @@ def test_potential_matrix_flags_unresolved_spike():
         potential_matrix(ScatterProblem(neutral(), spike, 10))
 
 
+def test_potential_matrix_of_a_scalar_only_potential():
+    # math.exp refuses an array, so the values are taken point by point
+    scalar = ShortRangePotential(lambda r: -122.694 * math.exp(-0.22 * r * r))
+    got = potential_matrix(ScatterProblem(neutral(), scalar, 12))
+    want = potential_matrix(ScatterProblem(neutral(), GAUSS_ONLY, 12))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N", [190, 220, 250, 300])
+def test_potential_matrix_past_n_189(N):
+    # the doubled order's far nodes (x ~ 3150 at order 800) overflowed the
+    # Laguerre table: a RuntimeWarning, then "relative nan" from the
+    # doubled-order check, whatever quad_order
+    raw = SmoothingScheme(enabled=False)
+    big = potential_matrix(ScatterProblem(charged(), SHORT_AA, N,
+                                          smoothing=raw))
+    assert np.isfinite(big).all()
+    small = potential_matrix(ScatterProblem(charged(), SHORT_AA, 40,
+                                            smoothing=raw))
+    scale = np.max(np.abs(small))
+    assert np.max(np.abs(big[:41, :41] - small)) <= 1e-9 * scale
+
+
 # ---------------------------------------------------------------------------
 # free overlaps
 
@@ -660,6 +684,37 @@ def test_find_resonances_drops_roots_outside_rectangle():
     p = charged_problem(20, 2)
     assert find_resonances(p, (complex(2.4, -0.55), complex(3.4, -0.3)),
                            seeds=(1, 1)) == []
+
+
+def test_find_resonances_drops_seeds_whose_determinant_raises(monkeypatch):
+    p = charged_problem(20, 2)
+    region = (complex(2.4, -1.0), complex(3.4, -0.3))
+    (want,) = find_resonances(p, region, seeds=(3, 2))
+    det, refused = scatter_module.det_equation, []
+
+    def refuses_left(q, z, sheet):
+        # the seeds at Re z = 2.65 fail; those at 2.9 and 3.15 converge
+        if z.real < 2.7:
+            refused.append(z)
+            raise SingularMatrix(f"refused at {z}")
+        return det(q, z, sheet)
+
+    monkeypatch.setattr(scatter_module, "det_equation", refuses_left)
+    (got,) = find_resonances(p, region, seeds=(3, 2))
+    assert len(refused) >= 2 and abs(got - want) <= 1e-8
+
+    def fails(q, z, sheet):
+        raise SingularMatrix("refused")
+
+    monkeypatch.setattr(scatter_module, "det_equation", fails)
+    assert find_resonances(p, region, seeds=(3, 2)) == []
+
+    def breaks(q, z, sheet):
+        raise RuntimeError("not a package error")
+
+    monkeypatch.setattr(scatter_module, "det_equation", breaks)
+    with pytest.raises(RuntimeError, match="not a package error"):
+        find_resonances(p, region, seeds=(3, 2))
 
 
 def test_find_resonances_rejects_empty_seed_grid():

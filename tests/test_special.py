@@ -1,6 +1,9 @@
 """Tests for the special-function kernels."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -9,6 +12,7 @@ import scipy.special
 
 from jgreens.errors import CoulombWaveFailure, HypergeometricNoConverge
 from jgreens.special import (
+    _laguerre_functions,
     coulomb_f,
     coulomb_sigma,
     gauss_laguerre_scaled,
@@ -176,7 +180,74 @@ def test_genlaguerre_table_scalar_shape():
     assert tab[1] == pytest.approx(-1.0)
 
 
+def _plain_laguerre(n_max, alpha, x):
+    # the upward recurrence with no rescaling: the reference values
+    out = np.empty((n_max + 1,) + x.shape)
+    out[0] = 1.0
+    out[1] = 1.0 + alpha - x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_max):
+            out[k + 1] = ((2 * k + 1 + alpha - x) * out[k]
+                          - (k + alpha) * out[k - 1]) / (k + 1)
+    return out
+
+
+def test_genlaguerre_table_equals_the_plain_recurrence():
+    # bit for bit wherever the plain recurrence stays finite, values past
+    # the 1e100 rescaling included; finite where only its steps overflowed
+    x = np.concatenate([np.linspace(0.0, 60.0, 25),
+                        gauss_laguerre_scaled(800)[0]])
+    for n_max, alpha in ((1, 0.5), (40, 1.0), (250, 2.0), (400, 1.0)):
+        plain = _plain_laguerre(n_max, alpha, x)
+        with np.errstate(over="ignore"):
+            tab = genlaguerre_table(n_max, alpha, x)
+        finite = np.isfinite(plain)
+        assert tab[finite].tobytes() == plain[finite].tobytes()
+        assert np.isfinite(tab[:, np.isfinite(plain[-1])]).all()
+    assert (np.abs(plain[finite]) > 1e100).any()
+
+
+def test_laguerre_functions_rows_do_not_depend_on_the_top_index():
+    # the far nodes of an order-800 rule (x up to about 3150) overflowed
+    # the table past row 190 or so; rows are now rescaled per node
+    x = gauss_laguerre_scaled(800)[0]
+    top = _laguerre_functions(300, 1.0, x, 1.0)
+    assert np.isfinite(top).all()
+    for n in (0, 1, 40, 189, 190, 250):
+        assert _laguerre_functions(n, 1.0, x, 1.0).tobytes() \
+            == top[:n + 1].tobytes()
+    # against the product form where its factors are normal doubles
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        norms = np.array([math.exp(0.5 * (math.lgamma(n + 1)
+                                           - math.lgamma(n + 2)))
+                          for n in range(301)])[:, None]
+        env = x * np.exp(-0.5 * x)
+        direct = norms * _plain_laguerre(300, 1.0, x) * env
+    fine = np.isfinite(direct) & (env >= np.finfo(float).tiny) \
+        & (np.abs(direct) >= np.finfo(float).tiny)
+    assert fine[:, x > 1000].sum() > 10000
+    assert np.allclose(top[fine], direct[fine], rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------- quadrature
+
+
+def test_quadrature_set_up_leaves_scipy_linalg_unloaded():
+    # the rule takes its start nodes from numpy: a potential matrix, which
+    # builds two rules, imports no scipy.linalg (about 5 MB of resident
+    # memory, and set-up time, in every process that builds one)
+    code = ("import sys\n"
+            "from jgreens.models import CoulombModel\n"
+            "from jgreens.scatter import ScatterProblem, "
+            "alpha_alpha_potential, potential_matrix\n"
+            "potential_matrix(ScatterProblem(CoulombModel(Z=4, b=4.0), "
+            "alpha_alpha_potential()[1], 8))\n"
+            "sys.exit('scipy.linalg' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(
+        sys.modules["jgreens.special"].__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
 
 
 def test_gauss_laguerre_scaled_matches_scipy_low_order():
