@@ -16,7 +16,7 @@ a two-body asymptotic region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,8 +54,6 @@ class Contour:
         a contour integral of f is evaluated as sum of weight*f(z).
     encircles : tuple of float
         Real extent (min, max) of the enclosed spectral set.
-    direction : str
-        Orientation tag, always ``"counterclockwise"``.
 
     Raises
     ------
@@ -68,7 +66,6 @@ class Contour:
 
     nodes: tuple[tuple[complex, complex], ...]
     encircles: tuple[float, float] = (0.0, 0.0)
-    direction: str = field(default="counterclockwise")
 
     def __post_init__(self) -> None:
         nodes = tuple((complex(z), complex(w)) for z, w in self.nodes)
@@ -109,10 +106,10 @@ class MerkurievSplit:
     nu: float
 
     def __post_init__(self) -> None:
-        if self.x0 <= 0 or self.y0 <= 0:
-            raise ValueError("x0 and y0 must be > 0")
-        if self.nu <= 2:
-            raise ValueError(f"nu must be > 2, got {self.nu}")
+        if not (0 < self.x0 < math.inf and 0 < self.y0 < math.inf):
+            raise ValueError("x0 and y0 must be finite and > 0")
+        if not 2 < self.nu < math.inf:
+            raise ValueError(f"nu must be finite and > 2, got {self.nu}")
 
 
 def _ellipse_nodes(center: float, a: float, b: float, n_points: int

@@ -373,8 +373,9 @@ def _fixed_point_arrays(a: np.ndarray, b: np.ndarray
     s = np.sqrt(b * b + 4.0 * a)
     s = np.where((np.conj(b) * s).real < 0.0, -s, s)
     big = (b + s) * -0.5  # the larger root, or a tie
-    # product of roots is -a
-    small = np.divide(-a, big, out=np.zeros_like(big), where=big != 0)
+    # product of roots is -a; a NaN root gives NaN, with no warning
+    with np.errstate(invalid="ignore"):
+        small = np.divide(-a, big, out=np.zeros_like(big), where=big != 0)
     m_big = np.abs(big)
     tie = m_big - np.abs(small) <= 1e-14 * m_big
     if tie.any():
@@ -627,12 +628,15 @@ def _fraction_chunk(read: Callable, lanes: np.ndarray, st: dict, j0: int,
     the outcomes of those that stop to ``out`` (:func:`_sum_fractions`) at
     ``lanes``, and return where they stop. Arrays are (position, lane);
     position t holds coefficient j = j0 + t and step j - 1: S_{j-1} with
-    its tail from coefficient j, then the update by coefficient j. Its
-    events come in the scalar order: the reader's fault, a zero a_j, each
-    Bauer-Muir round (at an end a fixed-point tail is zero); a non-finite
-    S_{j-1}, agreement, the budget, the end; a non-finite recurrence
-    value. A lane stops at its first event: what it read past that never
-    raises."""
+    its tail from coefficient j, then the update by coefficient j. A lane
+    stops at its first event (what it read past that never raises).
+    Agreement in a lane with no fault in the chunk is the usual stop; any
+    other stop is classified by one chain in the scalar order: the fault
+    (the reader's, a zero a_j, each Bauer-Muir round; an end with no
+    rounds is none, and zeroes a fixed-point tail), a non-finite S_{j-1},
+    agreement, the budget (S_m, or S_{m-1} at its pole, and the chunk's
+    last comparison), the end (exact, or None on a pole), a non-finite
+    recurrence value."""
     a, b, faults = read(lanes, j0, size)
     w = st["w"]
     if rounds:
@@ -679,41 +683,31 @@ def _fraction_chunk(read: Callable, lanes: np.ndarray, st: dict, j0: int,
     value, terms, converged, last_delta, stopped = out
     k = lanes[hit]
     value[k], terms[k], last_delta[k] = s[ts, hit], m, delta[ts, hit]
-    agreed = agree[ts, hit]
-    if not faults and agreed.all():  # the usual stop
-        converged[k] = True
-        return stop
-    # the first event of each stopping lane, in the order above
-    fault = np.zeros(hit.size, dtype=bool)
-    end = np.zeros(hit.size, dtype=bool)
+    usual = agree[ts, hit]
     if faults:
-        at = np.full(len(stop), -1)
-        at[list(faults)] = [t for t, _ in faults.values()]
-        fault = at[hit] == ts
-        end = fault & np.isin(hit, list(ends))
-        fault &= ~end
-    broke = nonfinite[ts, hit] & ~fault
-    agreed &= ~fault
-    rest = ~(fault | broke | agreed)
-    budget = rest & (m >= max_terms)  # S_m, or at its pole S_{m-1}
-    end &= rest & ~budget
-    finite = approx[ts, hit]
-    value[k] = np.where(finite, value[k], np.where(
-        formed[ts, hit], prev[ts, hit], np.nan))
-    converged[k] = agreed | (end & finite)
-    last = np.where(agreed, last_delta[k], 0.0)
-    if budget.any():  # the last comparison in this chunk
-        seen = compared[:, hit] & (np.arange(size)[:, None] <= ts)
-        t_seen = size - 1 - seen[::-1].argmax(axis=0)
-        last[budget] = np.where(seen.any(axis=0), delta[t_seen, hit],
-                                math.inf)[budget]
-    last_delta[k] = last
-    for q in np.flatnonzero(~(agreed | budget | (end & finite))).tolist():
-        stopped[int(k[q])] = (
-            faults[int(hit[q])][1] if fault[q] else
-            NumericBreakdown("non-finite approximant") if broke[q] else
-            None if end[q] else NumericBreakdown(
-                f"non-finite recurrence value at term {m[q] + 1}"))
+        usual &= ~np.isin(hit, list(faults))
+    converged[k] = usual
+    # each other stopping lane by its first event, in the order above
+    for q in [] if usual.all() else np.flatnonzero(~usual).tolist():
+        p, t, lane = int(hit[q]), int(ts[q]), int(k[q])
+        at, cause = faults.get(p, (None, None))
+        end = at == t and p in ends
+        if at == t and not end:
+            stopped[lane] = cause
+        elif nonfinite[t, p]:
+            stopped[lane] = NumericBreakdown("non-finite approximant")
+        elif agree[t, p]:
+            converged[lane] = True
+        elif m[q] >= max_terms:  # the budget: S_m, or at its pole S_{m-1}
+            if not approx[t, p]:
+                value[lane] = prev[t, p] if formed[t, p] else np.nan
+            seen = np.flatnonzero(compared[:t + 1, p])  # the last comparison
+            last_delta[lane] = delta[seen[-1], p] if seen.size else math.inf
+        elif end and approx[t, p]:  # an exact sum
+            converged[lane], last_delta[lane] = True, 0.0
+        else:  # an end on a pole, or a non-finite recurrence value
+            stopped[lane] = None if end else NumericBreakdown(
+                f"non-finite recurrence value at term {m[q] + 1}")
     return stop
 
 

@@ -66,6 +66,8 @@ _DEFAULT_MAX_TERMS = 20000
 
 _NO_LIMITS = ("operator has no limit coefficients; fixed-point tails "
               "are unavailable (use sheet=ZERO_TAIL)")
+_NONFINITE_LIMITS = ("operator's limit coefficients are not finite; "
+                     "fixed-point tails are unavailable")
 
 
 class SheetSelector(Enum):
@@ -393,7 +395,7 @@ def tail_ratio(J: JacobiOperator, n: int,
         Propagated from coefficient generation and acceleration.
     ValueError
         For n < 1, bm_rounds < 0, tol <= 0, or a sheet the operator
-        cannot serve.
+        cannot serve (no limit coefficients, or limits not finite).
     """
     if n < 1:
         raise ValueError(f"ratio index must be >= 1, got {n}")
@@ -485,10 +487,10 @@ def _read_rows(readers: Sequence[Callable], L: int, n_diag: int, n_off: int
         raise ValueError(f"truncation size must be >= 1, got {n_diag}")
     read_diag, read_off = readers
     lanes = np.arange(L)
-    diag, _, failed = read_diag(lanes, 0, n_diag)
-    off, _, more = read_off(lanes, 0, n_off)
+    diag, failed = read_diag(lanes, 0, n_diag)
+    off, more = read_off(lanes, 0, n_off)
     errors: list = [None] * lanes.size
-    for p, exc in {**more, **failed}.items():
+    for p, (_, exc) in {**more, **failed}.items():
         errors[p] = exc
     return diag, off, errors
 
@@ -682,87 +684,75 @@ def _corner_ratios(batch: _Lanes, n: int,
                    at: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """``tail_ratio(op, n, sheet, ...)`` of the batch's lanes at positions
     ``at`` (by default, every lane), in that order: the ratios (zero where
-    a lane failed) and per lane, None or the error. Lanes at one
-    Bauer-Muir depth of their plans form one batch of
-    :func:`jgreens.contfrac._sum_fractions`; a lane moves on through its
-    plan as ``tail_ratio`` does, and to depth 0 when its fraction ended.
-    A lane's ratio and error do not depend on the batch."""
-    if bm_rounds is not None and bm_rounds < 0:  # -1 marks no depth
+    a lane's sum failed) and per lane, None or the error. The depth walk:
+    each lane keeps its place in its plan (:func:`_bm_depths`, or
+    ``bm_rounds``; 0 for the zero tail), and each round sums the live
+    lanes at one depth, whatever their places, as one batch of
+    :func:`jgreens.contfrac._sum_fractions` (a lane's sum does not depend
+    on its batch). Each lane that did not converge is then decided as
+    ``tail_ratio`` decides: an end with rounds on (IndexError) goes to
+    depth 0, its last; a DegenerateTransform or NotConverged to the next
+    depth of the plan, if any; anything else is the lane's error."""
+    if bm_rounds is not None and bm_rounds < 0:
         raise ValueError(f"bm_rounds must be >= 0, got {bm_rounds}")
     at = np.arange(batch.energy.size) if at is None else np.asarray(at)
     L = at.size
     errors: list = [None] * L
     ratios = np.zeros(L, dtype=complex)
     tail = _TAILS.get(sheet, TailOrigin.ATTRACTIVE_FIXED_POINT)
-    if sheet is SheetSelector.AUTO:
-        refused = ~(batch.energy[at].imag >= 0.0)
-        for k in np.flatnonzero(refused).tolist():
-            errors[k] = ValueError(_AUTO_REFUSES)
-    # each lane's depths in order, -1 past the last; the spare fifth
-    # column is the depth after a fourth
-    plans = np.full((L, 5), -1)
+    limits = batch.limits[at]
+    refused = ~(batch.energy[at].imag >= 0.0) if sheet is SheetSelector.AUTO \
+        else np.zeros(L, dtype=bool)
     if tail is TailOrigin.ZERO:
-        plans[:, 0] = 0
+        plans, unusable = np.zeros((L, 1), dtype=int), np.zeros(L, bool)
     else:
-        missing = batch.no_limits[at]
-        if missing.any():
-            for k in np.flatnonzero(missing).tolist():
-                errors[k] = errors[k] or ValueError(_NO_LIMITS)
-        limits = batch.limits[at]
-        plans[:, :4] = _bm_depths(limits) if bm_rounds is None \
-            else (int(bm_rounds), -1, -1, -1)
-    failed = [k for k, exc in enumerate(errors) if exc is not None]
-    if failed:
-        plans[failed] = -1
-    pending = L - len(failed)  # lanes with no value or error yet
-    read_diag, read_off = batch.read_diag, batch.read_off
-    for stage in range(4):
-        if not pending:
-            break
-        depth = plans[:, stage]
-        for rounds in sorted(set(depth.tolist()) - {-1}):
-            lanes = (depth == rounds).nonzero()[0]
+        plans = _bm_depths(limits) if bm_rounds is None \
+            else np.full((L, 1), int(bm_rounds))
+        unusable = batch.no_limits[at] | ~np.isfinite(limits).all(axis=1)
+    place = np.zeros(L, dtype=int)  # past the plan after an end
+    depth = plans[:, 0].copy()  # -1: the lane has its value or error
+    for k in np.flatnonzero(refused | unusable).tolist():
+        depth[k], errors[k] = -1, ValueError(
+            _AUTO_REFUSES if refused[k] else
+            _NO_LIMITS if batch.no_limits[at[k]] else _NONFINITE_LIMITS)
+    todo = set(depth.tolist()) - {-1}  # the depths of the next round
+    while todo:
+        groups = [(r, (depth == r).nonzero()[0]) for r in sorted(todo)]
+        depth.fill(-1)  # a lane is done unless it goes on below
+        todo = set()
+        for rounds, lanes in groups:
             # the Bauer-Muir modifier: the limits' fixed point on the branch
             w = _fixed_point_arrays(*limits[lanes].T)[
                 tail is TailOrigin.REPULSIVE_FIXED_POINT] if rounds \
                 else np.zeros(lanes.size, dtype=complex)
             value, terms, converged, delta, stopped = _sum_fractions(
-                _jacobi_reader((read_diag, read_off), n, at[lanes]),
+                _jacobi_reader((batch.read_diag, batch.read_off), n,
+                               at[lanes]),
                 rounds * w if rounds else w, rounds, w, tail, tol, max_terms)
             if converged.all():  # the usual outcome
                 ratios[lanes] = -value
-                pending -= lanes.size
-                if pending:
-                    plans[lanes, stage + 1:] = -1
                 continue
             ratios[lanes[converged]] = -value[converged]
-            plans[lanes[converged], stage + 1:] = -1
-            more = plans[lanes, stage + 1] >= 0
-            budget = ~converged
-            budget[list(stopped)] = False
-            going_on = budget & more
-            for p in np.flatnonzero(budget & ~more).tolist():
-                errors[lanes[p]] = NotConverged(
+            for p in np.flatnonzero(~converged).tolist():
+                k = int(lanes[p])
+                out = stopped[p] if p in stopped else NotConverged(
                     f"tail ratio fraction did not converge in {terms[p]} "
                     f"terms (last delta {delta[p]:.3e})",
                     terms_used=int(terms[p]), last_delta=float(delta[p]))
-            for p, out in stopped.items():
-                k = lanes[p]
+                nxt = place[k] + 1
                 if isinstance(out, IndexError):  # ended with rounds on
-                    plans[k, stage + 1:] = -1
-                    plans[k, stage + 1] = 0
-                    going_on[p] = True
+                    depth[k], place[k] = 0, plans.shape[1]
                 elif isinstance(out, (DegenerateTransform, NotConverged)) \
-                        and more[p]:
-                    going_on[p] = True
+                        and nxt < plans.shape[1] and plans[k, nxt] >= 0:
+                    depth[k], place[k] = plans[k, nxt], nxt
                 else:
-                    plans[k, stage + 1:] = -1
                     errors[k] = out or SingularRatio(
                         "fraction terminated on a pole approximant; the "
                         "leading Green's element vanishes")
-            pending -= lanes.size - int(going_on.sum())
+                    continue
+                todo.add(int(depth[k]))
     trusted = np.abs(ratios) <= _RATIO_LIMIT
-    for k in [] if trusted.all() else np.flatnonzero(~trusted):
+    for k in [] if trusted.all() else np.flatnonzero(~trusted).tolist():
         errors[k] = errors[k] or SingularRatio(
             f"tail ratio magnitude {abs(ratios[k]):.3e} exceeds trust "
             "limit; a leading Green's element is numerically zero")
@@ -781,23 +771,24 @@ def _jacobi_reader(readers: tuple[Callable, Callable], n: int,
     def read(lanes: np.ndarray, j0: int, size: int):
         i0, lanes = n + j0 - 1, at[lanes]
         # J_{i-1,i} and J_{i,i+1} of position t are off[t] and off[t + 1]
-        off, off_stop, off_err = read_off(lanes, i0 - 1, i0 + size)
-        dg, dg_stop, dg_err = read_diag(lanes, i0, i0 + size)
+        off, off_faults = read_off(lanes, i0 - 1, i0 + size)
+        dg, dg_faults = read_diag(lanes, i0, i0 + size)
         a, b = -off[:-1] / off[1:], -dg / off[1:]
         zero, faults = off == 0, {}  # a failed read leaves zeros too
-        if not (dg_err or zero.any()):
+        if not (dg_faults or zero.any()):
             return a, b, faults
         bad = zero[1:] | zero[:-1]
-        bad |= np.arange(size)[:, None] >= dg_stop
+        for p, (t, _) in dg_faults.items():
+            bad[t, p] = True
         for p in np.flatnonzero(bad.any(axis=0)).tolist():
             t = int(bad[:, p].argmax())
-            if p in off_err and max(off_stop[p] - 1, 0) == t:
-                faults[p] = (t, off_err[p])
+            if p in off_faults and max(off_faults[p][0] - 1, 0) == t:
+                faults[p] = (t, off_faults[p][1])
             elif zero[t + 1, p] or zero[t, p]:
                 faults[p] = (t, ZeroOffdiagonal(
                     i0 + t - int(not zero[t + 1, p])))
             else:
-                faults[p] = (t, dg_err[p])
+                faults[p] = (t, dg_faults[p][1])
         return a, b, faults
 
     return read
@@ -805,11 +796,13 @@ def _jacobi_reader(readers: tuple[Callable, Callable], n: int,
 
 def _read_maps(fns: Sequence[Callable[[int], complex]]) -> Callable:
     """Reader of the maps ``fns`` of a batch of lanes: read(lanes, lo, hi)
-    is :func:`_read_lanes` of the maps at ``lanes`` (indices into
-    ``fns``). When every map is an :class:`IndexFormula` of one formula,
-    its params are stacked over the batch here, once, and a read is one
-    evaluation over (index, lane) (:func:`_formula_reader`); otherwise a
-    read goes index by index."""
+    gives fn(i) for i in [lo, hi) of the maps at ``lanes`` (indices into
+    ``fns``) as (index, lane) values, zero from a lane's first raising
+    index on, and the fault record {p: (offset from lo, error)} of the
+    lanes p (places in ``lanes``) that raised. Maps that are all
+    :class:`IndexFormula` of one formula are read in one evaluation over
+    (index, lane) (:func:`_formula_reader`, params stacked here, once);
+    others index by index (:func:`_read_lanes`)."""
     fn = getattr(fns[0], "fn", None) if len(fns) else None
     if fn is None or any(type(f) is not IndexFormula or f.fn is not fn
                          for f in fns):
@@ -820,32 +813,29 @@ def _read_maps(fns: Sequence[Callable[[int], complex]]) -> Callable:
 
 
 def _formula_reader(fn: Callable, params: Sequence) -> Callable:
-    """Reader of the lanes of fn(i, *params), each param an (L,) array or
-    a number shared by every lane (which rounds as the lanes' copies
-    would): read(lanes, lo, hi) as :func:`_read_lanes` gives it, in one
-    evaluation over (index, lane)."""
+    """Reader (:func:`_read_maps`) of the lanes of fn(i, *params), each
+    param an (L,) array or a number shared by every lane (which rounds as
+    the lanes' copies would), in one evaluation over (index, lane). A
+    formula is defined at every index, so its fault record is empty."""
 
     def read(lanes, lo: int, hi: int):
         values = np.empty((hi - lo, len(lanes)), dtype=complex)
         values[...] = fn(np.arange(lo, hi)[:, None], *(
             p[lanes] if isinstance(p, np.ndarray) else p for p in params))
-        stops = np.empty(len(lanes), dtype=int)
-        stops.fill(hi - lo)  # half the time of np.full at one lane
-        return values, stops, {}
+        return values, {}
 
     return read
 
 
 def _read_lanes(fns: Sequence[Callable[[int], complex]], lo: int, hi: int
-                ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-    """fn(i) for i in [lo, hi) and every lane's fn: the (hi - lo, lanes)
-    values, zero from a lane's first raising index on, that index as an
-    offset from lo (hi - lo if none), and the exceptions by lane."""
-    span, errors = range(lo, hi), {}
-    stops = np.full(len(fns), len(span))
+                ) -> tuple[np.ndarray, dict[int, tuple[int, Exception]]]:
+    """fn(i) for i in [lo, hi) and every lane's fn, as :func:`_read_maps`
+    gives them: the values, zero from a lane's first raising index on,
+    and the fault record {lane: (offset of that index, its error)}."""
+    span, faults = range(lo, hi), {}
     try:
         values = np.array([fn(i) for i in span for fn in fns], dtype=complex)
-        return values.reshape(len(span), len(fns)), stops, errors
+        return values.reshape(len(span), len(fns)), faults
     except Exception:  # some lane raised: read lane by lane
         values = np.zeros((len(span), len(fns)), dtype=complex)
     for p, fn in enumerate(fns):
@@ -853,9 +843,9 @@ def _read_lanes(fns: Sequence[Callable[[int], complex]], lo: int, hi: int
             try:
                 values[t, p] = fn(i)
             except Exception as exc:  # the lane's failure, kept
-                stops[p], errors[p] = t, exc
+                faults[p] = (t, exc)
                 break
-    return values, stops, errors
+    return values, faults
 
 
 def truncated_inverse(A_diag, A_offdiag, corner_ratio: complex,

@@ -74,6 +74,19 @@ _DEGENERATE_RTOL = 1e-14
 # model records
 
 
+def _positive(x) -> bool:
+    """0 < x < inf (False for NaN)."""
+    return 0 < x < math.inf
+
+
+def _check_l_dim(l, D) -> None:
+    """ValueError unless D >= 2 and l >= 0 (NaN fails both)."""
+    if not D >= 2:
+        raise ValueError(f"dimension D must be >= 2, got {D}")
+    if not l >= 0:
+        raise ValueError(f"angular momentum l must be >= 0, got {l}")
+
+
 @dataclass(frozen=True)
 class CoulombModel:
     """Radial Coulomb problem V(r) = Z e2 / r in D dimensions.
@@ -102,14 +115,14 @@ class CoulombModel:
     e2: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.b <= 0:
-            raise ValueError(f"basis scale b must be > 0, got {self.b}")
-        if self.D < 2:
-            raise ValueError(f"dimension D must be >= 2, got {self.D}")
-        if self.l < 0:
-            raise ValueError(f"angular momentum l must be >= 0, got {self.l}")
-        if self.m <= 0 or self.hbar <= 0 or self.e2 <= 0:
-            raise ValueError("m, hbar and e2 must all be > 0")
+        if not math.isfinite(self.Z):
+            raise ValueError(f"charge number Z must be finite, got {self.Z}")
+        if not _positive(self.b):
+            raise ValueError(
+                f"basis scale b must be finite and > 0, got {self.b}")
+        _check_l_dim(self.l, self.D)
+        if not all(map(_positive, (self.m, self.hbar, self.e2))):
+            raise ValueError("m, hbar and e2 must all be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -134,14 +147,11 @@ class OscillatorModel:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.omega <= 0 or self.omega_basis <= 0:
-            raise ValueError("omega and omega_basis must be > 0")
-        if self.D < 2:
-            raise ValueError(f"dimension D must be >= 2, got {self.D}")
-        if self.l < 0:
-            raise ValueError(f"angular momentum l must be >= 0, got {self.l}")
-        if self.m <= 0 or self.hbar <= 0:
-            raise ValueError("m and hbar must be > 0")
+        if not (_positive(self.omega) and _positive(self.omega_basis)):
+            raise ValueError("omega and omega_basis must be finite and > 0")
+        _check_l_dim(self.l, self.D)
+        if not (_positive(self.m) and _positive(self.hbar)):
+            raise ValueError("m and hbar must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -179,19 +189,21 @@ class GenCoulombModel:
     D: int = 3
 
     def __post_init__(self) -> None:
-        if self.C <= 0:
-            raise ValueError(f"strength C must be > 0, got {self.C}")
-        if self.theta < 0:
-            raise ValueError(f"shape theta must be >= 0, got {self.theta}")
-        if self.beta < 1.5:
-            raise ValueError(f"exponent beta must be >= 3/2, got {self.beta}")
-        if self.rho_basis <= 0:
+        if not _positive(self.C):
             raise ValueError(
-                f"basis scale rho_basis must be > 0, got {self.rho_basis}")
-        if self.D < 2:
-            raise ValueError(f"dimension D must be >= 2, got {self.D}")
-        if self.l < 0:
-            raise ValueError(f"angular momentum l must be >= 0, got {self.l}")
+                f"strength C must be finite and > 0, got {self.C}")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError(
+                f"shape theta must be finite and >= 0, got {self.theta}")
+        if not math.isfinite(self.q):
+            raise ValueError(f"charge-like q must be finite, got {self.q}")
+        if not 1.5 <= self.beta < math.inf:
+            raise ValueError(
+                f"exponent beta must be finite and >= 3/2, got {self.beta}")
+        if not _positive(self.rho_basis):
+            raise ValueError("basis scale rho_basis must be finite and > 0, "
+                             f"got {self.rho_basis}")
+        _check_l_dim(self.l, self.D)
 
 
 @dataclass(frozen=True)
@@ -272,14 +284,17 @@ class RelCoulombModel:
     eta_basis: float
 
     def __post_init__(self) -> None:
-        if self.mu <= 0:
-            raise ValueError(f"Compton wave number mu must be > 0, got {self.mu}")
-        if self.alpha_fs <= 0:
-            raise ValueError(
-                f"fine-structure constant must be > 0, got {self.alpha_fs}")
-        if self.eta_basis <= 0:
-            raise ValueError(
-                f"basis scale eta_basis must be > 0, got {self.eta_basis}")
+        if not _positive(self.mu):
+            raise ValueError("Compton wave number mu must be finite and > 0, "
+                             f"got {self.mu}")
+        if not _positive(self.alpha_fs):
+            raise ValueError("fine-structure constant must be finite and > 0, "
+                             f"got {self.alpha_fs}")
+        if not math.isfinite(self.Z):
+            raise ValueError(f"charge number Z must be finite, got {self.Z}")
+        if not _positive(self.eta_basis):
+            raise ValueError("basis scale eta_basis must be finite and > 0, "
+                             f"got {self.eta_basis}")
         self.kind.u_value(self.Z * self.alpha_fs)  # fail fast on supercritical Z
 
     @property
@@ -352,15 +367,42 @@ def _energies(E) -> complex | np.ndarray:
     return E.astype(complex)
 
 
+def _finite(energy, *factors) -> None:
+    """ValueError naming the energy (at an array, its first bad lane's)
+    where the energy, or a factor the builder computed from it, is not
+    finite or has a modulus that overflows (np.hypot, as Python's abs)."""
+    values = (energy, *factors)
+    if isinstance(energy, np.ndarray):
+        values = np.array(values)
+        # parts below 1e308 give moduli below sqrt(2) 1e308: none overflows
+        if np.abs(values.view(float)).max(initial=0.0) < 1e308:
+            return
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(np.hypot(values.real, values.imag)).all(axis=0)
+        if not bad.any():
+            return
+        energy = complex(energy[bad.argmax()])
+    else:
+        try:
+            if all(math.isfinite(abs(f)) for f in values):
+                return
+        except OverflowError:  # a modulus past the largest float
+            pass
+    raise ValueError(f"energy {energy} is not finite"
+                     if not cmath.isfinite(energy) else
+                     f"energy {energy} overflows an energy-dependent factor "
+                     "of the operator")
+
+
 def _degenerate(term, part, offset: float) -> bool:
     """|term| <= 1e-14 (|part| + offset) at the energy or at any lane:
-    every off-diagonal entry vanishes. A lane whose modulus is not finite
-    counts too (Python's abs raises OverflowError where it overflows)."""
+    every off-diagonal entry vanishes. The moduli are finite
+    (:func:`_finite`)."""
     if not isinstance(term, np.ndarray):
         return abs(term) <= _DEGENERATE_RTOL * (abs(part) + offset)
     gap = np.hypot(term.real, term.imag)
-    return bool(np.any(~np.isfinite(gap) | (gap <= _DEGENERATE_RTOL * (
-        np.hypot(part.real, part.imag) + offset))))
+    return bool(np.any(gap <= _DEGENERATE_RTOL * (
+        np.hypot(part.real, part.imag) + offset)))
 
 
 def _operator(diag: IndexFormula, offdiag: IndexFormula, energy,
@@ -408,6 +450,9 @@ def coulomb_jacobi(model: CoulombModel, E: complex) -> JacobiOperator:
 
     Raises
     ------
+    ValueError
+        Where E is not finite, or an energy-dependent factor overflows
+        (at an array: at any lane).
     ZeroOffdiagonal
         At the degenerate energy E = -hbar^2 b^2 / (2m), where every
         off-diagonal entry vanishes and the representation breaks down
@@ -419,6 +464,8 @@ def coulomb_jacobi(model: CoulombModel, E: complex) -> JacobiOperator:
     pref = model.hbar**2 / (4.0 * model.m * model.b)
     dfac = _times(k2 - b2, pref)
     ofac = _times(k2 + b2, pref)
+    twice = _times(2.0, dfac)
+    _finite(energy, k2, k2 + b2, twice, ofac)
     if _degenerate(k2 + b2, k2, b2):
         raise ZeroOffdiagonal(
             0, "k^2 + b^2 vanishes at this energy; every off-diagonal "
@@ -427,7 +474,7 @@ def coulomb_jacobi(model: CoulombModel, E: complex) -> JacobiOperator:
     return _operator(
         IndexFormula(_coulomb_diag, (dfac, two_l, model.Z * model.e2)),
         IndexFormula(_coulomb_offdiag, (ofac, two_l)), energy,
-        _over(_times(2.0, dfac), ofac))
+        _over(twice, ofac))
 
 
 def oscillator_jacobi(model: OscillatorModel, E: complex) -> JacobiOperator:
@@ -451,12 +498,18 @@ def oscillator_jacobi(model: OscillatorModel, E: complex) -> JacobiOperator:
     JacobiOperator
         With limit coefficients (-1, 2(w^2+w'^2)/(w^2-w'^2)) when the
         frequencies differ, None otherwise.
+
+    Raises
+    ------
+    ValueError
+        Where E is not finite (at an array: at any lane).
     """
     w, wb = model.omega, model.omega_basis
     dfac = model.hbar * (w * w + wb * wb) / (2.0 * wb)
     ofac = model.hbar * (w * w - wb * wb) / (2.0 * wb)
     shift = model.l + model.D / 2.0
     energy = _energies(E)
+    _finite(energy)
     return _operator(
         IndexFormula(_oscillator_diag, (energy, dfac, shift)),
         IndexFormula(_oscillator_offdiag, (ofac, shift)), energy,
@@ -480,6 +533,9 @@ def gencoulomb_jacobi(model: GenCoulombModel, eps: complex) -> JacobiOperator:
 
     Raises
     ------
+    ValueError
+        Where eps is not finite, or an energy-dependent factor overflows
+        (at an array: at any lane).
     ZeroOffdiagonal
         At the degenerate scaled energy eps = -C rho^2 / 4 (at an array:
         where any lane is degenerate).
@@ -489,6 +545,8 @@ def gencoulomb_jacobi(model: GenCoulombModel, eps: complex) -> JacobiOperator:
     energy = _energies(eps)
     e_term = _over(energy, sc)
     o_term = e_term + sc / 4.0
+    twice = _times(2.0, e_term - sc / 4.0)
+    _finite(energy, e_term, o_term, twice)
     if _degenerate(o_term, e_term, sc / 4.0):
         raise ZeroOffdiagonal(
             0, "eps + C rho^2/4 vanishes at this energy; every "
@@ -499,7 +557,7 @@ def gencoulomb_jacobi(model: GenCoulombModel, eps: complex) -> JacobiOperator:
                      (e_term, beta, rho * model.theta,
                       model.q / math.sqrt(model.C), sc / 4.0)),
         IndexFormula(_gencoulomb_offdiag, (o_term, beta)), energy,
-        _over(_times(2.0, e_term - sc / 4.0), o_term))
+        _over(twice, o_term))
 
 
 def relativistic_jacobi(model: RelCoulombModel, E: complex) -> JacobiOperator:
@@ -527,6 +585,9 @@ def relativistic_jacobi(model: RelCoulombModel, E: complex) -> JacobiOperator:
 
     Raises
     ------
+    ValueError
+        Where E is not finite, or an energy-dependent factor overflows
+        (at an array: at any lane).
     InvalidU
         Propagated from the model when (Z alpha) is supercritical.
     """
@@ -534,12 +595,13 @@ def relativistic_jacobi(model: RelCoulombModel, E: complex) -> JacobiOperator:
     eta = model.eta_basis
     et = _energies(E)
     x = _over(_times(et, et) - model.mu**2 + eta * eta, 2.0 * eta)
+    az2_e, twice = _times(2.0 * model.alpha_fs * model.Z, et), _times(
+        2.0, x - eta)
+    _finite(et, x, az2_e, twice)
     return _operator(
-        IndexFormula(_relativistic_diag,
-                     (_times(2.0 * model.alpha_fs * model.Z, et), u,
-                      x - eta)),
+        IndexFormula(_relativistic_diag, (az2_e, u, x - eta)),
         IndexFormula(_relativistic_offdiag, (-x, u)), et,
-        None if np.any(x == 0) else _over(_times(2.0, x - eta), x))
+        None if np.any(x == 0) else _over(twice, x))
 
 
 # ---------------------------------------------------------------------------

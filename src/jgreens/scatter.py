@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -70,15 +71,23 @@ class ShortRangePotential:
     -----
     v(r) r^2 must vanish faster than 1/r at large r.  This is the
     caller's responsibility; a heuristic probe at r = 100 and r = 200
-    rejects obviously long-ranged inputs.
+    rejects obviously long-ranged inputs, and values that are not finite
+    there.
     """
 
     v: Callable[[float], float]
     coulomb_tail_Z2e2: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.coulomb_tail_Z2e2):
+            raise ValueError("Coulomb tail strength must be finite, got "
+                             f"{self.coulomb_tail_Z2e2}")
         w1 = abs(float(self.v(_DECAY_R1))) * _DECAY_R1**3
         w2 = abs(float(self.v(_DECAY_R2))) * _DECAY_R2**3
+        if not (math.isfinite(w1) and math.isfinite(w2)):
+            raise ValueError(
+                "potential is not finite at the decay probe: |v(r)| r^3 = "
+                f"{w1:.3e} at r={_DECAY_R1:g}, {w2:.3e} at r={_DECAY_R2:g}")
         if w2 > 1e-12 and w2 >= w1:
             raise ValueError(
                 "potential does not look short-ranged: |v(r)| r^3 grew "
@@ -135,11 +144,15 @@ class ScatterProblem:
     quad_order: int | None = None
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"truncation N must be >= 1, got {self.N}")
+        if not (isinstance(self.N, numbers.Integral) and self.N >= 1):
+            raise ValueError(
+                f"truncation N must be an integer >= 1, got {self.N!r}")
         floor = 2 * self.N + 20
         if self.quad_order is None:
             object.__setattr__(self, "quad_order", max(200, floor))
+        elif not isinstance(self.quad_order, numbers.Integral):
+            raise ValueError(
+                f"quad_order must be an integer, got {self.quad_order!r}")
         elif self.quad_order < floor:
             raise ValueError(
                 f"quad_order must be >= 2N+20 = {floor}, got "

@@ -108,7 +108,6 @@ def test_contour_weights_close_and_orientation():
     center = 0.75 + 0.0j
     winding = c.integrate(lambda z: 1.0 / (z - center))
     assert abs(winding - 1.0) < 1e-10
-    assert c.direction == "counterclockwise"
     assert c.encircles == (-0.5, 2.0)
 
 
@@ -615,7 +614,11 @@ def test_merkuriev_validation():
     for bad in ({"x0": 0.0, "y0": 1.0, "nu": 3.0},
                 {"x0": 1.0, "y0": -2.0, "nu": 3.0},
                 {"x0": 1.0, "y0": 1.0, "nu": 2.0},
-                {"x0": 1.0, "y0": 1.0, "nu": 1.5}):
+                {"x0": 1.0, "y0": 1.0, "nu": 1.5},
+                # NaN passed checks written x <= 0
+                {"x0": math.nan, "y0": 1.0, "nu": 3.0},
+                {"x0": 1.0, "y0": math.inf, "nu": 3.0},
+                {"x0": 1.0, "y0": 1.0, "nu": math.nan}):
         with pytest.raises(ValueError):
             MerkurievSplit(**bad)
     split = MerkurievSplit(x0=1.0, y0=1.0, nu=2.5)

@@ -522,6 +522,85 @@ def test_forward_non_finite_recurrence_value_breaks_down():
     assert got == [(0, 0j), (1, 1e-200 + 0j)]
 
 
+def _raises_at(i_bad, exc):
+    def coeffs(i):
+        if i == i_bad:
+            raise exc
+        return 1.0, 1.0
+    return ContinuedFraction(0.0, coeffs)
+
+
+def test_mixed_outcome_sum_matches_eval_forward_per_lane():
+    # one batch of the chunk kernel whose lanes stop at every outcome of
+    # its classifier, each lane equal to its own eval_forward
+    from jgreens.contfrac import _one_lane_reader, _sum_fractions
+
+    lanes = {
+        "agreement": (ContinuedFraction(0.0, lambda i: (1.0, 1.0)), 0.0),
+        # S_n = -n/(n+1) converges too slowly for the budget
+        "budget": (ContinuedFraction(0.0, lambda i: (-1.0, 2.0)), 0.0),
+        # S_n cycles -1, a pole, 0: S_41 is a pole, so S_40 = -1
+        "budget at a pole": (
+            ContinuedFraction(0.0, lambda i: (-1.0, 1.0)), 0.0),
+        "exact end": (ContinuedFraction.from_lists(0.5, [1, 2], [3, 4]),
+                      0.0),
+        "end on a pole": (_pole_ending(), 0.0),
+        "fault": (_raises_at(5, ArithmeticError("map fails at 5")), 0.0),
+        "zero numerator": (ContinuedFraction(
+            0.0, lambda i: (0.0 if i == 3 else 1.0, 1.0)), 0.0),
+        "non-finite approximant": (
+            ContinuedFraction(0.0, lambda i: (1.0, 1.0)), math.nan),
+        "non-finite recurrence": (
+            ContinuedFraction(0.0, lambda i: (1.0, 1e200)), 0.0),
+    }
+    fractions = [cf for cf, _ in lanes.values()]
+    readers = [_one_lane_reader(cf.coefficient) for cf in fractions]
+
+    def read(at, j0, size):
+        parts = [readers[k](None, j0, size) for k in at.tolist()]
+        return (np.hstack([a for a, _, _ in parts]),
+                np.hstack([b for _, b, _ in parts]),
+                {p: f[0] for p, (_, _, f) in enumerate(parts) if f})
+
+    tol, budget = 1e-12, 41
+    value, terms, converged, delta, stopped = _sum_fractions(
+        read, np.array([cf.b0 for cf in fractions]), 0,
+        np.array([w for _, w in lanes.values()], dtype=complex),
+        TailOrigin.USER_SUPPLIED, tol, budget)
+    outcomes = {}
+    for k, (name, (cf, w)) in enumerate(lanes.items()):
+        try:
+            res = eval_forward(cf, tol, budget, w)
+        except Exception as exc:
+            if stopped[k] is None:  # eval_forward's own error
+                assert "terminates on a pole" in str(exc)
+            else:
+                assert type(stopped[k]) is type(exc)
+                assert str(stopped[k]) == str(exc)
+            outcomes[name] = str(exc)
+            continue
+        assert k not in stopped
+        got = complex(value[k])
+        assert (got.real.hex(), got.imag.hex()) \
+            == (res.value.real.hex(), res.value.imag.hex())
+        assert (int(terms[k]), bool(converged[k]), float(delta[k]).hex()) \
+            == (res.terms_used, res.converged, res.last_delta.hex())
+        outcomes[name] = (res.value, res.terms_used, res.converged,
+                          res.last_delta)
+    assert outcomes["agreement"][2]
+    assert outcomes["budget"][1:3] == (41, False)
+    assert outcomes["budget at a pole"] == (-1.0, 41, False, 1.0)
+    assert outcomes["exact end"][1:] == (2, True, 0.0)
+    assert outcomes["exact end"][0] == pytest.approx(11 / 14, rel=1e-15)
+    assert outcomes["end on a pole"] \
+        == "finite fraction terminates on a pole approximant"
+    assert outcomes["fault"] == "map fails at 5"
+    assert outcomes["zero numerator"] == "partial numerator a_3 is zero"
+    assert outcomes["non-finite approximant"] == "non-finite approximant"
+    assert outcomes["non-finite recurrence"] \
+        == "non-finite recurrence value at term 2"
+
+
 def test_pincherle_breakdown_is_no_minimal_solution():
     rec = Recurrence(lambda n: [(1.0, 1.0), (-1.0, 1.0)][n - 1])
     with pytest.raises(NoMinimalSolution, match="broke down") as info:

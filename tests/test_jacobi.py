@@ -1,14 +1,17 @@
 """Tests for tridiagonal Green's matrices and tail ratios."""
 
+import cmath
 import math
 import re
 
 import numpy as np
 import pytest
 
+from jgreens.contfrac import ContinuedFraction, eval_forward
 from jgreens.errors import (
     DegenerateTransform,
     NotConverged,
+    NumericBreakdown,
     SingularMatrix,
     SingularRatio,
     ZeroOffdiagonal,
@@ -531,8 +534,51 @@ def _finite_pole_operator():
     return JacobiOperator(entry, entry, energy=0.0, limit_coeffs=(-1.0, 1.0))
 
 
-def test_mixed_outcome_batch_matches_each_lane_alone():
+def _past_trust_limit_operator():
+    """An operator whose one-coefficient fraction u_1/d_1 = J_10/J_11 sums
+    past the 1e250 trust limit of the ratio. The pole test keeps |S| below
+    about 1e250, so only rounding carries a quotient past it: the scan
+    tries J_11 a few ulps above the pole threshold until one does."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        g = complex(*rng.uniform(0.5, 2.0, 2))
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        for k in range(1, 6):
+            d = cmath.rect(1e-250 * abs(g) * (1.0 + k * 1.1e-16), angle)
+            op = JacobiOperator(lambda i, d=d: d if i == 1 else 1.0,
+                                lambda i, g=g: (g, 1.0)[i],  # ends at i = 2
+                                0.0, (-1.0, 3.0))
+            try:
+                tail_ratio(op, 1)
+            except SingularRatio as exc:
+                if "trust limit" in str(exc):
+                    return op
+    raise AssertionError("no operator sums past the trust limit")
+
+
+def _lanes_match_alone(lanes, n, **kwargs):
+    """_corner_ratios of the lanes as one batch, each lane checked against
+    its one-lane batch and its tail_ratio: ratio by float.hex, error by
+    type and message."""
     from jgreens.jacobi import _corner_ratios, _op_lanes
+
+    ratios, errors = _corner_ratios(_op_lanes(lanes), n, **kwargs)
+    for op, ratio, error in zip(lanes, ratios, errors):
+        (alone,), (alone_error,) = _corner_ratios(_op_lanes([op]), n,
+                                                  **kwargs)
+        assert _hexes(ratio) == _hexes(alone)
+        assert type(error) is type(alone_error)
+        assert str(error) == str(alone_error)
+        if error is None:
+            assert _hexes(tail_ratio(op, n, **kwargs)) == _hexes(ratio)
+        else:
+            with pytest.raises(type(error)) as raised:
+                tail_ratio(op, n, **kwargs)
+            assert str(raised.value) == str(error)
+    return ratios, errors
+
+
+def test_mixed_outcome_batch_matches_each_lane_alone():
     from jgreens.models import CoulombModel, coulomb_jacobi
 
     model = CoulombModel(Z=-1.0, l=0, D=3, b=1.0)
@@ -540,6 +586,9 @@ def test_mixed_outcome_batch_matches_each_lane_alone():
     zero_at = JacobiOperator(bound.diag,
                              lambda i: 0.0 if i == 3 else bound.offdiag(i),
                              bound.energy, bound.limit_coeffs)
+    # d_i = 1e200: the fixed-point tails overflow, and so does B_2
+    huge = JacobiOperator(lambda i: -1e200, lambda i: 1.0, 0.0,
+                          (-1.0, 1e200))
     lanes = [
         bound,  # converges at depth 0
         coulomb_jacobi(model, 0.5 + 0.1j),  # converges at depth 8
@@ -550,20 +599,37 @@ def test_mixed_outcome_batch_matches_each_lane_alone():
         _finite_pole_operator(),
         coulomb_jacobi(model, 0.4 - 0.2j),  # AUTO refuses Im E < 0
         JacobiOperator(bound.diag, bound.offdiag, bound.energy),  # no limits
+        huge,  # S_1 with its tail is not finite
+        _past_trust_limit_operator(),
+        JacobiOperator(bound.diag, bound.offdiag, bound.energy,
+                       (-1.0, complex(2.0, math.nan))),  # NaN limit
     ]
-    kwargs = {"sheet": SheetSelector.AUTO, "max_terms": 40}
-    ratios, errors = _corner_ratios(_op_lanes(lanes), 1, **kwargs)
+    ratios, errors = _lanes_match_alone(lanes, 1, sheet=SheetSelector.AUTO,
+                                        max_terms=40)
     assert [type(e) for e in errors] == [
         type(None), type(None), NotConverged, ZeroOffdiagonal, SingularRatio,
-        ValueError, ValueError]
-    for op, ratio, error in zip(lanes, ratios, errors):
-        (alone,), (alone_error,) = _corner_ratios(_op_lanes([op]), 1,
-                                                  **kwargs)
-        assert _hexes(ratio) == _hexes(alone)
-        assert type(error) is type(alone_error)
-        assert str(error) == str(alone_error)
+        ValueError, ValueError, NumericBreakdown, SingularRatio, ValueError]
     assert errors[3].index == 3
-    assert not ratios[2:].any()
+    assert str(errors[7]) == "non-finite approximant"
+    assert "exceeds trust limit" in str(errors[8])
+    assert "not finite" in str(errors[9])
+    # a lane past the trust limit keeps its ratio; failed sums give zero
+    assert not ratios[2:8].any() and abs(ratios[8]) > 1e250
+    # classical approximants (zero tail) of K(-1/1) cycle -1, a pole, 0:
+    # the budget of 41 terms ends on the pole at S_41 and returns S_40,
+    # with the last comparison |S_40 - S_39| = 1
+    cycle = JacobiOperator(lambda i: -1.0, lambda i: 1.0, 0.0)
+    _, errors = _lanes_match_alone([bound, cycle, huge], 1,
+                                   sheet=SheetSelector.ZERO_TAIL,
+                                   max_terms=41)
+    assert errors[0] is None
+    assert isinstance(errors[1], NotConverged)
+    assert (errors[1].terms_used, errors[1].last_delta) == (41, 1.0)
+    assert str(errors[2]) == "non-finite recurrence value at term 2"
+    res = eval_forward(ContinuedFraction(0.0, lambda i: (-1.0, 1.0)),
+                       1e-12, 41)
+    assert (res.value, res.terms_used, res.converged, res.last_delta) \
+        == (-1.0, 41, False, 1.0)
     with pytest.raises(ValueError, match="bm_rounds"):
         tail_ratio(bound, 1, bm_rounds=-1)
 

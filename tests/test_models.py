@@ -8,6 +8,7 @@ formulas, and the leading Green's element against its hypergeometric
 reference.
 """
 
+import cmath
 import math
 import sys
 
@@ -305,13 +306,13 @@ def test_index_formulas_match_scalar_expressions_bitwise(build, scalar,
         for which in (0, 1):  # diag, offdiag
             maps = [(op.diag, op.offdiag)[which] for op in ops]
             assert all(isinstance(f, IndexFormula) for f in maps)
-            chunk, stops, errors = _read_maps(maps)(np.arange(len(ops)), 0, n)
-            assert not errors and list(stops) == [n] * len(ops)
+            chunk, faults = _read_maps(maps)(np.arange(len(ops)), 0, n)
+            assert not faults and chunk.shape == (n, len(ops))
             for lane, oracle in enumerate(oracles):
                 expected = [_hex(oracle[which](i)) for i in range(n)]
                 assert [_hex(v) for v in chunk[:, lane].tolist()] == expected
                 # a lane read alone, and the map at an int index
-                alone, _, _ = _read_maps([maps[lane]])([0], 0, n)
+                alone, _ = _read_maps([maps[lane]])([0], 0, n)
                 assert [_hex(v) for v in alone[:, 0].tolist()] == expected
                 for i in (0, 1, 41, n - 1):
                     value = maps[lane](i)
@@ -445,10 +446,96 @@ def test_supercritical_charge_raises_invalid_u():
     lambda: GenCoulombModel(C=1.0, theta=1.0, q=1.0, beta=1.4, rho_basis=1.0),
     lambda: RelCoulombModel(mu=-1.0, alpha_fs=0.007, Z=1.0,
                             kind=KleinGordon(l=0), eta_basis=1.0),
+    # NaN passed checks written x <= 0, and inf makes no operator
+    lambda: CoulombModel(Z=1.0, b=math.nan),
+    lambda: CoulombModel(Z=math.nan),
+    lambda: CoulombModel(Z=-1.0, m=math.inf),
+    lambda: CoulombModel(Z=-1.0, D=math.nan),
+    lambda: OscillatorModel(omega=math.nan, omega_basis=1.0),
+    lambda: OscillatorModel(omega=1.0, omega_basis=math.inf),
+    lambda: GenCoulombModel(C=math.nan, theta=1.0, q=1.0, beta=2.0,
+                            rho_basis=1.0),
+    lambda: GenCoulombModel(C=1.0, theta=math.inf, q=1.0, beta=2.0,
+                            rho_basis=1.0),
+    lambda: GenCoulombModel(C=1.0, theta=1.0, q=math.nan, beta=2.0,
+                            rho_basis=1.0),
+    lambda: RelCoulombModel(mu=math.nan, alpha_fs=0.007, Z=1.0,
+                            kind=KleinGordon(l=0), eta_basis=1.0),
+    lambda: RelCoulombModel(mu=1.0, alpha_fs=0.007, Z=math.nan,
+                            kind=KleinGordon(l=0), eta_basis=1.0),
 ])
 def test_model_validation_rejects(bad):
     with pytest.raises(ValueError):
         bad()
+
+
+_BUILDERS = [
+    (coulomb_jacobi, CoulombModel(Z=-1.0, l=0, D=3, b=1.0)),
+    (oscillator_jacobi, OscillatorModel(omega=1.0, omega_basis=1.3)),
+    (gencoulomb_jacobi, GenCoulombModel(C=0.9, theta=0.8, q=1.7, beta=2.4,
+                                        rho_basis=1.3)),
+    (relativistic_jacobi, RelCoulombModel(mu=1.0, alpha_fs=0.1, Z=1.0,
+                                          kind=KleinGordon(l=0),
+                                          eta_basis=1.0)),
+]
+
+
+@pytest.mark.parametrize("build, model", _BUILDERS,
+                         ids=["coulomb", "oscillator", "gencoulomb",
+                              "relativistic"])
+def test_builders_refuse_non_finite_energies(build, model):
+    # a NaN energy made a NaN block, and numpy's warnings escaped the
+    # fixed points of NaN limits; an imaginary NaN read as Im E < 0
+    bad = [complex(math.nan, 0.0), complex(math.inf, 0.0),
+           complex(-math.inf, 0.0), math.nan * 1j, complex(0.0, math.inf)]
+    # 2E (Coulomb), 2(E/sqrt(C) rho) (interpolating), E^2 (relativistic)
+    # overflow here; the oscillator only subtracts from E
+    good = -0.3 + 0.2j
+    if build is not oscillator_jacobi:
+        bad.append(complex(1e308, 1e308))
+    else:  # parts past 1e308 whose modulus is finite build
+        for E in (complex(1e308, 1e308), np.array([good, 1e308 + 1e308j])):
+            assert build(model, E).energy is not None
+    for E in bad:
+        what = "is not finite" if not cmath.isfinite(E) else "overflows"
+        message = f"energy {E} {what}"
+        for call in (lambda: build(model, E),
+                     lambda: dense_truncation(build(model, E), 2),
+                     lambda: tail_ratio(build(model, E), 3),
+                     lambda: green_submatrix(build(model, E), 3),
+                     lambda: build(model, np.array([good, E]))):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value).startswith(message)
+    # the array call raises, and the batch meets each lane's own error
+    energies = [good, *bad, good + 0.1]
+    blocks, errors = _corrected_blocks(lambda e: build(model, e), energies,
+                                       3)
+    for E, block, error in zip(energies, blocks, errors):
+        if E in (good, good + 0.1):
+            assert error is None
+            alone = corrected_truncation(build(model, E), 3,
+                                         SheetSelector.PHYSICAL)
+            assert np.array_equal(block.view(np.int64), alone.view(np.int64))
+        else:
+            with pytest.raises(ValueError) as info:
+                build(model, E)
+            assert isinstance(error, ValueError)
+            assert str(error) == str(info.value)
+            assert not block.any()
+
+
+def test_fixed_points_of_nan_are_nan():
+    from jgreens.contfrac import _fixed_point_arrays, fixed_points
+
+    for a, b in ((math.nan, 1.0), (1.0, math.nan),
+                 (complex(0.0, math.nan), 2.0)):
+        assert all(cmath.isnan(t.w) for t in fixed_points(a, b))
+    attractive, repulsive = _fixed_point_arrays(
+        np.array([math.nan, 2.0, -1.0]),
+        np.array([1.0, complex(math.nan, math.nan), 2.5]))
+    assert np.isnan(attractive[:2]).all() and np.isnan(repulsive[:2]).all()
+    assert (attractive[2], repulsive[2]) == (-0.5, -2.0)
 
 
 def test_wavenumber_branch():

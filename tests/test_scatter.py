@@ -278,6 +278,12 @@ def test_short_range_potential_rejects_slow_tails():
         ShortRangePotential(lambda r: 1.0 / r**2)
     ShortRangePotential(lambda r: 1.0 / r**4)
     ShortRangePotential(lambda r: math.exp(-0.5 * r))
+    # NaN passed the probe, which compares |v(r)| r^3
+    for v in (lambda r: math.nan, lambda r: math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            ShortRangePotential(v)
+    with pytest.raises(ValueError, match="finite"):
+        ShortRangePotential(lambda r: 0.0, coulomb_tail_Z2e2=math.nan)
 
 
 def test_alpha_alpha_decomposition():
@@ -300,6 +306,12 @@ def test_scatter_problem_validation():
     with pytest.raises(ValueError):
         ScatterProblem(charged(), SHORT_AA, 40, quad_order=99)
     assert ScatterProblem(charged(), SHORT_AA, 8).quad_order == 200
+    # a float N constructed, then failed with TypeError
+    with pytest.raises(ValueError, match="integer"):
+        ScatterProblem(charged(), SHORT_AA, 2.5)
+    with pytest.raises(ValueError, match="integer"):
+        ScatterProblem(charged(), SHORT_AA, 8, quad_order=250.0)
+    assert ScatterProblem(charged(), SHORT_AA, np.int64(8)).quad_order == 200
     assert ScatterProblem(charged(), SHORT_AA, 120).quad_order == 260
 
 
