@@ -1,4 +1,10 @@
-"""Green's matrices of Jacobi Hamiltonians by continued fractions."""
+"""Green's matrices of Jacobi Hamiltonians by continued fractions.
+
+``import jgreens`` loads numpy and the standard library only.
+``scipy.special`` loads at the first alpha-alpha potential, Coulomb
+phase or free-overlap evaluation, and ``scipy.optimize`` at the first
+:func:`jgreens.models.gencoulomb_h_of_r`.
+"""
 
 from .errors import (
     JGreensError,

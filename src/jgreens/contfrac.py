@@ -370,11 +370,16 @@ def _fixed_point_arrays(a: np.ndarray, b: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(attractive, repulsive) fixed points of w -> a/(b + w), elementwise;
     see :func:`fixed_points`."""
-    s = np.sqrt(b * b + 4.0 * a)
-    s = np.where((np.conj(b) * s).real < 0.0, -s, s)
-    big = (b + s) * -0.5  # the larger root, or a tie
-    # product of roots is -a; a NaN root gives NaN, with no warning
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sqrt(b * b + 4.0 * a)
+        s = np.where((np.conj(b) * s).real < 0.0, -s, s)
+        # finite roots are below ~2e154, so their sum is finite too
+        if not cmath.isfinite(s.sum()):
+            # where b^2 overflows, the sign-matched root is b sqrt(1 + 4a/b^2)
+            far = ~np.isfinite(s)
+            s[far] = b[far] * np.sqrt(1.0 + 4.0 * a[far] / b[far] / b[far])
+        big = (b + s) * -0.5  # the larger root, or a tie
+        # product of roots is -a; a NaN root gives NaN, with no warning
         small = np.divide(-a, big, out=np.zeros_like(big), where=big != 0)
     m_big = np.abs(big)
     tie = m_big - np.abs(small) <= 1e-14 * m_big
@@ -773,7 +778,20 @@ def _approximants(state: np.ndarray, a: np.ndarray, b: np.ndarray, tails
     x[:, :, 0] = state
     x[0, 0, 1:], x[0, 1, 1:], x[1, 0, 1:], x[1, 1, 1:] = b, 1.0, a, 0.0
     _prefix_products(x)
-    state[...] = x[:, :, -1]
+    state[...] = x[:, :, -1]  # rescaled: its sum is finite if its entries are
+    if not cmath.isfinite(state.sum()):
+        # b_j or sqrt(a_j) past ~1e154 overflow the first round: scale each
+        # step of those lanes by a power of two near 1 / max(|b_j|,
+        # sqrt|a_j|), which leaves every S_j as it is
+        far = ~np.isfinite(state).all(axis=(0, 1))
+        _, e = np.frexp(np.fmax(np.abs(b[:, far]), np.sqrt(np.abs(a[:, far]))))
+        c = np.ldexp(1.0, -np.maximum(e, 0))
+        y = np.empty(x.shape[:3] + (c.shape[1],), dtype=complex)
+        y[:, :, 0] = x[:, :, 0, far]
+        y[0, 0, 1:], y[0, 1, 1:], y[1, 0, 1:], y[1, 1, 1:] = (
+            b[:, far] * c, c, a[:, far] * c, 0.0)
+        _prefix_products(y)
+        x[..., far], state[..., far] = y, y[:, :, -1]
     num, den = x[:, 0, :-1] + x[:, 1, :-1] * tails
     s = num / den
     return x, s, ~(np.abs(den) <= _POLE_THRESHOLD * np.fmax(1.0, np.abs(num)))

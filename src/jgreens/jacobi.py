@@ -58,7 +58,11 @@ __all__ = [
 # reported as singular.
 _COND_LIMIT = 1e14
 # Ratio magnitude above which the leading Green's element is treated as
-# vanished (the p_i q_j factorization presumes it is nonzero).
+# vanished (the p_i q_j factorization presumes it is nonzero). The pole
+# test of contfrac._approximants (|den| <= 1e-250 max(1, |num|)) already
+# keeps a converged sum below about 1e250, so only rounding carries a
+# quotient past this limit; such a lane keeps its ratio in _corner_ratios'
+# output, with a SingularRatio error, while every other failed lane reads 0.
 _RATIO_LIMIT = 1e250
 
 _DEFAULT_TOL = 1e-12
@@ -692,7 +696,10 @@ def _corner_ratios(batch: _Lanes, n: int,
     on its batch). Each lane that did not converge is then decided as
     ``tail_ratio`` decides: an end with rounds on (IndexError) goes to
     depth 0, its last; a DegenerateTransform or NotConverged to the next
-    depth of the plan, if any; anything else is the lane's error."""
+    depth of the plan, if any; anything else is the lane's error. A ratio
+    past ``_RATIO_LIMIT``, which only rounding past the pole test of the
+    sum can give, is a SingularRatio but keeps its value in the output;
+    every other failed lane's ratio is zero."""
     if bm_rounds is not None and bm_rounds < 0:
         raise ValueError(f"bm_rounds must be >= 0, got {bm_rounds}")
     at = np.arange(batch.energy.size) if at is None else np.asarray(at)

@@ -7,6 +7,10 @@ the analytically known Coulomb Green's matrix: bound states and
 resonances are zeros of a determinant, scattering states solve an
 (N+1)-dimensional linear system, and phase shifts follow from the
 amplitude.
+
+``erf``, ``erfc`` and ``loggamma`` come from ``scipy.special``, which
+loads at the first alpha-alpha potential, Coulomb phase or free-overlap
+evaluation, not at import (see :mod:`jgreens.special`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import erf, erfc, loggamma
 
 from .errors import (GridTooCoarse, JGreensError, QuadratureSuspect,
                      SingularMatrix)
@@ -28,7 +31,7 @@ from .jacobi import (GreenMatrix, SheetSelector, _checked_inverse,
                      dense_truncation)
 from .models import (CoulombModel, _real_zeros, _secant, coulomb_jacobi,
                      wavenumber)
-from .special import (_laguerre_functions, coulomb_sigma,
+from .special import (_laguerre_functions, _on_first_call, coulomb_sigma,
                       gauss_laguerre_scaled)
 # Uncalled; kept bound because perfbench/tracer.py wraps them at this module.
 from .jacobi import green_submatrix  # noqa: F401
@@ -41,6 +44,10 @@ __all__ = [
     "find_resonances", "scatter_solve", "free_overlap", "phase_shift",
     "total_green",
 ]
+
+erf = _on_first_call(globals(), "erf")
+erfc = _on_first_call(globals(), "erfc")
+loggamma = _on_first_call(globals(), "loggamma")
 
 # Radius at which the heuristic decay check samples the potential.
 _DECAY_R1 = 100.0

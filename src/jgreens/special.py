@@ -4,15 +4,23 @@ Provides the Gauss hypergeometric function for complex argument, the
 regular Coulomb wave function evaluated by series and Steed-type
 continued fractions, the Coulomb phase, generalized Laguerre tables,
 and overflow-safe Gauss quadrature rules.
+
+Importing the package loads numpy and the standard library only.
+``scipy.special`` (about 25 MB of resident memory and 0.2 s) loads at
+the first Coulomb phase or Coulomb-wave evaluation here, and at the
+first alpha-alpha potential or free-overlap evaluation in
+:mod:`jgreens.scatter`; ``scipy.optimize`` loads at the first
+:func:`jgreens.models.gencoulomb_h_of_r`.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
-import scipy.special
 
 from .errors import CoulombWaveFailure, HypergeometricNoConverge
 
@@ -27,6 +35,21 @@ __all__ = [
 ]
 
 _LENTZ_TINY = 1e-300
+
+
+def _on_first_call(namespace: dict, name: str) -> Callable:
+    """Stand-in for ``scipy.special.<name>`` as the global ``name`` of
+    ``namespace``: its first call imports scipy.special and binds the
+    function there, so later calls look up the function itself."""
+    def stand_in(*args):
+        # loaded here: scipy.special adds 25 MB of RSS to the process
+        func = getattr(importlib.import_module("scipy.special"), name)
+        namespace[name] = func
+        return func(*args)
+    return stand_in
+
+
+loggamma = _on_first_call(globals(), "loggamma")
 
 
 def _gauss_series(a, b, c, z, tol, max_terms):
@@ -117,7 +140,7 @@ def hyp2f1(a, b, c, z, *, tol=1e-14, max_terms=50000):
 
 def coulomb_sigma(l, eta):
     """Coulomb phase shift sigma_l = arg Gamma(l + 1 + i*eta)."""
-    return float(scipy.special.loggamma(complex(l + 1, eta)).imag)
+    return float(loggamma(complex(l + 1, eta)).imag)
 
 
 def _coulomb_series(l, eta, rho):
@@ -125,7 +148,7 @@ def _coulomb_series(l, eta, rho):
     log_norm = (
         l * math.log(2.0)
         - math.pi * eta / 2.0
-        + scipy.special.loggamma(complex(l + 1, eta)).real
+        + loggamma(complex(l + 1, eta)).real
         - math.lgamma(2 * l + 2)
     )
     t_prev = 1.0
@@ -158,8 +181,8 @@ def _coulomb_f_series_cplx(l, eta, rho_arr):
     log_norm = (
         l * math.log(2.0)
         - math.pi * eta / 2.0
-        + 0.5 * (scipy.special.loggamma(l + 1 + 1j * eta)
-                 + scipy.special.loggamma(l + 1 - 1j * eta))
+        + 0.5 * (loggamma(l + 1 + 1j * eta)
+                 + loggamma(l + 1 - 1j * eta))
         - math.lgamma(2 * l + 2)
     )
     t_prev = np.ones_like(rho_arr)
@@ -210,8 +233,8 @@ def _asym_sum(a, b, z):
 
 def _coulomb_f_asym_cplx(l, eta, rho_arr):
     """Asymptotic F_l = (H+ - H-)/2i for complex args; (values, rel err)."""
-    sigma = (scipy.special.loggamma(l + 1 + 1j * eta)
-             - scipy.special.loggamma(l + 1 - 1j * eta)) / 2j
+    sigma = (loggamma(l + 1 + 1j * eta)
+             - loggamma(l + 1 - 1j * eta)) / 2j
     theta = (rho_arr - eta * np.log(2.0 * rho_arr)
              - l * math.pi / 2.0 + sigma)
     sum_p, err_p = _asym_sum(l + 1 + 1j * eta, -l + 1j * eta,

@@ -194,6 +194,58 @@ def test_fixed_points_quadratic_residual_and_ordering():
         assert abs(att.w) <= abs(rep.w) * (1.0 + 1e-13)
 
 
+def _plain_fixed_points(a, b):
+    """The fixed points as _fixed_point_arrays forms them where b^2 stays
+    finite: the reference for those lanes."""
+    s = np.sqrt(b * b + 4.0 * a)
+    s = np.where((np.conj(b) * s).real < 0.0, -s, s)
+    big = (b + s) * -0.5
+    small = np.divide(-a, big, out=np.zeros_like(big), where=big != 0)
+    m_big = np.abs(big)
+    tie = m_big - np.abs(small) <= 1e-14 * m_big
+    tie &= (big.imag > small.imag) | (
+        (big.imag == small.imag) & (big.real >= small.real))
+    return np.where(tie, big, small), np.where(tie, small, big)
+
+
+def test_fixed_points_where_b_squared_overflows():
+    from jgreens.contfrac import _fixed_point_arrays
+
+    rng = np.random.default_rng(154)
+    a = rng.uniform(-2.0, 2.0, 64) + 1j * rng.uniform(-2.0, 2.0, 64)
+    b = (rng.choice([-1.0, 1.0, 1j, -1j, 1 + 1j, 0.6 - 0.8j], 64)
+         * 10.0 ** rng.uniform(140.0, 300.0, 64))
+    att, rep = _fixed_point_arrays(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = ~np.isfinite(b * b + 4.0 * a)
+    assert far.sum() > 30 and (~far).sum() > 5
+    # w (b + w) = a: the attractive root is a / b to rounding, the
+    # repulsive one -b
+    assert np.all(np.abs(att * b / a - 1.0) < 1e-15)
+    assert np.all(np.abs(rep / b + 1.0) < 1e-15)
+    # lanes whose b^2 is finite keep the plain formula's bits
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = _plain_fixed_points(a, b)
+    for got, want in zip((att, rep), plain):
+        assert got[~far].tobytes() == want[~far].tobytes()
+    att_1, rep_1 = fixed_points(a[0], b[0])
+    assert (att_1.w, rep_1.w) == (att[0], rep[0])
+
+
+def test_forward_sum_past_the_square_of_b():
+    # b_i = 1e200 overflowed the first product of the scan; each step is
+    # now scaled by a power of two: K(1/1e200) = 1e-200 to rounding
+    res = eval_forward(ContinuedFraction(0.0, lambda i: (1.0, 1e200)),
+                       1e-12, 100)
+    assert res.converged
+    assert res.value == pytest.approx(1e-200, rel=1e-15, abs=0.0)
+    # K(a/b) with a = b = 1e200 is the root of w^2 + b w - a = 0 near 1,
+    # 1 - 1e-200 + ..., and b^2 overflowed
+    res = eval_forward(ContinuedFraction(0.0, lambda i: (1e200, 1e200)),
+                       1e-15, 100)
+    assert res.converged and res.value == 1.0
+
+
 # ------------------------------------------------------------- bauer-muir
 
 
@@ -513,8 +565,9 @@ def test_forward_non_finite_approximant_breaks_down(tail):
 
 
 def test_forward_non_finite_recurrence_value_breaks_down():
-    # B_2 = 1e200 * 1e200 overflows before the scan rescales it
-    huge = ContinuedFraction(0.0, lambda i: (1.0, 1e200))
+    # b_2 = inf: B_2 is not finite (1e200 * 1e200 is, as the scan scales)
+    huge = ContinuedFraction(
+        0.0, lambda i: (1.0, 1e200 if i == 1 else math.inf))
     got = []
     with pytest.raises(NumericBreakdown, match="recurrence value at term 2"):
         for pair in forward_approximants(huge):
@@ -550,8 +603,8 @@ def test_mixed_outcome_sum_matches_eval_forward_per_lane():
             0.0, lambda i: (0.0 if i == 3 else 1.0, 1.0)), 0.0),
         "non-finite approximant": (
             ContinuedFraction(0.0, lambda i: (1.0, 1.0)), math.nan),
-        "non-finite recurrence": (
-            ContinuedFraction(0.0, lambda i: (1.0, 1e200)), 0.0),
+        "non-finite recurrence": (ContinuedFraction(
+            0.0, lambda i: (1.0, 1e200 if i == 1 else math.inf)), 0.0),
     }
     fractions = [cf for cf, _ in lanes.values()]
     readers = [_one_lane_reader(cf.coefficient) for cf in fractions]

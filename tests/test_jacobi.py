@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -586,9 +587,9 @@ def test_mixed_outcome_batch_matches_each_lane_alone():
     zero_at = JacobiOperator(bound.diag,
                              lambda i: 0.0 if i == 3 else bound.offdiag(i),
                              bound.energy, bound.limit_coeffs)
-    # d_i = 1e200: the fixed-point tails overflow, and so does B_2
-    huge = JacobiOperator(lambda i: -1e200, lambda i: 1.0, 0.0,
-                          (-1.0, 1e200))
+    # d_i = -inf past i = 1: the fixed-point tails and B_2 are not finite
+    huge = JacobiOperator(lambda i: -1e200 if i == 1 else -math.inf,
+                          lambda i: 1.0, 0.0, (-1.0, 1e200))
     lanes = [
         bound,  # converges at depth 0
         coulomb_jacobi(model, 0.5 + 0.1j),  # converges at depth 8
@@ -639,6 +640,24 @@ def _block(rng, singular_values):
     q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return (q1 * singular_values) @ q2.conj().T
+
+
+def test_oscillator_tail_ratio_where_b_squared_overflows():
+    # the ratio is about 0.86/E; from E ~ 1.3e154 the fixed-point tails
+    # squared b_i ~ E and the scan's first product overflowed, so the
+    # sum raised "non-finite approximant"
+    from jgreens.models import OscillatorModel, oscillator_jacobi
+
+    model = OscillatorModel(omega=1.0, omega_basis=1.3)
+    energies = [1.0 + 0.5j, 1e100, 1e150, 1e155, 1e200, 1e200 + 1e200j,
+                1e300j]
+    lanes = [oscillator_jacobi(model, E) for E in energies]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratios, errors = _lanes_match_alone(lanes, 3)
+    assert not any(errors)
+    for E, r in zip(energies[1:], ratios[1:]):
+        assert abs(r * E / 0.859944438827197 - 1.0) < 1e-14
 
 
 def test_checked_inverses_flag_only_the_bad_blocks():

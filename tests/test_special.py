@@ -232,22 +232,114 @@ def test_laguerre_functions_rows_do_not_depend_on_the_top_index():
 # ---------------------------------------------------------------- quadrature
 
 
+def _run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this jgreens; the
+    process exits 0 when its checks pass."""
+    src = os.path.dirname(os.path.dirname(
+        sys.modules["jgreens.special"].__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_quadrature_set_up_leaves_scipy_linalg_unloaded():
     # the rule takes its start nodes from numpy: a potential matrix, which
     # builds two rules, imports no scipy.linalg (about 5 MB of resident
     # memory, and set-up time, in every process that builds one)
-    code = ("import sys\n"
-            "from jgreens.models import CoulombModel\n"
-            "from jgreens.scatter import ScatterProblem, "
-            "alpha_alpha_potential, potential_matrix\n"
-            "potential_matrix(ScatterProblem(CoulombModel(Z=4, b=4.0), "
-            "alpha_alpha_potential()[1], 8))\n"
-            "sys.exit('scipy.linalg' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(
-        sys.modules["jgreens.special"].__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=120).returncode == 0
+    _run_fresh("import sys\n"
+               "from jgreens.models import CoulombModel\n"
+               "from jgreens.scatter import ScatterProblem, "
+               "alpha_alpha_potential, potential_matrix\n"
+               "potential_matrix(ScatterProblem(CoulombModel(Z=4, b=4.0), "
+               "alpha_alpha_potential()[1], 8))\n"
+               "sys.exit('scipy.linalg' in sys.modules)\n")
+
+
+def test_import_and_scipy_free_paths_load_no_scipy():
+    # scipy.special alone adds about 25 MB of resident memory and 0.2 s to
+    # a process; a Gaussian-only level search and an oscillator contour
+    # convolution use none of scipy, so no scipy module may load for them
+    _run_fresh("""
+import sys
+import numpy as np
+import jgreens as jg
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_loaded(), scipy_loaded()
+model = jg.CoulombModel(Z=0, l=0, b=4.0, m=1.0, e2=1.44)
+gauss = jg.ShortRangePotential(lambda r: -122.694 * np.exp(-0.22 * r * r))
+p = jg.ScatterProblem(model, gauss, 8, smoothing=jg.SmoothingScheme(6.0))
+assert len(jg.find_bound_states(p, -85.0, -0.5, n_grid=40)) >= 1
+osc = jg.OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3)
+family = lambda z: jg.oscillator_jacobi(osc, z)
+ring = jg.encircle_points([1.5], 0.1, 40)
+assert np.isfinite(jg.convolve_greens(family, family, 2.2, ring, 3, 3)).all()
+assert not scipy_loaded(), scipy_loaded()
+""")
+
+
+# Each case runs in a new process that has loaded no scipy: ``code``, the
+# first use, sets ``got``; it must load scipy.special and bind ``bound``
+# (a name in jgreens.scatter or jgreens.special) to its function there.
+# ``want``, evaluated after, must equal ``got`` by float.hex. The radii
+# include 0 (the limit of the erf tail) and a far one.
+_FIRST_USE = {
+    "full": (
+        "full, _ = jg.alpha_alpha_potential()\n"
+        "x = np.array(R)\n"
+        "got = [full(r) for r in R] + list(full(x))",
+        "scatter.erf",
+        "[float(v) for v in np.where("
+        "x == 0.0, 5.76 * 1.5 / math.sqrt(math.pi), 5.76 * sp.erf(0.75 * x)"
+        " / x) - 122.694 * np.exp(-0.22 * x * x)] * 2"),
+    "short": (
+        "short = jg.alpha_alpha_potential()[1].v\n"
+        "x = np.array(R[1:])\n"
+        "got = [short(r) for r in R[1:]] + list(short(x))",
+        "scatter.erfc",
+        "[float(v) for v in -122.694 * np.exp(-0.22 * x * x)"
+        " - 5.76 * sp.erfc(0.75 * x) / x] * 2"),
+    "coulomb_sigma": (
+        "cases = [(0, 0.3), (2, 1.7), (5, -40.0), (0, 250.0)]\n"
+        "got = [special.coulomb_sigma(l, eta) for l, eta in cases]",
+        "special.loggamma",
+        "[float(sp.loggamma(complex(l + 1, eta)).imag) for l, eta in cases]"),
+    "free_overlap real E": (
+        "model = jg.CoulombModel(Z=4, l=2, b=4.0, m=3727.379, e2=1.44)\n"
+        "got = list(jg.free_overlap(model, 0.7, 12))",
+        "scatter.loggamma",
+        "list(jg.free_overlap(model, 0.7, 12))"),
+    "free_overlap complex E": (
+        "model = jg.CoulombModel(Z=4, l=0, b=4.0, m=3727.379, e2=1.44)\n"
+        "got = list(jg.free_overlap(model, 0.09 - 2e-6j, 12))",
+        "scatter.loggamma",
+        "list(jg.free_overlap(model, 0.09 - 2e-6j, 12))"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIRST_USE))
+def test_first_use_loads_scipy_special_and_keeps_values(case):
+    # a free overlap's reference is its second call, which finds
+    # scipy.special's loggamma bound in jgreens.scatter
+    code, bound, want = _FIRST_USE[case]
+    module, name = bound.split(".")
+    _run_fresh(f"""
+import math, sys
+import numpy as np
+import jgreens as jg
+from jgreens import scatter, special
+R = [0.0, 0.3, 1.0, 2.5, 7.0, 40.0]
+assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+{code}
+assert "scipy.special" in sys.modules
+import scipy.special as sp
+assert {module}.{name} is sp.{name}
+hexes = lambda vs: [(complex(v).real.hex(), complex(v).imag.hex()) for v in vs]
+assert hexes(got) == hexes({want}), (got, {want})
+""")
 
 
 def test_gauss_laguerre_scaled_matches_scipy_low_order():
