@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Generator, Union
@@ -77,6 +78,15 @@ _DEGENERATE_RTOL = 1e-14
 def _positive(x) -> bool:
     """0 < x < inf (False for NaN)."""
     return 0 < x < math.inf
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """ValueError naming the argument unless ``value`` is an integer
+    >= minimum; a bool or a float is not a count, integral or not."""
+    if not (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_l_dim(l, D) -> None:
@@ -1030,8 +1040,10 @@ def _secant(f: Callable[[complex], complex], x0: complex, f0: complex,
             x1: complex, f1: complex, scale: float,
             bracket: tuple[float, float, float] | None = None,
             cap: float = math.inf) -> tuple[complex, complex, bool]:
-    """(x, f(x), settled): the iteration of :func:`_secant_steps` driven
-    alone, one ``f`` call per step; an error of ``f`` propagates."""
+    """(x, f at the last evaluated iterate, settled): the iteration of
+    :func:`_secant_steps` driven alone, one ``f`` call per step it does
+    not settle on; an x settled on its step is never passed to ``f``.
+    An error of ``f`` propagates."""
     (out,) = _lockstep([_secant_steps(x0, f0, x1, f1, scale, bracket, cap)],
                        lambda xs: [f(x) for x in xs])
     return out
@@ -1043,29 +1055,35 @@ def _secant_steps(x0: complex, f0: complex, x1: complex, f1: complex,
                   cap: float = math.inf) -> Generator:
     """Secant iteration for a zero of f from (x0, f0) and (x1, f1), the
     polisher of every determinant root search, as a stepper: a generator
-    that yields its next x, is sent f(x), and returns (x, f(x), settled).
-    :func:`_secant` drives one alone; :func:`_lockstep` drives many in
-    one batch per step.
+    that yields its next x, is sent f(x), and returns (x, fx, settled),
+    fx being f at the last iterate it evaluated.  :func:`_secant` drives
+    one alone; :func:`_lockstep` drives many in one batch per step.
 
     A step |dx| settles when it falls below 1e-12·s, or when it is below
     1e-9·s and no smaller than half the step before, with
     s = max(scale, |x|): the determinant is noisy at that level, so the
     steps stop shrinking once the root is reached to the attainable
-    accuracy.  An exact zero settles too.  Steps longer than ``cap`` are
-    shortened to it.  With ``bracket`` = (lo, hi, f(hi)), a real
-    sign-change bracket, a step outside it or equal values bisect
-    instead, and every new value narrows it; bisection halves its steps
-    by construction, so only two successive secant steps can show the
-    noise floor.  In bracket mode an iterate with |f| above 1e3 times the
-    larger of |f0| and |f1| ends the iteration unsettled: the sign change
-    is a pole, not a zero, and the root finder's 1e-3 acceptance test
-    rejects that value.  Equal values without a bracket, or a budget of
-    200 steps spent, end the iteration unsettled.
+    accuracy.  The test reads the iterates alone, so the x a step settles
+    on is returned unevaluated, with the value of the iterate before it,
+    within the settle bound: a polish costs one f per step it does not
+    settle on.  The first step is evaluated before it settles, since its
+    predecessor is a start point (a grid endpoint, in a bracket) whose
+    value must not stand for the root's.  An exact zero settles too.
+    Steps longer than ``cap`` are shortened to it.  With ``bracket`` =
+    (lo, hi, f(hi)), a real sign-change bracket, a step outside it or
+    equal values bisect instead, and every new value narrows it;
+    bisection halves its steps by construction, so only two successive
+    secant steps can show the noise floor.  In bracket mode an iterate
+    with |f| above 1e3 times the larger of |f0| and |f1| ends the
+    iteration unsettled: the sign change is a pole, not a zero, and the
+    root finder's 1e-3 acceptance test rejects that value.  Equal values
+    without a bracket, or a budget of 200 steps spent, end the iteration
+    unsettled.
     """
     lo, hi, fhi = bracket or (None, None, None)
     pole = 1e3 * max(abs(f0), abs(f1)) if bracket else math.inf
     prev = math.inf
-    for _ in range(200):
+    for k in range(200):
         secant = f1 != f0
         if secant:
             dx = f1 * (x1 - x0) / (f1 - f0)
@@ -1077,14 +1095,17 @@ def _secant_steps(x0: complex, f0: complex, x1: complex, f1: complex,
             return x1, f1, False
         if not secant:
             x2 = 0.5 * (lo + hi)
+        step = abs(x2 - x1)
+        s = max(scale, abs(x2))
+        settled = step <= 1e-12 * s or (
+            secant and 0.5 * prev <= step <= 1e-9 * s)
+        if settled and k:  # x1 is an iterate of this polish
+            return x2, f1, True
         f2 = yield x2
         if abs(f2) > pole:
             return x2, f2, False
-        step = abs(x2 - x1)
         x0, f0, x1, f1 = x1, f1, x2, f2
-        s = max(scale, abs(x2))
-        if f2 == 0.0 or step <= 1e-12 * s or (
-                secant and 0.5 * prev <= step <= 1e-9 * s):
+        if f2 == 0.0 or settled:
             return x2, f2, True
         if bracket is not None:
             lo, hi = (x2, hi) if (f2 > 0) != (fhi > 0) else (lo, x2)
@@ -1123,7 +1144,8 @@ def _real_zeros(scan: Callable[[list[float]], list[float]],
                 polish: Callable[[list[float]], list],
                 x_min: float, x_max: float, n_points: int) -> list[float]:
     """Real zeros of a determinant-like f from a grid scan of [x_min, x_max],
-    a finite window (checked before ``scan`` is called).
+    a finite window (checked before ``scan`` is called), with an integer
+    n_points >= 2 (checked by the public callers, under their names).
 
     ``scan`` maps the whole grid to its values (one batch of lanes), NaN
     where f is unusable; only sign changes between two finite neighbours
@@ -1132,20 +1154,21 @@ def _real_zeros(scan: Callable[[list[float]], list[float]],
     ``polish(xs)`` call takes the next x of every live bracket and
     returns, per lane, f(x) or the error that lane met.  When every
     bracket is done, the error of the lowest failing bracket is raised,
-    the one a bracket-by-bracket loop would meet first.  Poles of a
-    corner term flip the sign too, but leave |f| large: the polish stops
-    at an iterate above 1e3 times the larger endpoint magnitude, and a
-    polished value above 1e-3 of the smaller endpoint magnitude is
-    rejected.  A grid value of exactly zero is a root.  Roots within
-    1e-9·max(1, |x|) of the one below are merged.
+    the one a bracket-by-bracket loop would meet first.  A polish costs
+    one f per step it does not settle on: the iterate it settles on is
+    never evaluated.  Poles of a corner term flip the sign too, but leave
+    |f| large: the polish stops at an iterate above 1e3 times the larger
+    endpoint magnitude, and a bracket whose last evaluated value (at an
+    iterate within the settle bound of the root) is above 1e-3 of the
+    smaller endpoint magnitude is rejected.  A grid value of exactly zero
+    is a root.  Roots within 1e-9·max(1, |x|) of the one below are
+    merged.
 
     Returns
     -------
     list of float
         The zeros, ascending.
     """
-    if n_points < 2:
-        raise ValueError(f"need a grid of >= 2 points, got {n_points}")
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValueError(f"need a finite window, got [{x_min}, {x_max}]")
     grid = [float(x) for x in np.linspace(x_min, x_max, n_points)]
@@ -1196,15 +1219,17 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     The zeros come from the real-axis finder that
     :func:`jgreens.scatter.find_bound_states` also uses
     (:func:`_real_zeros`): every bracket is polished by secant steps
-    inside itself, all brackets in lockstep, one batch per step.  An
-    error met while polishing, package error or not, is raised once
-    every bracket is done, the lowest failing bracket's.  Sign changes
-    caused by poles of the corner term itself, where the determinant
-    diverges instead of vanishing, end their polish as soon as an
-    iterate exceeds 1e3 times the larger endpoint magnitude, and are
-    rejected by comparing the polished value against the bracket
-    endpoints.  A grid energy where the determinant is exactly zero is a
-    pole, and poles closer than 1e-9·max(1, |E|) are merged into one.
+    inside itself, all brackets in lockstep, one batch per step that a
+    live bracket does not settle on; the energy a polish settles on is
+    never evaluated.  An error met while polishing, package error or
+    not, is raised once every bracket is done, the lowest failing
+    bracket's.  Sign changes caused by poles of the corner term itself,
+    where the determinant diverges instead of vanishing, end their
+    polish as soon as an iterate exceeds 1e3 times the larger endpoint
+    magnitude, and are rejected by comparing the last evaluated value
+    against the bracket endpoints.  A grid energy where the determinant
+    is exactly zero is a pole, and poles closer than 1e-9·max(1, |E|)
+    are merged into one.
 
     Parameters
     ----------
@@ -1218,9 +1243,9 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     e_min, e_max : float
         Scan interval, finite, e_min < e_max.
     size : int
-        Truncation size of the corrected block, >= 1.
+        Truncation size of the corrected block, an integer >= 1.
     n_points : int
-        Grid resolution, >= 2.
+        Grid resolution, an integer >= 2.
     sheet, bm_rounds
         Tail-evaluation controls passed through to the corner ratio.
 
@@ -1231,6 +1256,8 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     """
     if not e_min < e_max:
         raise ValueError(f"need e_min < e_max, got {e_min!r} >= {e_max!r}")
+    _check_count("block size", size, 1)
+    _check_count("grid size n_points", n_points, 2)
 
     def operator(energy) -> JacobiOperator:
         try:

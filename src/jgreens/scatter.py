@@ -29,8 +29,8 @@ from .errors import (GridTooCoarse, JGreensError, QuadratureSuspect,
 from .jacobi import (GreenMatrix, SheetSelector, _checked_inverse,
                      _corrected_blocks, _resolve_sheet, corrected_truncation,
                      dense_truncation)
-from .models import (CoulombModel, _real_zeros, _secant, coulomb_jacobi,
-                     wavenumber)
+from .models import (CoulombModel, _check_count, _real_zeros, _secant,
+                     coulomb_jacobi, wavenumber)
 from .special import (_laguerre_functions, _on_first_call, coulomb_sigma,
                       gauss_laguerre_scaled)
 # Uncalled; kept bound because perfbench/tracer.py wraps them at this module.
@@ -151,9 +151,7 @@ class ScatterProblem:
     quad_order: int | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.N, numbers.Integral) and self.N >= 1):
-            raise ValueError(
-                f"truncation N must be an integer >= 1, got {self.N!r}")
+        _check_count("truncation N", self.N, 1)
         floor = 2 * self.N + 20
         if self.quad_order is None:
             object.__setattr__(self, "quad_order", max(200, floor))
@@ -394,11 +392,13 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     that :func:`jgreens.models.det_pole_scan` also uses
     (:func:`jgreens.models._real_zeros`): every bracket is polished by
     secant steps inside itself, the brackets in lockstep, each step one
-    ``det_equation`` call per live bracket.  The tail ratio has poles
-    between the true levels, and they flip the sign too; their polish
-    stops at an iterate above 1e3 times the larger endpoint |det|, and a
-    polished |det| above 1e-3 of the smaller bracket endpoint marks such
-    a pole and is rejected.  A grid energy where the determinant is
+    ``det_equation`` call per live bracket that does not settle on it;
+    the energy a polish settles on is never evaluated.  The tail ratio
+    has poles between the true levels, and they flip the sign too; their
+    polish stops at an iterate above 1e3 times the larger endpoint
+    |det|, and a last evaluated |det| (at an iterate within the settle
+    bound of the root) above 1e-3 of the smaller bracket endpoint marks
+    such a pole and is rejected.  A grid energy where the determinant is
     exactly zero is a root, and roots closer than 1e-9·max(1, |E|) are
     merged into one.  Errors of the determinant propagate: on the grid,
     the first failing energy's; in the polish, once every bracket is
@@ -410,7 +410,7 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     E_min, E_max : float
         Search window, finite, E_min < E_max < 0 relative to threshold.
     n_grid : int
-        Grid resolution, >= 2.
+        Grid resolution, an integer >= 2.
 
     Returns
     -------
@@ -419,6 +419,7 @@ def find_bound_states(p: ScatterProblem, E_min: float, E_max: float,
     """
     if not E_min < E_max < 0.0:
         raise ValueError(f"need E_min < E_max < 0, got [{E_min}, {E_max}]")
+    _check_count("grid size n_grid", n_grid, 2)
 
     def real_parts(grid: list[float]) -> list[float]:
         # det_equation at every grid energy, AUTO being physical there
@@ -451,11 +452,14 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
     resonance poles live.  From each point z of a seed grid, a secant
     iteration (:func:`jgreens.models._secant`, scale max(1, |z|)) starts
     at z and z + 1e-7·max(|z|, 1e-3·diam), diam the rectangle diagonal,
-    with every step clipped to diam/2.  A seed is dropped silently when
-    its iteration ends unsettled (equal determinant values, or the
-    budget of 200 steps spent) or raises a package error inside the
-    determinant.  Roots outside the rectangle (1e-12 slack) are dropped,
-    and the rest are deduplicated within 1e-8.
+    with every step clipped to diam/2.  Each seed costs two
+    ``det_equation`` calls for its start points and one per step it
+    does not settle on; the root it settles on is never evaluated.  A
+    seed is dropped silently when its iteration ends unsettled (equal
+    determinant values, or the budget of 200 steps spent) or raises a
+    package error inside the determinant.  Roots outside the rectangle
+    (1e-12 slack) are dropped, and the rest are deduplicated within
+    1e-8.
 
     Parameters
     ----------
@@ -464,7 +468,7 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
         Opposite corners of the search rectangle, finite and strictly
         below the real axis.
     seeds : (int, int)
-        Seed grid shape (real x imaginary), each >= 1.
+        Seed grid shape (real x imaginary), integers >= 1.
 
     Returns
     -------
@@ -477,8 +481,8 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
         raise ValueError(f"search rectangle must be finite, got {region}")
     if im_hi >= 0.0:
         raise ValueError("search rectangle must lie below the real axis")
-    if min(seeds) < 1:
-        raise ValueError(f"need a seed grid of >= 1 x 1, got {seeds}")
+    for k, count in enumerate(seeds):
+        _check_count(f"seed grid seeds[{k}]", count, 1)
     diam = math.hypot(re_hi - re_lo, im_hi - im_lo)
 
     def f(z: complex) -> complex:

@@ -18,7 +18,7 @@ import pytest
 import scipy.optimize
 from scipy.special import roots_genlaguerre
 
-from jgreens import models
+from jgreens import models, scatter
 from jgreens.errors import (InvalidU, JGreensError, NoConvergence,
                             NotConverged, NumericBreakdown, ZeroOffdiagonal)
 from jgreens.jacobi import (IndexFormula, JacobiOperator, SheetSelector,
@@ -31,13 +31,17 @@ from jgreens.models import (CoulombModel, DiracLower, DiracUpper,
                             RelCoulombModel, charge_density,
                             coulomb_g00_analytic, coulomb_jacobi,
                             coulomb_wavefunction, cs_basis_eval,
-                            _real_zeros, _secant, det_pole_scan,
+                            _real_zeros, _secant, _secant_steps,
+                            det_pole_scan,
                             exact_levels, gcs_basis_eval,
                             gencoulomb_h_of_r, gencoulomb_jacobi,
                             gencoulomb_potential, oscillator_jacobi,
                             oscillator_wavefunction, rel_basis_eval,
                             rel_binding_from_energy, rel_energy_from_binding,
                             relativistic_jacobi, wavenumber)
+from jgreens.scatter import (ScatterProblem, ShortRangePotential,
+                             SmoothingScheme, alpha_alpha_potential,
+                             find_bound_states, find_resonances)
 from jgreens.special import gauss_laguerre_scaled, gauss_legendre, \
     genlaguerre_table
 
@@ -1013,6 +1017,29 @@ def test_pole_scan_rejects_degenerate_grid():
                       size=3, n_points=1)
 
 
+def test_pole_scan_needs_integer_sizes():
+    # a bool or a float size is refused by name before the family is
+    # called; a float used to fail with a bare TypeError in np.linspace,
+    # and size=True scanned 1x1 blocks
+    model = CoulombModel(Z=-1.0, l=0, D=3, b=1.2)
+    energies = []
+
+    def family(E):
+        energies.append(E)
+        return coulomb_jacobi(model, E)
+
+    for kwargs, name in (({"size": True}, "size"), ({"size": 2.0}, "size"),
+                         ({"size": 0}, "size"),
+                         ({"size": 3, "n_points": 400.0}, "n_points"),
+                         ({"size": 3, "n_points": True}, "n_points")):
+        with pytest.raises(ValueError, match=name):
+            det_pole_scan(family, -0.6, -0.04, **kwargs)
+    assert energies == []
+    assert det_pole_scan(family, -0.6, -0.04, size=np.int64(2),
+                         n_points=np.int32(400)) == det_pole_scan(
+        family, -0.6, -0.04, size=2)
+
+
 # ---------------------------------------------------------------------------
 # the secant root polisher
 
@@ -1025,10 +1052,20 @@ def test_secant_reaches_complex_root_of_quadratic():
 
     z0 = root + 0.05 + 0.02j
     z1 = z0 + 1e-7
-    z, fz, settled = _secant(f, z0, f(z0), z1, f(z1), 1.0)
+    f0, f1 = f(z0), f(z1)
+    seen = []
+
+    def logged(z):
+        seen.append(z)
+        return f(z)
+
+    z, fz, settled = _secant(logged, z0, f0, z1, f1, 1.0)
     assert settled
     assert abs(z - root) <= 1e-12
-    assert fz == f(z)
+    # the settled iterate is never evaluated: fz is f at the last point
+    # the polish evaluated
+    assert z not in seen
+    assert fz == f(seen[-1])
 
 
 def test_secant_on_constant_function_ends_unsettled():
@@ -1058,6 +1095,222 @@ def test_secant_clips_steps_to_cap():
     assert calls[0] == pytest.approx(1.0 + 1e-7, abs=1e-15)
     steps = np.abs(np.diff([1e-7] + calls))
     assert steps.max() <= 1.0 + 1e-15
+
+
+def _evaluate_then_settle(x0, f0, x1, f1, scale, bracket=None,
+                          cap=math.inf):
+    """The secant stepper that evaluates every iterate before its step
+    test, the settled one included; it returns (x, f(x), settled).  The
+    oracle of the stepper that settles on a step before evaluating
+    there."""
+    lo, hi, fhi = bracket or (None, None, None)
+    pole = 1e3 * max(abs(f0), abs(f1)) if bracket else math.inf
+    prev = math.inf
+    for _ in range(200):
+        secant = f1 != f0
+        if secant:
+            dx = f1 * (x1 - x0) / (f1 - f0)
+            if abs(dx) > cap:
+                dx *= cap / abs(dx)
+            x2 = x1 - dx
+            secant = bracket is None or lo < x2 < hi
+        elif bracket is None:
+            return x1, f1, False
+        if not secant:
+            x2 = 0.5 * (lo + hi)
+        f2 = yield x2
+        if abs(f2) > pole:
+            return x2, f2, False
+        step = abs(x2 - x1)
+        x0, f0, x1, f1 = x1, f1, x2, f2
+        s = max(scale, abs(x2))
+        if f2 == 0.0 or step <= 1e-12 * s or (
+                secant and 0.5 * prev <= step <= 1e-9 * s):
+            return x2, f2, True
+        if bracket is not None:
+            lo, hi = (x2, hi) if (f2 > 0) != (fhi > 0) else (lo, x2)
+        prev = step if secant else math.inf
+    return x1, f1, False
+
+
+def _recorded(stepper, runs):
+    """``stepper`` that appends to ``runs`` each run's arguments, the
+    iterates it yields, the values it is sent and what it returns."""
+    def steps(*args):
+        run = {"args": args, "xs": [], "fs": []}
+        runs.append(run)
+        gen, value = stepper(*args), None
+        while True:
+            try:
+                x = gen.send(value)
+            except StopIteration as done:
+                run["out"] = done.value
+                return done.value
+            run["xs"].append(x)
+            value = yield x
+            run["fs"].append(value)
+    return steps
+
+
+def _hexes(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+# alpha-alpha units, as in tests/test_scatter.py
+_AA_MASS = 1.0 / (2.0 * 10.375)
+
+
+def _polish_quadratic(seen, monkeypatch):
+    root, other = 1.5 - 0.5j, -2.0 + 1.0j
+
+    def f(z):
+        seen.append(z)
+        return (z - root) * (z - other)
+
+    z0 = root + 0.05 + 0.02j
+    z1 = z0 + 1e-7
+    f0, f1 = f(z0), f(z1)
+    seen.clear()
+    return [_secant(f, z0, f0, z1, f1, 1.0)[0]]
+
+
+def _polish_cap(seen, monkeypatch):
+    def f(z):
+        seen.append(z)
+        return z - 100.0
+
+    return [_secant(f, 0.0, -100.0, 1e-7, 1e-7 - 100.0, 1.0, cap=1.0)[0]]
+
+
+def _polish_tan_poles(seen, monkeypatch):
+    # the brackets of test_real_zeros_stops_at_poles: two roots, and
+    # three around poles that the polish must reject
+    def polish(xs):
+        seen.extend(xs)
+        return [math.tan(x) for x in xs]
+
+    return _real_zeros(lambda xs: [math.tan(x) for x in xs], polish,
+                       0.3, 9.0, 25)
+
+
+def _polish_near_grid_root(seen, monkeypatch):
+    # the top grid point lies within 1e-12 of the root 0.7: the first
+    # secant step settles at once, and its iterate must be evaluated,
+    # since the value that stepper holds belongs to the grid point
+    # (7e-15, which the 1e-3 acceptance test would reject)
+    def polish(xs):
+        seen.extend(xs)
+        return [x - 0.7 for x in xs]
+
+    return _real_zeros(lambda xs: [x - 0.7 for x in xs], polish,
+                       0.2, 0.7 * (1.0 + 1e-14), 6)
+
+
+def _polish_pole_scan(seen, monkeypatch):
+    def logged(family, energies, *args):
+        if len(energies) != 400:  # the grid is not a polish step
+            seen.extend(energies)
+        return _corrected_blocks(family, energies, *args)
+
+    monkeypatch.setattr(models, "_corrected_blocks", logged)
+    atom = CoulombModel(Z=-1.0, l=0, D=3, b=1.2)
+    return det_pole_scan(lambda E: coulomb_jacobi(atom, E), -0.6, -0.04,
+                         size=2)
+
+
+def _logged_det_equation(seen, monkeypatch):
+    det = scatter.det_equation
+
+    def logged(p, E, *args):
+        seen.append(E)
+        return det(p, E, *args)
+
+    monkeypatch.setattr(scatter, "det_equation", logged)
+
+
+def _polish_resonances(seen, monkeypatch):
+    # alpha-alpha l=2, N=8: six seeds around the resonance at
+    # 2.80721-0.60711j
+    _logged_det_equation(seen, monkeypatch)
+    _, short = alpha_alpha_potential()
+    model = CoulombModel(Z=4, l=2, b=4.0, m=_AA_MASS, e2=1.44)
+    p = ScatterProblem(model, short, 8,
+                       smoothing=SmoothingScheme(alpha=6.0))
+    return find_resonances(p, (complex(2.2, -1.0), complex(3.4, -0.3)),
+                           seeds=(3, 2))
+
+
+def _polish_bound_states(seen, monkeypatch):
+    # the Gaussian-only alpha-alpha levels at N=8
+    _logged_det_equation(seen, monkeypatch)
+    gauss = ShortRangePotential(lambda r: -122.694 * np.exp(-0.22 * r * r))
+    model = CoulombModel(Z=0, l=0, b=4.0, m=_AA_MASS, e2=1.44)
+    p = ScatterProblem(model, gauss, 8,
+                       smoothing=SmoothingScheme(alpha=6.0))
+    return find_bound_states(p, -85.0, -1e-3, n_grid=250)
+
+
+_POLISH_CASES = {
+    "quadratic": _polish_quadratic,
+    "cap": _polish_cap,
+    "tan poles": _polish_tan_poles,
+    "near-grid root": _polish_near_grid_root,
+    "coulomb pole scan": _polish_pole_scan,
+    "alpha-alpha l=2 resonances": _polish_resonances,
+    "gaussian bound states": _polish_bound_states,
+}
+
+
+@pytest.mark.parametrize("name", list(_POLISH_CASES))
+def test_settling_before_evaluating_saves_one_call_per_step_settle(
+        name, monkeypatch):
+    def run(stepper):
+        runs, seen = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "_secant_steps", _recorded(stepper, runs))
+            roots = _POLISH_CASES[name](seen, patch)
+        return roots, runs, seen
+
+    old_roots, old_runs, old_seen = run(_evaluate_then_settle)
+    roots, runs, seen = run(_secant_steps)
+    assert roots
+    assert _hexes(roots) == _hexes(old_roots)
+    assert len(runs) == len(old_runs) > 0
+    saved = 0
+    for new, old in zip(runs, old_runs):
+        assert new["args"] == old["args"]
+        (x, fx, settled), (x_old, fx_old, settled_old) = (new["out"],
+                                                          old["out"])
+        assert _hexes([x]) == _hexes([x_old]) and settled == settled_old
+        bracket = new["args"][5] if len(new["args"]) > 5 else None
+        if bracket is not None:
+            # the 1e-3 acceptance test of _real_zeros
+            flo, fhi = abs(new["args"][1]), abs(new["args"][3])
+            assert (abs(fx) <= 1e-3 * min(flo, fhi)) == (
+                abs(fx_old) <= 1e-3 * min(flo, fhi))
+        if x in new["xs"]:
+            assert new["xs"] == old["xs"] and fx == fx_old
+        else:
+            # settled on its step: the oracle's last call is the one saved
+            assert settled
+            assert new["xs"] == old["xs"][:-1] and old["xs"][-1] == x
+            assert fx == new["fs"][-1]
+            saved += 1
+    assert len(seen) == len(old_seen) - saved
+    if name in ("cap", "near-grid root"):
+        # a linear f: the secant lands on the root and sees its exact
+        # zero, in the near-grid case at the first step, which is
+        # evaluated before it settles
+        assert saved == 0 and all(new["out"][1] == 0.0 for new in runs)
+    else:
+        # every other polish that settles does so on its step
+        assert saved == sum(new["out"][2] for new in runs) >= 1
+    if name == "near-grid root":
+        assert roots == [0.7]
+    if name in ("alpha-alpha l=2 resonances", "gaussian bound states"):
+        # no search passes the root it returns to det_equation
+        assert all(complex(r) not in seen for r in roots)
+        assert all(complex(r) in old_seen for r in roots)
 
 
 # ---------------------------------------------------------------------------

@@ -736,6 +736,23 @@ def test_find_resonances_rejects_empty_seed_grid():
                         seeds=(0, 4))
 
 
+def test_root_searches_need_integer_sizes(builds):
+    # a bool or a float grid size is refused by name before any operator
+    # is built; a float used to fail with a bare TypeError in np.linspace,
+    # and seeds=(True, 1) ran a one-seed search
+    p = charged_problem(20, 2)
+    region = (complex(2.4, -1.0), complex(3.4, -0.3))
+    for seeds in ((1.5, 1), (True, 1), (1, 2.0)):
+        with pytest.raises(ValueError, match=r"seeds\[[01]\]"):
+            find_resonances(p, region, seeds=seeds)
+    for n_grid in (40.0, True):
+        with pytest.raises(ValueError, match="n_grid"):
+            find_bound_states(table_problem(8), -35.0, -25.0, n_grid=n_grid)
+    assert builds == []
+    assert find_bound_states(table_problem(8), -35.0, -25.0,
+                             n_grid=np.int64(40)) == [bound_levels(8)[1]]
+
+
 # ---------------------------------------------------------------------------
 # Green's matrix of the full Hamiltonian
 
