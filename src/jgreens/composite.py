@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GeometryError, NodeFailure
+from .errors import GeometryError, NodeFailure, _check_count
 from .jacobi import JacobiOperator, _green_blocks
 # Not called here: the node loop uses _green_blocks. The name stays bound
 # because perfbench/tracer.py wraps green_submatrix at this module, and
@@ -150,7 +150,7 @@ def build_contour(spec_min: float, E: complex, margin: float = 0.5,
     margin : float
         Clearance between the enclosed spectral edge and the curve, > 0.
     n_points : int
-        Number of quadrature nodes, >= 8.
+        Number of quadrature nodes, an integer >= 8.
     t_max : float, optional
         Right end of the enclosed interval.  Pass explicitly whenever the
         default derivation from E collapses the interval.
@@ -163,9 +163,12 @@ def build_contour(spec_min: float, E: complex, margin: float = 0.5,
         If margin <= 0, n_points < 8, aspect invalid, or the resulting
         interval is empty (analyticity constraint unsatisfiable) or has
         a non-finite end.
+    ValueError
+        For n_points not an integer >= 0.
     """
     if margin <= 0:
         raise GeometryError(f"margin must be > 0, got {margin}")
+    _check_count("node count n_points", n_points, 0)
     if n_points < 8:
         raise GeometryError(f"need at least 8 nodes, got {n_points}")
     if not 0.0 < aspect <= 1.0:
@@ -200,10 +203,11 @@ def encircle_points(centers: Sequence[float], radius: float,
     radius : float
         Common circle radius, > 0; circles must not touch.
     n_per : int
-        Nodes per circle, >= 8.
+        Nodes per circle, an integer >= 8 (GeometryError below 8).
     """
     if radius <= 0:
         raise GeometryError(f"radius must be > 0, got {radius}")
+    _check_count("node count n_per", n_per, 0)
     if n_per < 8:
         raise GeometryError(f"need at least 8 nodes per circle, got {n_per}")
     ordered = sorted(float(c) for c in centers)
@@ -287,7 +291,7 @@ def contour_matrix(family: Callable[[complex], JacobiOperator],
     contour : Contour
         Closed contour avoiding all poles of the Green's matrix.
     N : int
-        Block size, >= 1.
+        Block size, an integer >= 1.
 
     Returns
     -------
@@ -301,8 +305,7 @@ def contour_matrix(family: Callable[[complex], JacobiOperator],
         Listing every node where the family or its block raised, in node
         order, chained from the first such error.
     """
-    if N < 1:
-        raise ValueError(f"block size N must be >= 1, got {N}")
+    _check_count("block size N", N, 1)
     return _node_sum(contour, [(family, N, lambda zs: zs)])
 
 
@@ -317,7 +320,7 @@ def contour_projection(family: Callable[[complex], JacobiOperator],
     contour : Contour
         Closed contour avoiding all poles of the Green's matrix.
     i, j : int
-        Row and column of the requested entry, >= 0.
+        Row and column of the requested entry, integers >= 0.
 
     Returns
     -------
@@ -325,8 +328,8 @@ def contour_projection(family: Callable[[complex], JacobiOperator],
         Sum over enclosed eigenvalues of <i~|psi><psi|j~>; zero when the
         contour encloses no spectrum.
     """
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be >= 0, got ({i}, {j})")
+    _check_count("row index i", i, 0)
+    _check_count("column index j", j, 0)
     block = contour_matrix(family, contour, max(i, j) + 1)
     return complex(block[i, j])
 
@@ -359,7 +362,7 @@ def convolve_greens(J1: Callable[[complex], JacobiOperator],
         Quadrature contour, e.g. from :func:`build_contour` or
         :func:`encircle_points`.
     N1, N2 : int
-        Truncation sizes of the two factors, >= 1.
+        Truncation sizes of the two factors, integers >= 1.
 
     Returns
     -------
@@ -374,8 +377,8 @@ def convolve_greens(J1: Callable[[complex], JacobiOperator],
         chained from the first failure; at one node a failure of the
         first factor counts, and J2 is then not evaluated there.
     """
-    if N1 < 1 or N2 < 1:
-        raise ValueError(f"block sizes must be >= 1, got ({N1}, {N2})")
+    _check_count("block size N1", N1, 1)
+    _check_count("block size N2", N2, 1)
     E = complex(E)
     return _node_sum(contour, [(J1, N1, lambda zs: E - zs),
                                (J2, N2, lambda zs: zs)])

@@ -29,6 +29,7 @@ from .errors import (
     DivisionByZero,
     NoMinimalSolution,
     NumericBreakdown,
+    _check_count,
 )
 
 __all__ = [
@@ -207,7 +208,7 @@ def eval_backward(cf: ContinuedFraction, n: int,
     cf : ContinuedFraction
         Fraction to evaluate.
     n : int
-        Approximant order, n >= 0.
+        Approximant order, an integer >= 0.
     tail : TailValue or complex
         Tail estimate w (default zero).
 
@@ -222,8 +223,7 @@ def eval_backward(cf: ContinuedFraction, n: int,
         If an intermediate denominator magnitude falls below 1e-300,
         which signals a pole of the approximant.
     """
-    if n < 0:
-        raise ValueError(f"approximant order must be >= 0, got {n}")
+    _check_count("approximant order n", n, 0)
     w = _tail_w(tail)
     pairs: list[tuple[complex, complex]] = []
     for i in range(1, n + 1):
@@ -304,7 +304,7 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
     tol : float
         Relative agreement threshold, > 0.
     max_terms : int
-        Coefficient budget, >= 1.
+        Coefficient budget, an integer >= 1.
     tail : TailValue or complex
         Tail estimate w (default zero).
 
@@ -320,9 +320,10 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
     NumericBreakdown
         If NaN or infinity contaminates the recurrence, or a finite
         fraction terminates on a pole approximant.
+    ValueError
+        For max_terms not an integer >= 1, before any term is summed.
     """
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
+    _check_count("max_terms", max_terms, 1)
     w = _tail_w(tail)
     value, terms, converged, delta, stopped = _sum_fractions(
         _one_lane_reader(cf.coefficient), np.array([cf.b0], dtype=complex), 0,
@@ -440,7 +441,7 @@ def repeated_bauer_muir(cf: ContinuedFraction, w: complex,
     w : complex
         Constant modifying value (or a map n -> w_n, as in bauer_muir).
     rounds : int
-        Number of chained transforms, >= 0; rounds=0 returns the input.
+        Number of chained transforms, an integer >= 0; 0 returns cf.
 
     Returns
     -------
@@ -453,8 +454,7 @@ def repeated_bauer_muir(cf: ContinuedFraction, w: complex,
         From the failing round with ``round_index`` attached (rounds are
         numbered from 1).
     """
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
+    _check_count("rounds", rounds, 0)
     if rounds == 0:
         return cf
     w_of = w if callable(w) else lambda n, w=complex(w): w
@@ -507,11 +507,11 @@ def pincherle_ratio(rec: Recurrence, N: int = 0, tol: float = 1e-12,
         Recurrence with coefficient map n -> (a_n, b_n); must be pure,
         as it is read a chunk ahead.
     N : int
-        Ratio offset, >= 0.
+        Ratio offset, an integer >= 0.
     tol : float
         Relative convergence tolerance.
     max_terms : int
-        Coefficient budget.
+        Coefficient budget, an integer >= 1.
 
     Returns
     -------
@@ -523,7 +523,10 @@ def pincherle_ratio(rec: Recurrence, N: int = 0, tol: float = 1e-12,
     NoMinimalSolution
         If the continued fraction fails to converge within the budget
         (divergence means no minimal solution exists).
+    ValueError
+        For N not an integer >= 0, or max_terms not one >= 1.
     """
+    _check_count("ratio offset N", N, 0)
     cf = ContinuedFraction(0.0 + 0.0j, lambda j: rec.coeffs(N + j))
     if rec.limit_coeffs is not None:
         tail = fixed_points(*rec.limit_coeffs)[0]

@@ -7,9 +7,22 @@ single ``except`` clause while still being able to discriminate causes.
 
 from __future__ import annotations
 
+import numbers
+
 
 class JGreensError(Exception):
     """Base class for all errors raised by this package."""
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """The check of every size, index, order and budget argument: unless
+    ``value`` is an integer (numpy's included; a bool or a float never)
+    >= minimum, ValueError ``<name> must be an integer >= <minimum>, got
+    <value>``."""
+    if not (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class DivisionByZero(JGreensError):

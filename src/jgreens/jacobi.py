@@ -39,6 +39,7 @@ from .errors import (
     SingularMatrix,
     SingularRatio,
     ZeroOffdiagonal,
+    _check_count,
 )
 
 __all__ = [
@@ -256,7 +257,7 @@ def cf_coefficients(J: JacobiOperator,
     J : JacobiOperator
         Operator supplying the tridiagonal entries.
     start : int
-        Smallest index served, >= 1.
+        Smallest index served, an integer >= 1.
 
     Returns
     -------
@@ -269,8 +270,7 @@ def cf_coefficients(J: JacobiOperator,
         On access, with the index of the vanishing off-diagonal entry,
         whether it appears as divisor or as numerator.
     """
-    if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
+    _check_count("start", start, 1)
 
     def gen(i: int) -> tuple[complex, complex]:
         if i < start:
@@ -361,7 +361,7 @@ def tail_ratio(J: JacobiOperator, n: int,
     J : JacobiOperator
         Operator; must carry ``limit_coeffs`` unless sheet is ZeroTail.
     n : int
-        Ratio index, >= 1.
+        Ratio index, an integer >= 1.
     sheet : SheetSelector
         Tail branch; AUTO resolves to PHYSICAL for Im E >= 0 and raises
         otherwise.
@@ -398,11 +398,11 @@ def tail_ratio(J: JacobiOperator, n: int,
     ZeroOffdiagonal, DegenerateTransform
         Propagated from coefficient generation and acceleration.
     ValueError
-        For n < 1, bm_rounds < 0, tol <= 0, or a sheet the operator
-        cannot serve (no limit coefficients, or limits not finite).
+        For n not an integer >= 1, bm_rounds (if given) not an integer
+        >= 0, tol <= 0, or a sheet the operator cannot serve (no limit
+        coefficients, or limits not finite).
     """
-    if n < 1:
-        raise ValueError(f"ratio index must be >= 1, got {n}")
+    _check_count("ratio index n", n, 1)
     (ratio,), (error,) = _corner_ratios(_op_lanes([J]), n, sheet, bm_rounds,
                                         tol, max_terms)
     if error is not None:
@@ -411,7 +411,8 @@ def tail_ratio(J: JacobiOperator, n: int,
 
 
 def dense_truncation(J: JacobiOperator, N: int) -> np.ndarray:
-    """Dense N x N tridiagonal block of the operator (no corner term)."""
+    """Dense N x N tridiagonal block of the operator (no corner term),
+    N an integer >= 1."""
     diag, off, (error,) = _read_rows(_map_readers([J]), 1, N, N - 1)
     if error is not None:
         raise error
@@ -431,6 +432,7 @@ def corrected_truncation(J: JacobiOperator, N: int,
 
     A vanishing J_{N-1,N} decouples the block from the rest of the
     operator, so the corner term is zero without evaluating the ratio.
+    N is an integer >= 1; the rest is passed to :func:`tail_ratio`.
     """
     diag, off, (error,) = _read_rows(_map_readers([J]), 1, N, N)
     if error is not None:
@@ -487,8 +489,7 @@ def _read_rows(readers: Sequence[Callable], L: int, n_diag: int, n_off: int
     the (diagonal, off-diagonal) map readers, as (index, lane) arrays,
     zero from a lane's failing read on, and per lane None or its first
     error in the scalar order: the diagonal's, then the off-diagonal's."""
-    if n_diag < 1:
-        raise ValueError(f"truncation size must be >= 1, got {n_diag}")
+    _check_count("truncation size N", n_diag, 1)
     read_diag, read_off = readers
     lanes = np.arange(L)
     diag, failed = read_diag(lanes, 0, n_diag)
@@ -576,7 +577,7 @@ def green_submatrix(J: JacobiOperator, N: int,
     J : JacobiOperator
         Operator to invert.
     N : int
-        Block size, >= 1.
+        Block size, an integer >= 1.
     sheet : SheetSelector
         Tail branch for the corner ratio.
     bm_rounds, tol, max_terms
@@ -594,6 +595,8 @@ def green_submatrix(J: JacobiOperator, N: int,
         (an upper bound on the 2-norm condition number) exceeds 1e14:
         the energy sits numerically on a pole; pole searches treat this
         as "found".
+    ValueError
+        For N not an integer >= 1, and as :func:`tail_ratio` raises.
     """
     resolved = _resolve_sheet(sheet, J.energy)
     mat = corrected_truncation(J, N, resolved, bm_rounds, tol, max_terms)
@@ -700,8 +703,8 @@ def _corner_ratios(batch: _Lanes, n: int,
     past ``_RATIO_LIMIT``, which only rounding past the pole test of the
     sum can give, is a SingularRatio but keeps its value in the output;
     every other failed lane's ratio is zero."""
-    if bm_rounds is not None and bm_rounds < 0:
-        raise ValueError(f"bm_rounds must be >= 0, got {bm_rounds}")
+    if bm_rounds is not None:
+        _check_count("bm_rounds", bm_rounds, 0)
     at = np.arange(batch.energy.size) if at is None else np.asarray(at)
     L = at.size
     errors: list = [None] * L

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Generator, Union
 
 import numpy as np
 
-from .errors import InvalidU, JGreensError, NoConvergence, ZeroOffdiagonal
+from .errors import (InvalidU, JGreensError, NoConvergence, ZeroOffdiagonal,
+                     _check_count)
 from .jacobi import (IndexFormula, JacobiOperator, SheetSelector,
                      _corrected_blocks, _over, _times)
 # Not called here: det_pole_scan uses _corrected_blocks. The name stays
@@ -78,15 +78,6 @@ _DEGENERATE_RTOL = 1e-14
 def _positive(x) -> bool:
     """0 < x < inf (False for NaN)."""
     return 0 < x < math.inf
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """ValueError naming the argument unless ``value`` is an integer
-    >= minimum; a bool or a float is not a count, integral or not."""
-    if not (isinstance(value, numbers.Integral)
-            and not isinstance(value, bool) and value >= minimum):
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_l_dim(l, D) -> None:
@@ -673,7 +664,7 @@ def exact_levels(model, n_max: int) -> list[float]:
     ----------
     model : CoulombModel, OscillatorModel, GenCoulombModel or RelCoulombModel
     n_max : int
-        Number of levels requested, >= 1.
+        Number of levels requested, an integer >= 1.
 
     Returns
     -------
@@ -683,8 +674,7 @@ def exact_levels(model, n_max: int) -> list[float]:
         energies in atomic units.  Families without bound states
         (repulsive or free) yield an empty list.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_count("n_max", n_max, 1)
     if isinstance(model, CoulombModel):
         ze2 = model.Z * model.e2
         if ze2 >= 0:
@@ -867,7 +857,7 @@ def cs_basis_eval(n: int, l: int, D: int, b: float,
     Parameters
     ----------
     n : int
-        Radial index, >= 0.
+        Radial index, an integer >= 0.
     l, D, b : basis quantum numbers and scale, as in :class:`CoulombModel`.
     r : float
         Radius, finite and >= 0.
@@ -894,23 +884,23 @@ def gcs_basis_eval(model: GenCoulombModel, n: int,
     ----------
     model : GenCoulombModel
     n : int
-        Radial index, >= 0.
+        Radial index, an integer >= 0.
     r : float
         Radius, finite and >= 0 (checked by :func:`gencoulomb_h_of_r`).
 
     Returns
     -------
     (float, float)
-        (phi, phi * sqrt(C)/(h+theta)).
+        (phi, phi * sqrt(C)/(h+theta)); at h = 0 the partner is its limit
+        (0 for theta > 0 or beta > 2, finite at 2, infinite below).
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _check_count("basis index n", n, 0)
     rho, beta, theta = model.rho_basis, model.beta, model.theta
     h = gencoulomb_h_of_r(model, r)
-    if h == 0.0:
-        if theta > 0 or 2.0 * beta > 5.0:
-            return 0.0, 0.0
-        return 0.0, math.inf
+    if h == 0.0:  # theta = 0: h^s, s = beta/2 - 1, 2 scale = rho sqrt(C)
+        return (0.0, 0.0) if theta > 0 else _radial_laguerre(
+            n, 0.5 * beta - 1.0, beta - 1.0, 0.5 * rho * math.sqrt(model.C),
+            0.0)
     lag = _laguerre_functions(n, beta - 1.0, rho * h,
                               0.25 * (2.0 * beta - 1.0))
     phi = (rho * (h + theta)) ** 0.25 * float(lag[n])
@@ -928,7 +918,7 @@ def rel_basis_eval(model: RelCoulombModel, n: int,
     ----------
     model : RelCoulombModel
     n : int
-        Radial index, >= 0.
+        Radial index, an integer >= 0.
     r : float
         Radius, finite and >= 0.
 
@@ -947,8 +937,7 @@ def _radial_laguerre(n: int, s: float, alpha: float, scale: float,
     e^{-scale r} (2 scale r)^{s+1} L_n^{(alpha)}(2 scale r), the radial
     basis of the Coulomb and relativistic families; at r = 0 the partner
     is its r -> 0 limit (0 for s > 0, finite for s = 0, infinite below)."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _check_count("basis index n", n, 0)
     if not 0 <= r < math.inf:
         raise ValueError(f"radius must be finite and >= 0, got {r}")
     if r == 0.0:
@@ -974,7 +963,7 @@ def coulomb_wavefunction(model: CoulombModel, n: int, r: float) -> float:
     ----------
     model : CoulombModel
     n : int
-        Radial quantum number, >= 0.
+        Radial quantum number, an integer >= 0.
     r : float
         Radius, finite and >= 0.
 
@@ -982,8 +971,7 @@ def coulomb_wavefunction(model: CoulombModel, n: int, r: float) -> float:
     -------
     float
     """
-    if n < 0:  # before a0: n = -p would divide by zero
-        raise ValueError(f"index must be >= 0, got {n}")
+    _check_count("radial quantum number n", n, 0)  # before a0 (n = -p)
     if model.Z * model.e2 >= 0:
         raise ValueError("bound states require Z*e2 < 0")
     r0 = model.hbar**2 / (2.0 * model.m * abs(model.Z) * model.e2)
@@ -1005,7 +993,7 @@ def oscillator_wavefunction(model: OscillatorModel, n: int, r: float,
     ----------
     model : OscillatorModel
     n : int
-        Radial quantum number, >= 0.
+        Radial quantum number, an integer >= 0.
     r : float
         Radius, finite and >= 0.
     frequency : float, optional
@@ -1016,8 +1004,7 @@ def oscillator_wavefunction(model: OscillatorModel, n: int, r: float,
     -------
     float
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _check_count("radial quantum number n", n, 0)
     if not 0 <= r < math.inf:
         raise ValueError(f"radius must be finite and >= 0, got {r}")
     freq = model.omega if frequency is None else frequency
@@ -1212,7 +1199,8 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
     polish step are each one batch of lanes: one ``_corrected_blocks``
     call and one stacked ``slogdet``.
     Grid points where the evaluation raises a package error are skipped
-    (any other error is raised, the first in grid order), and a
+    (any other error is raised, the first in grid order, and so is the
+    first point's if every point raised), and a
     degenerate-representation energy is nudged by one part in 1e13.
     Intended for bound-region scans where the operator entries are real.
 
@@ -1258,6 +1246,8 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
         raise ValueError(f"need e_min < e_max, got {e_min!r} >= {e_max!r}")
     _check_count("block size", size, 1)
     _check_count("grid size n_points", n_points, 2)
+    if bm_rounds is not None:
+        _check_count("bm_rounds", bm_rounds, 0)
 
     def operator(energy) -> JacobiOperator:
         try:
@@ -1291,6 +1281,8 @@ def det_pole_scan(family: Callable[[float], JacobiOperator],
         for v in values:
             if isinstance(v, Exception) and not isinstance(v, JGreensError):
                 raise v
+        if all(isinstance(v, Exception) for v in values):
+            raise values[0]
         return [math.nan if isinstance(v, Exception) else v for v in values]
 
     return _real_zeros(scanned, dets, e_min, e_max, n_points)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -25,12 +24,12 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import (GridTooCoarse, JGreensError, QuadratureSuspect,
-                     SingularMatrix)
+                     SingularMatrix, _check_count)
 from .jacobi import (GreenMatrix, SheetSelector, _checked_inverse,
                      _corrected_blocks, _resolve_sheet, corrected_truncation,
                      dense_truncation)
-from .models import (CoulombModel, _check_count, _real_zeros, _secant,
-                     coulomb_jacobi, wavenumber)
+from .models import (CoulombModel, _real_zeros, _secant, coulomb_jacobi,
+                     wavenumber)
 from .special import (_laguerre_functions, _on_first_call, coulomb_sigma,
                       gauss_laguerre_scaled)
 # Uncalled; kept bound because perfbench/tracer.py wraps them at this module.
@@ -119,7 +118,8 @@ class SmoothingScheme:
             raise ValueError(f"shape parameter must be > 0, got {self.alpha}")
 
     def factors(self, N: int) -> np.ndarray:
-        """Vector (sigma_0, ..., sigma_N)."""
+        """Vector (sigma_0, ..., sigma_N), N an integer >= 0."""
+        _check_count("truncation index N", N, 0)
         if not self.enabled:
             return np.ones(N + 1)
         return np.array([sigma_factor(n, N, self.alpha)
@@ -137,11 +137,11 @@ class ScatterProblem:
         angular momentum l, dimension D, units).
     potential : ShortRangePotential
     N : int
-        Basis truncation; matrices have size (N+1) x (N+1).
+        Basis truncation, an integer >= 1; matrices are (N+1) x (N+1).
     smoothing : SmoothingScheme
     quad_order : int, optional
         Gauss-Laguerre order for potential matrix elements; defaults to
-        max(200, 2N+20) and must be at least 2N+20.
+        max(200, 2N+20) and must be an integer >= 2N+20.
     """
 
     model: CoulombModel
@@ -152,16 +152,9 @@ class ScatterProblem:
 
     def __post_init__(self) -> None:
         _check_count("truncation N", self.N, 1)
-        floor = 2 * self.N + 20
         if self.quad_order is None:
-            object.__setattr__(self, "quad_order", max(200, floor))
-        elif not isinstance(self.quad_order, numbers.Integral):
-            raise ValueError(
-                f"quad_order must be an integer, got {self.quad_order!r}")
-        elif self.quad_order < floor:
-            raise ValueError(
-                f"quad_order must be >= 2N+20 = {floor}, got "
-                f"{self.quad_order}")
+            object.__setattr__(self, "quad_order", max(200, 2 * self.N + 20))
+        _check_count("quad_order", self.quad_order, 2 * self.N + 20)
 
 
 @dataclass(frozen=True)
@@ -191,9 +184,9 @@ def sigma_factor(n: int, N: int, alpha: float) -> float:
     Parameters
     ----------
     n : int
-        Basis index, 0 <= n <= N.
+        Basis index, an integer, 0 <= n <= N.
     N : int
-        Truncation index.
+        Truncation index, an integer >= n.
     alpha : float
         Shape parameter, > 0.
 
@@ -202,8 +195,8 @@ def sigma_factor(n: int, N: int, alpha: float) -> float:
     float
         1 exactly at n = 0, decreasing towards the truncation edge.
     """
-    if not 0 <= n <= N:
-        raise ValueError(f"index must satisfy 0 <= n <= N, got n={n}, N={N}")
+    _check_count("basis index n", n, 0)
+    _check_count("truncation index N", N, n)
     if not alpha > 0:
         raise ValueError(f"shape parameter must be > 0, got {alpha}")
     if n == 0:
@@ -468,7 +461,7 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
         Opposite corners of the search rectangle, finite and strictly
         below the real axis.
     seeds : (int, int)
-        Seed grid shape (real x imaginary), integers >= 1.
+        Seed grid shape (real x imaginary), a pair of integers >= 1.
 
     Returns
     -------
@@ -481,6 +474,8 @@ def find_resonances(p: ScatterProblem, region: tuple[complex, complex],
         raise ValueError(f"search rectangle must be finite, got {region}")
     if im_hi >= 0.0:
         raise ValueError("search rectangle must lie below the real axis")
+    if len(seeds) != 2:
+        raise ValueError(f"seed grid seeds must be a pair, got {seeds!r}")
     for k, count in enumerate(seeds):
         _check_count(f"seed grid seeds[{k}]", count, 1)
     diam = math.hypot(re_hi - re_lo, im_hi - im_lo)
@@ -540,7 +535,7 @@ def free_overlap(model: CoulombModel, E: complex, N: int) -> np.ndarray:
         Energy; real and > 0, or complex, where the wavenumber and the
         Sommerfeld parameter take the principal branch.
     N : int
-        Highest basis index.
+        Highest basis index, an integer >= 0.
 
     Returns
     -------
@@ -550,8 +545,10 @@ def free_overlap(model: CoulombModel, E: complex, N: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        For E not finite, or real and <= 0, before any operator is built.
+        For E not finite, or real and <= 0, or N not an integer >= 0,
+        before any operator is built.
     """
+    _check_count("highest index N", N, 0)
     energy = _continuum(E)
     return _overlaps(model, energy,
                      dense_truncation(coulomb_jacobi(model, energy), N + 1))
@@ -650,28 +647,6 @@ def scatter_solve(p: ScatterProblem, E: float) -> tuple[np.ndarray, complex]:
     return psi, amp
 
 
-def _phase_points(p: ScatterProblem, energies: list[float]
-                  ) -> Iterator[tuple[float, float, complex]]:
-    """(raw half-argument of S, eta_l, a_l) at each energy, from the last
-    one down, as :func:`_solutions` gives the amplitudes."""
-    m, hbar = p.model.m, p.model.hbar
-    lam = p.model.l + (p.model.D - 3) / 2.0
-    for E, (_, amp) in zip(energies[::-1], _solutions(p, energies)):
-        k = wavenumber(p.model, E).real
-        gamma = p.model.Z * p.model.e2 * m / (hbar**2 * k)
-        eta = coulomb_sigma(lam, gamma)
-        a_l = -(2.0 * m / (hbar**2 * k * k)) * cmath.exp(2j * eta) * amp
-        s_short = 1.0 + 2j * k * a_l * cmath.exp(-2j * eta)
-        yield cmath.phase(s_short) / 2.0, eta, a_l
-
-
-def _amplitude_point(p: ScatterProblem, E: float) -> tuple[float, float,
-                                                           complex]:
-    """(raw half-argument of S, eta_l, a_l) at one energy."""
-    [point] = _phase_points(p, [E])
-    return point
-
-
 def phase_shift(p: ScatterProblem,
                 energies: list[float]) -> list[PhaseShiftPoint]:
     """Continuity-tracked phase shifts over an ascending energy sweep.
@@ -712,11 +687,17 @@ def phase_shift(p: ScatterProblem,
     arr = list(map(float, energies))
     if any(b <= a for a, b in zip(arr, arr[1:])):
         raise ValueError("sweep energies must be strictly ascending")
+    m, hbar = p.model.m, p.model.hbar
+    lam = p.model.l + (p.model.D - 3) / 2.0
     points: list[PhaseShiftPoint] = []
     prev = None
-    for i, (raw, eta, a_l) in zip(range(len(arr) - 1, -1, -1),
-                                  _phase_points(p, arr)):
+    for i, (_, amp) in zip(range(len(arr) - 1, -1, -1), _solutions(p, arr)):
         e = arr[i]
+        k = wavenumber(p.model, e).real
+        eta = coulomb_sigma(lam, p.model.Z * p.model.e2 * m / (hbar**2 * k))
+        a_l = -(2.0 * m / (hbar**2 * k * k)) * cmath.exp(2j * eta) * amp
+        # the raw phase, arg(S)/2 of the short-range S, in (-pi/2, pi/2]
+        raw = cmath.phase(1.0 + 2j * k * a_l * cmath.exp(-2j * eta)) / 2.0
         if prev is None:
             delta = raw
         else:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CoulombWaveFailure, HypergeometricNoConverge
+from .errors import CoulombWaveFailure, HypergeometricNoConverge, _check_count
 
 __all__ = [
     "hyp2f1",
@@ -90,7 +90,7 @@ def hyp2f1(a, b, c, z, *, tol=1e-14, max_terms=50000):
     tol : float, optional
         Relative term size at which the series is declared converged.
     max_terms : int, optional
-        Series length budget per route.
+        Series length budget per route, an integer >= 1.
 
     Returns
     -------
@@ -101,7 +101,10 @@ def hyp2f1(a, b, c, z, *, tol=1e-14, max_terms=50000):
     HypergeometricNoConverge
         If no route converges (argument on the unit circle near 1, or
         c at a nonpositive integer).
+    ValueError
+        For max_terms not an integer >= 1, before any term is summed.
     """
+    _check_count("max_terms", max_terms, 1)
     a = complex(a)
     b = complex(b)
     c = complex(c)
@@ -429,7 +432,7 @@ def genlaguerre_table(n_max, alpha, x):
     Parameters
     ----------
     n_max : int
-        Highest degree.
+        Highest degree, an integer >= 0.
     alpha : float
         Laguerre parameter, > -1.
     x : array_like
@@ -440,6 +443,7 @@ def genlaguerre_table(n_max, alpha, x):
     -------
     ndarray, shape (n_max + 1,) + x.shape
     """
+    _check_count("n_max", n_max, 0)
     values, exponents = _laguerre_table(n_max, alpha, x)
     return np.ldexp(values, exponents)
 
@@ -517,7 +521,7 @@ def _laguerre_functions(n_top, alpha, x, p):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # True, 1.0 must miss the entry of 1
 def gauss_laguerre_scaled(order):
     """Gauss-Laguerre rule with the exponential weight folded back in.
 
@@ -540,15 +544,14 @@ def gauss_laguerre_scaled(order):
     Parameters
     ----------
     order : int
-        Number of nodes, >= 1.
+        Number of nodes, an integer >= 1.
 
     Returns
     -------
     (ndarray, ndarray)
         Nodes in increasing order and scaled weights; both read-only.
     """
-    if order < 1:
-        raise ValueError("order must be positive")
+    _check_count("order", order, 1)
     diag = np.arange(1, 2 * order, 2, dtype=float)
     off = np.arange(1, order, dtype=float)
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
@@ -595,9 +598,10 @@ def _run_laguerre(top, x):
     return lk, dk, log_scale
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # as gauss_laguerre_scaled
 def gauss_legendre(order):
     """Gauss-Legendre rule on [-1, 1], cached; arrays are read-only."""
+    _check_count("order", order, 1)
     x, w = np.polynomial.legendre.leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)

@@ -127,6 +127,9 @@ def test_contour_validation():
         encircle_points([1.5, 3.5], radius=1.5)
     with pytest.raises(GeometryError):
         encircle_points([], radius=0.1)
+    for radius in (0.0, -0.5):
+        with pytest.raises(GeometryError, match="radius"):
+            encircle_points([1.0], radius=radius)
     with pytest.raises(GeometryError):
         Contour(nodes=())
     with pytest.raises(GeometryError):

@@ -416,6 +416,13 @@ def test_coefficient_validation_rejects_zero_numerator():
         cf.coefficient(1)
 
 
+def test_coefficient_index_and_list_length_guards():
+    with pytest.raises(IndexError, match="got 0"):
+        unit_fraction().coefficient(0)
+    with pytest.raises(ValueError, match="equal length"):
+        ContinuedFraction.from_lists(0.0, [1.0, 1.0], [1.0])
+
+
 def test_eval_forward_rejects_bad_arguments():
     cf = unit_fraction()
     with pytest.raises(ValueError):

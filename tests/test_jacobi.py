@@ -75,6 +75,8 @@ def test_cf_coefficients_constant_matrix():
         u, d = gen(i)
         assert u == pytest.approx(-1.0)
         assert d == pytest.approx(2.0)
+    with pytest.raises(IndexError, match="below start 3"):
+        cf_coefficients(constant_operator(), 3)(2)
 
 
 def test_cf_coefficients_zero_offdiagonal_as_divisor_and_numerator():
@@ -391,6 +393,13 @@ def test_truncated_inverse_zero_ratio_is_plain_inverse():
 def test_truncated_inverse_scalar_case():
     gm = truncated_inverse([2.0], [], 0.25, -1.0)
     assert gm.entries[0, 0] == pytest.approx(1.0 / (2.0 - 0.25))
+
+
+def test_truncated_inverse_rejects_bad_lengths():
+    with pytest.raises(ValueError, match="1x1"):
+        truncated_inverse([], [], 0.25, -1.0)
+    with pytest.raises(ValueError, match="length 2 does not match size 2"):
+        truncated_inverse([2.0, 2.0], [-1.0, -1.0], 0.25, -1.0)
 
 
 def test_truncated_inverse_random_tridiagonals_against_dense():
@@ -816,7 +825,8 @@ def test_one_by_one_blocks():
     for call in (lambda: dense_truncation(J, 0),
                  lambda: corrected_truncation(J, 0),
                  lambda: _corrected_blocks(lambda E: J, [J.energy], 0)):
-        with pytest.raises(ValueError, match="truncation size must be >= 1"):
+        with pytest.raises(ValueError,
+                           match="truncation size N must be an integer >= 1"):
             call()
 
 

@@ -467,6 +467,13 @@ def test_supercritical_charge_raises_invalid_u():
                             kind=KleinGordon(l=0), eta_basis=1.0),
     lambda: RelCoulombModel(mu=1.0, alpha_fs=0.007, Z=math.nan,
                             kind=KleinGordon(l=0), eta_basis=1.0),
+    lambda: OscillatorModel(omega=1.0, omega_basis=1.0, m=0.0),
+    lambda: OscillatorModel(omega=1.0, omega_basis=1.0, hbar=-1.0),
+    lambda: GenCoulombModel(C=1.0, theta=1.0, q=1.0, beta=2.0, rho_basis=0.0),
+    lambda: RelCoulombModel(mu=1.0, alpha_fs=0.0, Z=1.0,
+                            kind=KleinGordon(l=0), eta_basis=1.0),
+    lambda: RelCoulombModel(mu=1.0, alpha_fs=0.007, Z=1.0,
+                            kind=KleinGordon(l=0), eta_basis=-1.0),
 ])
 def test_model_validation_rejects(bad):
     with pytest.raises(ValueError):
@@ -668,6 +675,11 @@ def test_coulomb_levels_values():
     assert exact_levels(CoulombModel(Z=2.0), 3) == []
 
 
+def test_exact_levels_refuses_other_models():
+    with pytest.raises(TypeError, match="unsupported model type str"):
+        exact_levels("coulomb", 2)
+
+
 def test_oscillator_levels_values():
     model = OscillatorModel(omega=1.0, omega_basis=1.3, l=0, D=3)
     assert exact_levels(model, 3) == pytest.approx([1.5, 3.5, 5.5], rel=1e-15)
@@ -779,6 +791,22 @@ def test_pole_scan_grid_error_rules():
 
     with pytest.raises(KeyError, match="first in grid order"):
         det_pole_scan(failing, -0.6, -0.04, size=3)
+
+    # a scan that evaluated nothing has no "no poles" to report: where
+    # every grid energy raised, here degenerate even after its nudge, the
+    # first one's error is raised, not []
+    def degenerate(E):
+        raise ZeroOffdiagonal(0, f"degenerate at {E!r}")
+
+    with pytest.raises(ZeroOffdiagonal, match="persists after nudge"):
+        det_pole_scan(degenerate, -0.6, -0.04, size=3)
+
+    def breaks(E):  # at the array of the whole grid too
+        first = np.ndim(E) == 0 and E == grid[0]
+        raise NumericBreakdown("first grid energy" if first else "later")
+
+    with pytest.raises(NumericBreakdown, match="first grid energy"):
+        det_pole_scan(breaks, -0.6, -0.04, size=3)
 
     # a package error met while polishing propagates, although the grid
     # still skips the same error at its own energies
@@ -1015,6 +1043,9 @@ def test_pole_scan_rejects_degenerate_grid():
     with pytest.raises(ValueError, match="grid"):
         det_pole_scan(lambda E: coulomb_jacobi(model, E), -0.6, -0.04,
                       size=3, n_points=1)
+    for lo, hi in ((-0.04, -0.6), (-0.3, -0.3)):
+        with pytest.raises(ValueError, match="e_min < e_max"):
+            det_pole_scan(lambda E: coulomb_jacobi(model, E), lo, hi, size=3)
 
 
 def test_pole_scan_needs_integer_sizes():
@@ -1079,6 +1110,20 @@ def test_secant_on_constant_function_ends_unsettled():
     assert not settled
     assert (z, fz) == (0.5j + 1e-7, 2.0)
     assert calls == []
+
+
+def test_secant_ends_unsettled_after_its_step_budget():
+    # no real zero: from real starts the iterates wander on the axis, and
+    # after 200 steps the last evaluated iterate comes back unsettled
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return z * z + z + 1.0
+
+    out = _secant(f, 0.3, f(0.3), 0.5, f(0.5), 1.0, cap=1.0)
+    assert len(calls) == 2 + 200
+    assert out == (calls[-1], f(calls[-1]), False)
 
 
 def test_secant_clips_steps_to_cap():
@@ -1508,9 +1553,34 @@ def test_cs_basis_small_r_behaviour():
     assert phi == 0.0 and np.isfinite(partner) and partner != 0.0
     phi, partner = cs_basis_eval(2, 1, 3, 1.0, 0.0)
     assert phi == 0.0 and partner == 0.0
+    # l + (D-1)/2 = 1/2: the partner phi/r diverges as r^(-1/2)
+    phi, partner = cs_basis_eval(2, 0, 2, 1.0, 0.0)
+    assert phi == 0.0 and partner == math.inf
+    assert cs_basis_eval(2, 0, 2, 1.0, 1e-300)[1] > 1e140
     phi0, _ = cs_basis_eval(0, 0, 3, 1.0, 0.5)
     expected = math.exp(0.5 * (0.0 - math.lgamma(2.0))) * math.exp(-0.5) * 1.0
     assert phi0 == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 2.25, 2.5, 2.75])
+def test_gcs_partner_at_origin_is_its_limit(beta):
+    # at theta = 0 the partner goes as h^(beta/2 - 1): r = 0 gives the
+    # limit that r = 1e-300 approaches (inf was returned for beta <= 2.5)
+    model = GenCoulombModel(C=1.0, theta=0.0, q=1.0, beta=beta,
+                            rho_basis=1.0)
+    phi, partner = gcs_basis_eval(model, 2, 0.0)
+    _, near = gcs_basis_eval(model, 2, 1e-300)
+    assert phi == 0.0
+    if beta < 2.0:
+        assert partner == math.inf and near > 1e70
+    elif beta == 2.0:  # sqrt(2!/3!) L_2^(1)(0) = sqrt(3)
+        assert partner == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        assert near == pytest.approx(partner, rel=1e-13)
+    else:
+        assert partner == near == 0.0
+    # theta > 0 keeps a finite weight 1/(h + theta): the partner is 0
+    thick = GenCoulombModel(C=1.0, theta=0.5, q=1.0, beta=beta, rho_basis=1.0)
+    assert gcs_basis_eval(thick, 2, 0.0) == (0.0, 0.0)
 
 
 def test_cs_basis_log_domain_stability():
@@ -1591,6 +1661,9 @@ def test_oscillator_wavefunction_normalized_and_orthogonal():
     basis_val = oscillator_wavefunction(model, 2, 1.1,
                                         frequency=model.omega_basis)
     assert basis_val != pytest.approx(oscillator_wavefunction(model, 2, 1.1))
+    for frequency in (0.0, -1.3):
+        with pytest.raises(ValueError, match="frequency"):
+            oscillator_wavefunction(model, 2, 1.1, frequency=frequency)
 
 
 def test_cs_completeness_on_gaussian():

@@ -29,7 +29,7 @@ from jgreens.jacobi import SheetSelector, corrected_truncation, \
 from jgreens.models import (CoulombModel, coulomb_jacobi, det_pole_scan,
                             wavenumber)
 from jgreens.scatter import (ScatterProblem, ShortRangePotential,
-                             SmoothingScheme, _amplitude_point, _basis_rows,
+                             SmoothingScheme, _basis_rows,
                              alpha_alpha_potential, det_equation,
                              find_bound_states, find_resonances,
                              free_overlap, phase_shift, potential_matrix,
@@ -173,7 +173,7 @@ def res_l2(N):
 @lru_cache(maxsize=None)
 def raw_phases(N):
     p = charged_problem(N, 0, alpha=5.2)
-    return tuple(_amplitude_point(p, E)[0] for E in PHASE_ENERGIES)
+    return tuple(phase_shift(p, [E])[0].delta for E in PHASE_ENERGIES)
 
 
 def sweep_grid(l):
@@ -745,6 +745,10 @@ def test_root_searches_need_integer_sizes(builds):
     for seeds in ((1.5, 1), (True, 1), (1, 2.0)):
         with pytest.raises(ValueError, match=r"seeds\[[01]\]"):
             find_resonances(p, region, seeds=seeds)
+    # (2,) raised a bare IndexError, and (1, 1, 1) ran the (1, 1) search
+    for seeds in ((2,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="seeds must be a pair"):
+            find_resonances(p, region, seeds=seeds)
     for n_grid in (40.0, True):
         with pytest.raises(ValueError, match="n_grid"):
             find_bound_states(table_problem(8), -35.0, -25.0, n_grid=n_grid)
@@ -890,9 +894,10 @@ def test_short_range_s_matrix_unitary():
             SheetSelector.PHYSICAL))
         residual = psi - g @ (potential_matrix(p) @ psi) - phi
         assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(phi))
-        raw, eta, a = _amplitude_point(p, E)
+        pt = phase_shift(p, [E])[0]
+        eta = pt.eta
         k = wavenumber(p.model, E).real
-        s = 1.0 + 2j * k * a * cmath.exp(-2j * eta)
+        s = 1.0 + 2j * k * pt.amplitude * cmath.exp(-2j * eta)
         assert abs(abs(s) - 1.0) <= 1e-8
         gamma = p.model.Z * p.model.e2 * p.model.m / (p.model.hbar**2 * k)
         lam = p.model.l + (p.model.D - 3) / 2.0
@@ -903,28 +908,30 @@ def test_short_range_s_matrix_unitary():
 def test_weak_attractive_potential_has_positive_phase():
     weak = ShortRangePotential(lambda r: -0.1 * np.exp(-r * r))
     p = ScatterProblem(neutral(), weak, 20)
-    raw, eta, _ = _amplitude_point(p, 5.0)
-    assert eta == 0.0
-    assert 0.0 < raw < 0.5
+    pt = phase_shift(p, [5.0])[0]
+    assert pt.eta == 0.0
+    assert 0.0 < pt.delta < 0.5
 
 
 def test_amplitude_finite_across_low_energies():
     p = charged_problem(40, 0, alpha=5.2)
     for E in np.linspace(0.05, 1.0, 20):
-        _, _, a = _amplitude_point(p, float(E))
+        a = phase_shift(p, [float(E)])[0].amplitude
         k = wavenumber(p.model, float(E)).real
         assert np.isfinite(a.real) and np.isfinite(a.imag)
         assert abs(a) <= (1.0 + 1e-9) / k
 
 
 def test_phase_matches_amplitude_at_single_energy():
+    # at one energy the phase is the raw arg(S)/2 of its own amplitude,
+    # anchored in (-pi/2, pi/2]
     p = charged_problem(40, 0, alpha=5.2)
     pt = phase_shift(p, [10.0])[0]
-    raw, eta, a = _amplitude_point(p, 10.0)
+    k = wavenumber(p.model, 10.0).real
+    s = 1.0 + 2j * k * pt.amplitude * cmath.exp(-2j * pt.eta)
     assert -math.pi / 2 < pt.delta <= math.pi / 2
-    assert abs(pt.delta - raw) <= 1e-9
-    assert abs(pt.amplitude - a) <= 1e-12
-    assert pt.eta == eta and pt.E == 10.0
+    assert abs(pt.delta - cmath.phase(s) / 2.0) <= 1e-9
+    assert pt.E == 10.0
 
 
 def test_phase_shift_validation():
@@ -948,7 +955,8 @@ def test_sweep_points_equal_one_energy_calls():
         assert min(abs(E - straggler) for E in grid) < 1e-8
     p = charged_problem(40, 0, alpha=5.2)
     for pt in phase_shift(p, grid):
-        raw, eta, a = _amplitude_point(p, pt.E)
+        one = phase_shift(p, [pt.E])[0]
+        raw, eta, a = one.delta, one.eta, one.amplitude
         assert float(pt.eta).hex() == float(eta).hex()
         assert (pt.amplitude.real.hex(), pt.amplitude.imag.hex()) \
             == (a.real.hex(), a.imag.hex())
@@ -1072,23 +1080,23 @@ def test_smoothing_accelerates_phase_convergence():
                               smoothing=SmoothingScheme(alpha=5.2))
     p_hard = ScatterProblem(charged(0), SHORT_AA, 16,
                             smoothing=SmoothingScheme(enabled=False))
-    anchor = _amplitude_point(charged_problem(40, 0, alpha=5.2), 10.0)[0]
-    d_smooth = abs(_fold(_amplitude_point(p_smooth, 10.0)[0] - anchor))
-    d_hard = abs(_fold(_amplitude_point(p_hard, 10.0)[0] - anchor))
+    anchor = phase_shift(charged_problem(40, 0, alpha=5.2), [10.0])[0].delta
+    d_smooth = abs(_fold(phase_shift(p_smooth, [10.0])[0].delta - anchor))
+    d_hard = abs(_fold(phase_shift(p_hard, [10.0])[0].delta - anchor))
     assert d_smooth < 1e-3
     assert d_hard > 1e-2
     p20 = charged_problem(20, 0, alpha=5.2)
-    assert abs(_fold(_amplitude_point(p20, 10.0)[0] - anchor)) < 1e-4
+    assert abs(_fold(phase_shift(p20, [10.0])[0].delta - anchor)) < 1e-4
 
 
 def test_phase_shift_flags_branch_ambiguity():
     # bisect onto the energy whose tracked gap from E = 5 reaches half a
     # period; there the nearest-branch choice is genuinely ambiguous
     p = charged_problem(25, 0, alpha=5.2)
-    base = _amplitude_point(p, 5.0)[0]
+    base = phase_shift(p, [5.0])[0].delta
 
     def gap(E2):
-        return _fold(_amplitude_point(p, E2)[0] - base)
+        return _fold(phase_shift(p, [E2])[0].delta - base)
 
     lo, hi = 10.0, 30.0
     assert gap(lo) < 0.0 < gap(hi)
