@@ -30,6 +30,7 @@ from .errors import (
     NoMinimalSolution,
     NumericBreakdown,
     _check_count,
+    _is_integer,
 )
 
 __all__ = [
@@ -53,9 +54,9 @@ _ZERO_THRESHOLD = 1e-300
 # A lambda coefficient this small relative to the terms that formed it
 # has lost essentially all significant digits to cancellation.
 _DEGENERATE_REL = 1e-9
-# Forward approximant is treated as a pole when the denominator is this
-# small relative to the numerator.
-_POLE_THRESHOLD = 1e-250
+# An approximant S = num/den past this in modulus is a pole (den = 0 too),
+# so no converged sum exceeds it; a NaN S (0/0) is a breakdown.
+_POLE_LIMIT = 1e250
 # Coefficients in a sum's first chunk: 15, or 63 with Bauer-Muir rounds on,
 # whose fractions are the long near-axis ones (a lane pays the kernel's
 # fixed numpy cost per chunk). After a chunk of n < 63 the next holds
@@ -146,9 +147,11 @@ class ContinuedFraction:
     coeffs: Coeffs
 
     def coefficient(self, i: int) -> tuple[complex, complex]:
-        """Return validated (a_i, b_i); IndexError past a finite end."""
-        if i < 1:
+        """Return validated (a_i, b_i); IndexError for an integer i < 1 and
+        past a finite end, ValueError for a bool or a float i."""
+        if _is_integer(i) and i < 1:
             raise IndexError(f"coefficient index must be >= 1, got {i}")
+        _check_count("coefficient index i", i, 1)
         a, b = self.coeffs(i)
         a, b = complex(a), complex(b)
         if a == 0:
@@ -251,14 +254,14 @@ def forward_approximants(cf: ContinuedFraction,
     B_{-1} = 0, B_0 = 1, so that S_n(w) = (A_n + A_{n-1} w)/(B_n + B_{n-1} w).
     It runs as a rescaled prefix scan over chunks of coefficients, read
     a chunk ahead; approximants are invariant under that scaling. Yields
-    None in place of S_n when it has a pole at w, and raises in its place
-    what the map raises for index n + 1. Terminates when the coefficient
-    stream ends (finite fraction).
+    None in place of S_n where it is a pole, |S_n(w)| > 1e250, and raises
+    in its place what the map raises for index n + 1. Terminates when the
+    coefficient stream ends (finite fraction).
 
     Raises
     ------
     NumericBreakdown
-        If a non-finite value contaminates the recurrence.
+        If a non-finite value contaminates the recurrence or S_n is NaN.
     """
     read, w = _one_lane_reader(cf.coefficient), _tail_w(tail)
     x = np.array([[[cf.b0], [1.0]], [[1.0], [0.0]]], dtype=complex)
@@ -291,11 +294,12 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
 
     Iterates modified approximants S_n(w), n >= 1, and stops when two
     successive well-defined approximants agree,
-    |S_n - S_{n-1}| <= tol * max(1, |S_n|). An approximant pole resets
-    the comparison so convergence always requires two consecutive finite
-    values. A finite fraction terminates exactly and reports convergence
-    with last_delta = 0. This is the one-lane case of :func:`_sum_fractions`,
-    which reads up to a chunk ahead; only what it reaches raises.
+    |S_n - S_{n-1}| <= tol * max(1, |S_n|). A pole, |S_n| > 1e250, resets
+    the comparison so convergence always requires two consecutive values
+    within that limit. A finite fraction terminates exactly and reports
+    convergence with last_delta = 0. This is the one-lane case of
+    :func:`_sum_fractions`, which reads up to a chunk ahead; only what it
+    reaches raises.
 
     Parameters
     ----------
@@ -318,8 +322,8 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
     Raises
     ------
     NumericBreakdown
-        If NaN or infinity contaminates the recurrence, or a finite
-        fraction terminates on a pole approximant.
+        If NaN or infinity contaminates the recurrence (S_n included), or
+        a finite fraction terminates on a pole approximant.
     ValueError
         For max_terms not an integer >= 1, before any term is summed.
     """
@@ -797,7 +801,7 @@ def _approximants(state: np.ndarray, a: np.ndarray, b: np.ndarray, tails
         x[..., far], state[..., far] = y, y[:, :, -1]
     num, den = x[:, 0, :-1] + x[:, 1, :-1] * tails
     s = num / den
-    return x, s, ~(np.abs(den) <= _POLE_THRESHOLD * np.fmax(1.0, np.abs(num)))
+    return x, s, ~(np.abs(s) > _POLE_LIMIT)
 
 
 def _prefix_products(x: np.ndarray) -> None:

@@ -14,13 +14,16 @@ class JGreensError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, minimum: int) -> None:
     """The check of every size, index, order and budget argument: unless
-    ``value`` is an integer (numpy's included; a bool or a float never)
-    >= minimum, ValueError ``<name> must be an integer >= <minimum>, got
-    <value>``."""
-    if not (isinstance(value, numbers.Integral)
-            and not isinstance(value, bool) and value >= minimum):
+    ``value`` is an integer (:func:`_is_integer`) >= minimum, ValueError
+    ``<name> must be an integer >= <minimum>, got <value>``."""
+    if not (_is_integer(value) and value >= minimum):
         raise ValueError(
             f"{name} must be an integer >= {minimum}, got {value!r}")
 
@@ -101,7 +104,7 @@ class ZeroOffdiagonal(JGreensError):
 
 
 class SingularRatio(JGreensError):
-    """Tail ratio evaluation blew up (energy is at or near a pole)."""
+    """A finite tail ratio fraction ended on a pole approximant."""
 
 
 class SingularMatrix(JGreensError):

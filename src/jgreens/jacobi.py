@@ -40,6 +40,7 @@ from .errors import (
     SingularRatio,
     ZeroOffdiagonal,
     _check_count,
+    _is_integer,
 )
 
 __all__ = [
@@ -58,13 +59,6 @@ __all__ = [
 # Bound on N * kappa_1 (>= kappa_2) above which an N x N inversion is
 # reported as singular.
 _COND_LIMIT = 1e14
-# Ratio magnitude above which the leading Green's element is treated as
-# vanished (the p_i q_j factorization presumes it is nonzero). The pole
-# test of contfrac._approximants (|den| <= 1e-250 max(1, |num|)) already
-# keeps a converged sum below about 1e250, so only rounding carries a
-# quotient past this limit; such a lane keeps its ratio in _corner_ratios'
-# output, with a SingularRatio error, while every other failed lane reads 0.
-_RATIO_LIMIT = 1e250
 
 _DEFAULT_TOL = 1e-12
 _DEFAULT_MAX_TERMS = 20000
@@ -262,7 +256,8 @@ def cf_coefficients(J: JacobiOperator,
     Returns
     -------
     callable
-        Deterministic coefficient map.
+        Deterministic coefficient map: IndexError at an integer index
+        below start, ValueError at a bool or a float one.
 
     Raises
     ------
@@ -273,8 +268,9 @@ def cf_coefficients(J: JacobiOperator,
     _check_count("start", start, 1)
 
     def gen(i: int) -> tuple[complex, complex]:
-        if i < start:
+        if _is_integer(i) and i < start:
             raise IndexError(f"index {i} below start {start}")
+        _check_count("coefficient index i", i, start)
         # the corner-ratio kernel's reader: the coefficients it sums
         with np.errstate(all="ignore"):  # a zero J_{i,i+1} is a fault
             lane = np.zeros(1, dtype=int)
@@ -393,8 +389,8 @@ def tail_ratio(J: JacobiOperator, n: int,
         with ``terms_used`` (approximants, not indices read) and
         ``last_delta`` of the last depth tried.
     SingularRatio
-        If the ratio magnitude blows up (leading Green's element at or
-        near a zero), or a finite fraction ends on a pole approximant.
+        If a finite fraction ends on a pole approximant: the leading
+        Green's element vanishes.
     ZeroOffdiagonal, DegenerateTransform
         Propagated from coefficient generation and acceleration.
     ValueError
@@ -699,10 +695,9 @@ def _corner_ratios(batch: _Lanes, n: int,
     on its batch). Each lane that did not converge is then decided as
     ``tail_ratio`` decides: an end with rounds on (IndexError) goes to
     depth 0, its last; a DegenerateTransform or NotConverged to the next
-    depth of the plan, if any; anything else is the lane's error. A ratio
-    past ``_RATIO_LIMIT``, which only rounding past the pole test of the
-    sum can give, is a SingularRatio but keeps its value in the output;
-    every other failed lane's ratio is zero."""
+    depth of the plan, if any; anything else is the lane's error, and a
+    finite fraction that ends on a pole approximant a SingularRatio. A
+    converged sum is no pole, so every ratio is finite."""
     if bm_rounds is not None:
         _check_count("bm_rounds", bm_rounds, 0)
     at = np.arange(batch.energy.size) if at is None else np.asarray(at)
@@ -761,11 +756,6 @@ def _corner_ratios(batch: _Lanes, n: int,
                         "leading Green's element vanishes")
                     continue
                 todo.add(int(depth[k]))
-    trusted = np.abs(ratios) <= _RATIO_LIMIT
-    for k in [] if trusted.all() else np.flatnonzero(~trusted).tolist():
-        errors[k] = errors[k] or SingularRatio(
-            f"tail ratio magnitude {abs(ratios[k]):.3e} exceeds trust "
-            "limit; a leading Green's element is numerically zero")
     return ratios, errors
 
 

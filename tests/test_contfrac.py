@@ -563,6 +563,18 @@ def test_forward_finite_fraction_ending_on_a_pole_breaks_down():
         eval_forward(_pole_ending(), 1e-12, 100)
 
 
+def test_forward_small_valued_fraction_is_no_pole():
+    # S_1 = 1e-260/1e-255 = 1e-5 is far inside the pole limit, though its
+    # denominator is 1e-255
+    cf = ContinuedFraction.from_lists(0.0, [1e-260], [1e-255])
+    [(n0, s0), (n1, s1)] = forward_approximants(cf)
+    assert (n0, s0, n1) == (0, 0, 1)
+    assert s1 == pytest.approx(1e-5, rel=1e-15)
+    res = eval_forward(cf, 1e-12, 100)
+    assert res.converged
+    assert abs(res.value - eval_backward(cf, 1)) <= math.ulp(1e-5)
+
+
 @pytest.mark.parametrize("tail", [complex(math.nan, 0.0),
                                   complex(math.inf, 0.0)])
 def test_forward_non_finite_approximant_breaks_down(tail):

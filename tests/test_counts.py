@@ -5,9 +5,11 @@ One table holds every such argument of the public API with its minimum;
 A float (integral or not), a bool (Python's or numpy's) and an integer
 below the minimum are refused with a ValueError naming the argument,
 before any operator is built, any term summed or any basis value formed;
-a numpy integer computes exactly what the equal int computes. A last
-test fails when a public parameter named like a count is missing from
-the table.
+a numpy integer computes exactly what the equal int computes. A
+coefficient map's index differs in one point: an integer below its first
+index raises IndexError, which ends a fraction. A last test fails when a
+parameter named like a count, of a public function or class or of a
+public method of one, is missing from the tables.
 """
 
 import dataclasses
@@ -184,6 +186,11 @@ NOT_COUNTS = {
     ("models.DiracUpper", "j"),
     ("models.DiracLower", "j"),
 }
+# The index of a coefficient map, a count with its own rule: a bool or a
+# float is refused as every count is, but an integer below the first index
+# raises IndexError, which ends a fraction. The map jacobi.cf_coefficients
+# returns has the same rule (its index is no parameter the scan sees).
+INDICES = {("contfrac.ContinuedFraction.coefficient", "i")}
 _COUNT_NAMES = {"n", "N", "N1", "N2", "i", "j", "size", "n_points", "n_per",
                 "n_grid", "n_max", "order", "rounds", "bm_rounds", "start",
                 "max_terms", "quad_order", "seeds"}
@@ -212,6 +219,23 @@ def test_node_counts_below_eight_are_geometry_errors(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("first,call", [
+    (1, lambda v, x: x.cf.coefficient(v)),
+    (3, lambda v, x: jacobi.cf_coefficients(
+        jacobi.JacobiOperator(x.family, x.family), 3)(v)),
+], ids=["contfrac.ContinuedFraction.coefficient", "jacobi.cf_coefficients"])
+def test_coefficient_indices_refuse_non_integers(tripwires, first, call):
+    for bad in (float(first), first + 0.5, True, np.bool_(True), False):
+        message = (rf"(^|\s)i must be an integer >= {first}, "
+                   rf"got {re.escape(repr(bad))}$")
+        with pytest.raises(ValueError, match=message):
+            call(bad, tripwires)
+    for below in (first - 1, np.int64(first - 1)):
+        with pytest.raises(IndexError):
+            call(below, tripwires)
+    assert tripwires.touched == []
+
+
 def _bits(value):
     """value with every float as its hex and every array as its bytes."""
     if isinstance(value, np.ndarray):
@@ -238,8 +262,10 @@ def test_numpy_integer_counts_match_ints(target, param, minimum, good, call):
 
 
 def _count_parameters():
+    """(target, parameter) of every public function, class and public
+    method of a public class whose parameter is named like a count."""
     modules = (jacobi, contfrac, composite, models, scatter, special)
-    found = {("scatter.SmoothingScheme.factors", "N")}
+    found = set()
     for module in modules:
         short = module.__name__.rsplit(".", 1)[1]
         for attr in module.__all__:
@@ -247,12 +273,18 @@ def _count_parameters():
             # an enum's call looks a member up; it takes no count
             if isinstance(obj, enum.EnumMeta) or not callable(obj):
                 continue
-            try:
-                params = inspect.signature(obj).parameters
-            except (TypeError, ValueError):
-                continue
-            found |= {(f"{short}.{attr}", p) for p in params
-                      if p in _COUNT_NAMES}
+            targets = [(attr, obj)]
+            if inspect.isclass(obj):  # the methods the class defines
+                targets += [(f"{attr}.{name}", getattr(obj, name))
+                            for name in vars(obj) if not name.startswith("_")
+                            and inspect.isroutine(getattr(obj, name))]
+            for target, fn in targets:
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                found |= {(f"{short}.{target}", p) for p in params
+                          if p in _COUNT_NAMES}
     return found
 
 
@@ -260,5 +292,5 @@ def test_every_count_parameter_is_in_the_table():
     found = _count_parameters()
     assert len(found) > 40  # the scan finds the parameters at all
     tabled = {(target, param) for target, param, *_ in COUNTS}
-    assert found - tabled - NOT_COUNTS == set()
-    assert (tabled | NOT_COUNTS) - found == set()  # nothing stale
+    assert found - tabled - NOT_COUNTS - INDICES == set()
+    assert (tabled | NOT_COUNTS | INDICES) - found == set()  # nothing stale

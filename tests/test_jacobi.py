@@ -544,26 +544,13 @@ def _finite_pole_operator():
     return JacobiOperator(entry, entry, energy=0.0, limit_coeffs=(-1.0, 1.0))
 
 
-def _past_trust_limit_operator():
-    """An operator whose one-coefficient fraction u_1/d_1 = J_10/J_11 sums
-    past the 1e250 trust limit of the ratio. The pole test keeps |S| below
-    about 1e250, so only rounding carries a quotient past it: the scan
-    tries J_11 a few ulps above the pole threshold until one does."""
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        g = complex(*rng.uniform(0.5, 2.0, 2))
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        for k in range(1, 6):
-            d = cmath.rect(1e-250 * abs(g) * (1.0 + k * 1.1e-16), angle)
-            op = JacobiOperator(lambda i, d=d: d if i == 1 else 1.0,
-                                lambda i, g=g: (g, 1.0)[i],  # ends at i = 2
-                                0.0, (-1.0, 3.0))
-            try:
-                tail_ratio(op, 1)
-            except SingularRatio as exc:
-                if "trust limit" in str(exc):
-                    return op
-    raise AssertionError("no operator sums past the trust limit")
+def _one_coefficient_operator(j10, j11):
+    """J_10 = j10, J_11 = j11 and J_12 = 1, ending at i = 2 (J_00 = 0):
+    its fraction K_{i>=1}(u_i/d_i) is the one coefficient u_1/d_1 =
+    j10/j11, so the tail ratio at n = 1 is -j10/j11 unless S_1 is a pole."""
+    return JacobiOperator(lambda i: j11 if i == 1 else 0.0,
+                          lambda i: (j10, 1.0)[i],  # ends at i = 2
+                          0.0, (-1.0, 3.0))
 
 
 def _lanes_match_alone(lanes, n, **kwargs):
@@ -610,7 +597,9 @@ def test_mixed_outcome_batch_matches_each_lane_alone():
         coulomb_jacobi(model, 0.4 - 0.2j),  # AUTO refuses Im E < 0
         JacobiOperator(bound.diag, bound.offdiag, bound.energy),  # no limits
         huge,  # S_1 with its tail is not finite
-        _past_trust_limit_operator(),
+        # |S_1| just past and just inside the pole limit 1e250
+        _one_coefficient_operator(cmath.rect(1e250 * (1 + 1e-12), 0.7), 1.0),
+        _one_coefficient_operator(cmath.rect(1e250 * (1 - 1e-12), 0.7), 1.0),
         JacobiOperator(bound.diag, bound.offdiag, bound.energy,
                        (-1.0, complex(2.0, math.nan))),  # NaN limit
     ]
@@ -618,13 +607,18 @@ def test_mixed_outcome_batch_matches_each_lane_alone():
                                         max_terms=40)
     assert [type(e) for e in errors] == [
         type(None), type(None), NotConverged, ZeroOffdiagonal, SingularRatio,
-        ValueError, ValueError, NumericBreakdown, SingularRatio, ValueError]
+        ValueError, ValueError, NumericBreakdown, SingularRatio, type(None),
+        ValueError]
     assert errors[3].index == 3
     assert str(errors[7]) == "non-finite approximant"
-    assert "exceeds trust limit" in str(errors[8])
-    assert "not finite" in str(errors[9])
-    # a lane past the trust limit keeps its ratio; failed sums give zero
-    assert not ratios[2:8].any() and abs(ratios[8]) > 1e250
+    assert str(errors[4]) == str(errors[8]) == (
+        "fraction terminated on a pole approximant; the leading Green's "
+        "element vanishes")
+    assert "not finite" in str(errors[10])
+    # every failed sum gives zero; the lane inside the limit keeps its ratio
+    assert not ratios[2:9].any() and not ratios[10]
+    assert ratios[9] == pytest.approx(-cmath.rect(1e250 * (1 - 1e-12), 0.7),
+                                      rel=1e-15)
     # classical approximants (zero tail) of K(-1/1) cycle -1, a pole, 0:
     # the budget of 41 terms ends on the pole at S_41 and returns S_40,
     # with the last comparison |S_40 - S_39| = 1
@@ -642,6 +636,15 @@ def test_mixed_outcome_batch_matches_each_lane_alone():
         == (-1.0, 41, False, 1.0)
     with pytest.raises(ValueError, match="bm_rounds"):
         tail_ratio(bound, 1, bm_rounds=-1)
+
+
+def test_small_valued_one_coefficient_ratio_is_no_pole():
+    # S_1 = 1e-260/1e-255 = 1e-5 is far inside the pole limit, though its
+    # denominator is 1e-255
+    op = _one_coefficient_operator(1e-260, 1e-255)
+    ratio = tail_ratio(op, 1)
+    assert ratio == pytest.approx(-1e-5, rel=1e-15)
+    assert corrected_truncation(op, 1).tolist() == [[1e-260 * ratio]]
 
 
 def _block(rng, singular_values):
