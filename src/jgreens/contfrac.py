@@ -30,6 +30,7 @@ from .errors import (
     NoMinimalSolution,
     NumericBreakdown,
     _check_count,
+    _check_tol,
     _is_integer,
 )
 
@@ -49,7 +50,7 @@ __all__ = [
     "pincherle_ratio",
 ]
 
-# Magnitudes below this count as an exact zero denominator.
+# The floor of the scale a Bauer-Muir lambda is measured against.
 _ZERO_THRESHOLD = 1e-300
 # A lambda coefficient this small relative to the terms that formed it
 # has lost essentially all significant digits to cancellation.
@@ -204,7 +205,9 @@ def eval_backward(cf: ContinuedFraction, n: int,
 
     Starts from t = w at level n and folds t <- a_i / (b_i + t) down to
     level 1, returning b0 + t. If the fraction terminates before level n,
-    all available levels are used.
+    all available levels are used. The pole rule is the forward one: a
+    zero b_i + t makes a level infinite, an infinite b_i + t gives
+    a_i/(b_i + inf) = 0, and S_n(w) is a pole where |S_n(w)| > 1e250.
 
     Parameters
     ----------
@@ -223,8 +226,7 @@ def eval_backward(cf: ContinuedFraction, n: int,
     Raises
     ------
     DivisionByZero
-        If an intermediate denominator magnitude falls below 1e-300,
-        which signals a pole of the approximant.
+        Where S_n(w) is a pole (b_1 + t = 0 among them), at level 1.
     """
     _check_count("approximant order n", n, 0)
     w = _tail_w(tail)
@@ -238,10 +240,17 @@ def eval_backward(cf: ContinuedFraction, n: int,
     for i in range(len(pairs), 0, -1):
         a, b = pairs[i - 1]
         den = b + t
-        if abs(den) < _ZERO_THRESHOLD:
-            raise DivisionByZero(i)
-        t = a / den
-    return complex(cf.b0) + t
+        if den == 0:  # this level is infinite
+            t = complex(math.inf)
+        elif cmath.isinf(den):  # a_i/(b_i + inf) = 0
+            t = 0j
+        else:
+            t = a / den
+    s = complex(cf.b0) + t
+    if abs(s) > _POLE_LIMIT:
+        raise DivisionByZero(1, f"approximant S_{len(pairs)} is a pole: "
+                                f"|S| > {_POLE_LIMIT:.0e}")
+    return s
 
 
 def forward_approximants(cf: ContinuedFraction,
@@ -306,7 +315,7 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
     cf : ContinuedFraction
         Fraction to evaluate.
     tol : float
-        Relative agreement threshold, > 0.
+        Relative agreement threshold, in (0, 1).
     max_terms : int
         Coefficient budget, an integer >= 1.
     tail : TailValue or complex
@@ -325,7 +334,8 @@ def eval_forward(cf: ContinuedFraction, tol: float, max_terms: int,
         If NaN or infinity contaminates the recurrence (S_n included), or
         a finite fraction terminates on a pole approximant.
     ValueError
-        For max_terms not an integer >= 1, before any term is summed.
+        For max_terms not an integer >= 1, or tol not in (0, 1), before
+        any term is summed.
     """
     _check_count("max_terms", max_terms, 1)
     w = _tail_w(tail)
@@ -375,7 +385,7 @@ def _fixed_point_arrays(a: np.ndarray, b: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(attractive, repulsive) fixed points of w -> a/(b + w), elementwise;
     see :func:`fixed_points`."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # silent for any a and b
         s = np.sqrt(b * b + 4.0 * a)
         s = np.where((np.conj(b) * s).real < 0.0, -s, s)
         # finite roots are below ~2e154, so their sum is finite too
@@ -384,10 +394,10 @@ def _fixed_point_arrays(a: np.ndarray, b: np.ndarray
             far = ~np.isfinite(s)
             s[far] = b[far] * np.sqrt(1.0 + 4.0 * a[far] / b[far] / b[far])
         big = (b + s) * -0.5  # the larger root, or a tie
-        # product of roots is -a; a NaN root gives NaN, with no warning
+        # product of roots is -a
         small = np.divide(-a, big, out=np.zeros_like(big), where=big != 0)
-    m_big = np.abs(big)
-    tie = m_big - np.abs(small) <= 1e-14 * m_big
+        m_big = np.abs(big)
+        tie = m_big - np.abs(small) <= 1e-14 * m_big
     if tie.any():
         # a modulus tie takes the root with the larger (imag, real) first
         tie &= (big.imag > small.imag) | (
@@ -513,7 +523,7 @@ def pincherle_ratio(rec: Recurrence, N: int = 0, tol: float = 1e-12,
     N : int
         Ratio offset, an integer >= 0.
     tol : float
-        Relative convergence tolerance.
+        Relative convergence tolerance, in (0, 1).
     max_terms : int
         Coefficient budget, an integer >= 1.
 
@@ -528,7 +538,8 @@ def pincherle_ratio(rec: Recurrence, N: int = 0, tol: float = 1e-12,
         If the continued fraction fails to converge within the budget
         (divergence means no minimal solution exists).
     ValueError
-        For N not an integer >= 0, or max_terms not one >= 1.
+        For N not an integer >= 0, max_terms not one >= 1, or tol not in
+        (0, 1), before any coefficient is read.
     """
     _check_count("ratio offset N", N, 0)
     cf = ContinuedFraction(0.0 + 0.0j, lambda j: rec.coeffs(N + j))
@@ -589,8 +600,7 @@ def _sum_fractions(read: Callable, b0: np.ndarray, rounds: int,
     on a pole approximant; their array entries mean nothing. Every other
     lane stopped at agreement or an exact end (converged), or at the
     budget (not converged; its value NaN where a CfResult's is None)."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
+    _check_tol(tol)
     L = len(w)
     out = (np.zeros(L, dtype=complex), np.zeros(L, dtype=int),
            np.zeros(L, dtype=bool), np.zeros(L), {})

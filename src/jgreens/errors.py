@@ -28,13 +28,22 @@ def _check_count(name: str, value, minimum: int) -> None:
             f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_tol(tol) -> None:
+    """The check of every relative tolerance of a continued-fraction sum:
+    unless 0 < tol < 1, ValueError ``tolerance tol must be in (0, 1), got
+    <tol>``. From tol = 1 on, the agreement test max(1, |S_n|) tol passes
+    nearly every pair of approximants, and inf or NaN is no tolerance."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance tol must be in (0, 1), got {tol!r}")
+
+
 class DivisionByZero(JGreensError):
-    """Backward recurrence hit a vanishing denominator.
+    """Backward recurrence ended on a pole approximant.
 
     Parameters
     ----------
     level : int
-        Recurrence level i at which ``b_i + t`` vanished.
+        Recurrence level whose value is a pole: 1, the approximant's.
     """
 
     def __init__(self, level: int, message: str | None = None):

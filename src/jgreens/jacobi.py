@@ -40,6 +40,7 @@ from .errors import (
     SingularRatio,
     ZeroOffdiagonal,
     _check_count,
+    _check_tol,
     _is_integer,
 )
 
@@ -283,52 +284,72 @@ def cf_coefficients(J: JacobiOperator,
     return gen
 
 
-# Depth plans by key: 1 for plain first, plus 2 for u and d real with
-# u <= 0; key 2 (on that axis, not plain first) is the elliptic plan.
-_PLANS = np.array(((8, 4, 2, 0), (0, 4, 2, -1), (4, 8, 2, 0), (0, 4, 2, -1)))
+# Depth plans by key: 1 for plain first, 2 for a nearly elliptic limit.
+_PLANS = np.array(((8, 4, 2, 0), (0, 4, 2, -1), (4, 8, 2, 0)))
+# A limit is nearly elliptic where its fixed points' modulus ratio rho =
+# |attractive| / |repulsive| has rho^1000 > the default tol: the plain
+# fraction would need more than about 1000 terms (its error falls as
+# rho^n), past which depth 8 loses digits. rho = 1 on the real axis.
+_NEAR_ELLIPTIC = _DEFAULT_TOL ** (1 / 1000)  # 0.97275
 
 
-def _bm_depths(limits) -> np.ndarray:
+def _bm_depths(limits) -> tuple[np.ndarray, tuple | None]:
     """Bauer-Muir depths the automatic policy tries, in order, for lanes
     whose fraction coefficients have the limits (u, d) in ``limits`` (an
-    array (..., 2)): one row of four per lane, -1 past its last depth.
+    array (..., 2)): one row of four per lane, -1 past its last depth; and
+    the limits' (attractive, repulsive) fixed points, flat arrays over all
+    the lanes where some lane is not plain first (the plan reads them
+    there), else None.
 
-    Where |d| > 2 sqrt(|u|), the two fixed points of the tail map
-    w -> u/(d + w) differ in modulus (their product is -u): the limit is
-    hyperbolic, and the fraction with its attractive fixed-point tail
-    converges geometrically without any transform. At equality (for real
-    d, a double fixed point) an exactly periodic fraction is summed at
-    once by its tail. There the plan is 0, 4, 2.
+    Where |d| >= 2 sqrt(|u|), the limit is plain first. Beyond equality
+    the two fixed points of the tail map w -> u/(d + w) differ in modulus
+    (their product is -u): the limit is hyperbolic, and the fraction with
+    its attractive fixed-point tail converges geometrically without any
+    transform. At equality (for real d, a double fixed point) an exactly
+    periodic fraction is summed at once by its tail. There the plan is 0,
+    4, 2.
 
     Where u and d are real and d^2 < -4u, the fixed points are a complex
     conjugate pair of one modulus: the limit is elliptic (Lorentzen &
     Waadeland, *Continued Fractions* Vol. 1, ch. 5), and the fraction
-    converges only algebraically. There each Bauer-Muir round differences
+    converges only algebraically. Each Bauer-Muir round then differences
     nearly equal coefficients, and depth 8 loses digits past about 1000
-    terms, so the plan is 4, 8, 2, 0. Against a 60-digit oracle (alpha-alpha
-    Coulomb, l = 0 and 2, indices 1 and 41, 0.006 to 30 MeV) depth 4 first
-    is off by at most 4.8e-11 relative, depth 8 first by up to 1.6e-10, and
-    the largest lane of the l = 0 phase grid sums 722 terms, not 20,684.
+    terms. The plan is 4, 8, 2, 0 wherever the limit is nearly elliptic,
+    its fixed points' modulus ratio rho > _NEAR_ELLIPTIC (rho^1000 > 1e-12,
+    rho > 0.97275), and 8, 4, 2, 0 otherwise: one rule, continuous across
+    the real axis, where rho = 1. Against a 60-digit oracle (alpha-alpha
+    Coulomb, l = 0 and 2):
+    - on the axis (indices 1 and 41, 0.006 to 30 MeV), depth 4 first is
+      off by at most 4.8e-11 relative, depth 8 first by up to 1.6e-10, and
+      the largest lane of the l = 0 phase grid sums 722 terms, not 20,684;
+    - on the 43 l = 0 polish lanes of one resonance table pass (indices 11
+      to 41, Im E from -6.7e-8 to -2.9e-6 MeV, rho > 0.99999), depth 4
+      first is off by at most 5.6e-11 and sums 17,995 terms, at most 523
+      per lane; depth 8 first, by 1.5e-10 in 35,825 terms, up to 6042;
+    - at E = 0.3 - 1e-6i MeV and index 41, depth 8 does not converge in
+      20,000 terms, and depth 4 first sums 633.
+    Far above threshold depth 4 first costs more terms (E = 3 - 1e-6i MeV,
+    index 41: 249, not 145), as on the axis. The l = 2 resonance lanes
+    (rho 0.941 to 0.947) stay depth 8 first.
 
-    Otherwise (the fixed points come close to one modulus, as next to the
-    continuum) the plan is 8, 4, 2, 0. For the Coulomb-like families
-    d = 2(X - 1)/(X + 1) with X = k^2/b^2 (or (E^2 - mu^2)/eta^2) and u =
-    -1: |d| > 2 exactly where Re X < 0, and the limit is elliptic exactly
-    for real X > 0, a real energy above threshold; the oscillator's limit
-    does not depend on the energy.
+    For the Coulomb-like families d = 2(X - 1)/(X + 1) with X = k^2/b^2
+    (or (E^2 - mu^2)/eta^2) and u = -1: |d| > 2 exactly where Re X < 0, and
+    the limit is elliptic exactly for real X > 0, a real energy above
+    threshold; the oscillator's limit does not depend on the energy.
     Isolated energies can stall both the plain fraction and a particular
     transform depth, so a depth that raises DegenerateTransform or does
     not converge is followed by the next one before giving up.
     """
-    limits = np.asarray(limits)
-    size = np.abs(limits)
-    plain_first = size[..., 1] >= 2.0 * np.sqrt(size[..., 0])
-    # zero exactly where u and d are real and u <= 0: such a lane that is
-    # not plain first has d^2 < 4|u| = -4u (u = 0 is plain first)
-    imag = limits.imag
-    off_axis = np.maximum(np.hypot(imag[..., 0], imag[..., 1]),
-                          limits.real[..., 0])
-    return _PLANS.take(plain_first + 2 * (off_axis == 0.0), axis=0)
+    limits = np.asarray(limits, dtype=complex)
+    flat = limits.reshape(-1, 2)
+    size = np.abs(flat)
+    hard = size[:, 1] < 2.0 * np.sqrt(size[:, 0])  # not plain first
+    fixed, key = None, 1 - hard
+    if hard.any():
+        fixed = _fixed_point_arrays(*flat.T)
+        key[hard & (np.abs(fixed[0])
+                    > _NEAR_ELLIPTIC * np.abs(fixed[1]))] = 2
+    return _PLANS.take(key, axis=0).reshape(limits.shape[:-1] + (4,)), fixed
 
 
 def tail_ratio(J: JacobiOperator, n: int,
@@ -367,13 +388,17 @@ def tail_ratio(J: JacobiOperator, n: int,
         tried in turn: 0, 4, 2 where the limits (u, d) of
         ``J.limit_coeffs`` have |d| >= 2 sqrt(|u|) (for the Coulomb
         families, below threshold, Re E < 0; the oscillator at every E);
-        4, 8, 2, 0 where u and d are real with d^2 < -4u, an elliptic
-        limit (the Coulomb families at real E above threshold, where
-        depth 4 first meets a 60-digit oracle within 4.8e-11, and depth 8
-        first within only 1.6e-10); and 8, 4, 2, 0 otherwise, moving to
-        the next after a DegenerateTransform or NotConverged.
+        4, 8, 2, 0 where the limit is nearly elliptic, its fixed points'
+        modulus ratio rho = |attractive| / |repulsive| above 0.97275
+        (rho^1000 > 1e-12; rho = 1 for the Coulomb families at real E
+        above threshold, and just below 1 just below that axis); and 8, 4,
+        2, 0 otherwise, moving to the next after a DegenerateTransform or
+        NotConverged. Against a 60-digit oracle, depth 4 first is within
+        4.8e-11 on the axis (depth 8 first, 1.6e-10), and on the 43 l = 0
+        resonance polish lanes below it within 5.6e-11 in at most 523
+        terms a lane (depth 8 first, 1.5e-10 in up to 6042).
     tol : float
-        Relative convergence tolerance, > 0.
+        Relative convergence tolerance, in (0, 1).
     max_terms : int
         Coefficient budget; below 1 it stops at S_1, as 1 does.
 
@@ -395,8 +420,9 @@ def tail_ratio(J: JacobiOperator, n: int,
         Propagated from coefficient generation and acceleration.
     ValueError
         For n not an integer >= 1, bm_rounds (if given) not an integer
-        >= 0, tol <= 0, or a sheet the operator cannot serve (no limit
-        coefficients, or limits not finite).
+        >= 0, tol not in (0, 1) (before any coefficient is read), or a
+        sheet the operator cannot serve (no limit coefficients, or limits
+        not finite).
     """
     _check_count("ratio index n", n, 1)
     (ratio,), (error,) = _corner_ratios(_op_lanes([J]), n, sheet, bm_rounds,
@@ -428,8 +454,10 @@ def corrected_truncation(J: JacobiOperator, N: int,
 
     A vanishing J_{N-1,N} decouples the block from the rest of the
     operator, so the corner term is zero without evaluating the ratio.
-    N is an integer >= 1; the rest is passed to :func:`tail_ratio`.
+    N is an integer >= 1; the rest is passed to :func:`tail_ratio`, and
+    tol is checked before any entry is read.
     """
+    _check_tol(tol)
     diag, off, (error,) = _read_rows(_map_readers([J]), 1, N, N)
     if error is not None:
         raise error
@@ -697,7 +725,10 @@ def _corner_ratios(batch: _Lanes, n: int,
     depth 0, its last; a DegenerateTransform or NotConverged to the next
     depth of the plan, if any; anything else is the lane's error, and a
     finite fraction that ends on a pole approximant a SingularRatio. A
-    converged sum is no pole, so every ratio is finite."""
+    converged sum is no pole, so every ratio is finite. The limits' fixed
+    points, the Bauer-Muir modifier, are formed once a call: by the plan,
+    or for the first depth above 0."""
+    _check_tol(tol)
     if bm_rounds is not None:
         _check_count("bm_rounds", bm_rounds, 0)
     at = np.arange(batch.energy.size) if at is None else np.asarray(at)
@@ -708,12 +739,14 @@ def _corner_ratios(batch: _Lanes, n: int,
     limits = batch.limits[at]
     refused = ~(batch.energy[at].imag >= 0.0) if sheet is SheetSelector.AUTO \
         else np.zeros(L, dtype=bool)
+    fixed = None  # the limits' (attractive, repulsive) fixed points
     if tail is TailOrigin.ZERO:
         plans, unusable = np.zeros((L, 1), dtype=int), np.zeros(L, bool)
     else:
-        plans = _bm_depths(limits) if bm_rounds is None \
-            else np.full((L, 1), int(bm_rounds))
+        plans, fixed = _bm_depths(limits) if bm_rounds is None \
+            else (np.full((L, 1), int(bm_rounds)), None)
         unusable = batch.no_limits[at] | ~np.isfinite(limits).all(axis=1)
+    branch = int(tail is TailOrigin.REPULSIVE_FIXED_POINT)
     place = np.zeros(L, dtype=int)  # past the plan after an end
     depth = plans[:, 0].copy()  # -1: the lane has its value or error
     for k in np.flatnonzero(refused | unusable).tolist():
@@ -726,9 +759,10 @@ def _corner_ratios(batch: _Lanes, n: int,
         depth.fill(-1)  # a lane is done unless it goes on below
         todo = set()
         for rounds, lanes in groups:
+            if rounds and fixed is None:
+                fixed = _fixed_point_arrays(*limits.T)
             # the Bauer-Muir modifier: the limits' fixed point on the branch
-            w = _fixed_point_arrays(*limits[lanes].T)[
-                tail is TailOrigin.REPULSIVE_FIXED_POINT] if rounds \
+            w = fixed[branch][lanes] if rounds \
                 else np.zeros(lanes.size, dtype=complex)
             value, terms, converged, delta, stopped = _sum_fractions(
                 _jacobi_reader((batch.read_diag, batch.read_off), n,

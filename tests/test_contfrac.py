@@ -80,6 +80,24 @@ def test_backward_division_by_zero_reports_level():
     assert exc.value.level == 1
 
 
+def test_backward_takes_the_forward_pole_rule():
+    # no absolute floor: a denominator of 1e-305 is no pole, and a zero
+    # inner denominator makes its level infinite, a_1/(b_1 + inf) = 0
+    tiny = ContinuedFraction.from_lists(0.0, [1e-310], [1e-305])
+    assert abs(eval_backward(tiny, 1) - eval_forward(tiny, 1e-12, 10).value) \
+        <= math.ulp(1e-5)
+    assert eval_backward(tiny, 1) == pytest.approx(1e-5, rel=1e-13)
+    inner = ContinuedFraction.from_lists(0.0, [1.0, 1.0], [1.0, 0.0])
+    assert dict(forward_approximants(inner))[2] == 0.0
+    assert eval_backward(inner, 2) == 0.0
+    # S itself past 1e250 is the pole, as forward_approximants reads it
+    huge = ContinuedFraction.from_lists(0.0, [1e260], [1.0])
+    assert dict(forward_approximants(huge))[1] is None
+    with pytest.raises(DivisionByZero) as exc:
+        eval_backward(huge, 1)
+    assert exc.value.level == 1
+
+
 def test_backward_truncates_at_finite_end():
     cf = ContinuedFraction.from_lists(3.0, [4.0, 4.0], [6.0, 6.0])
     assert eval_backward(cf, 10, ZERO_TAIL) == pytest.approx(3.6, abs=1e-14)

@@ -305,6 +305,40 @@ def test_nonpositive_tolerance_is_rejected(tol):
         green_submatrix(J, 3, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [math.inf, 1e300, 1.0, math.nan, 0.0])
+def test_tolerance_outside_unit_interval_is_refused_before_any_read(tol):
+    # at tol = inf or 1e300 the first comparison passes: the bound Coulomb
+    # ratio read -0.27599814, 1.4e-5 off its -0.27599415, with no error
+    from jgreens.contfrac import Recurrence, pincherle_ratio
+    from jgreens.models import CoulombModel, coulomb_jacobi
+
+    op = coulomb_jacobi(CoulombModel(Z=-1, l=0, D=3, b=1.2), -0.3)
+    assert tail_ratio(op, 3) == pytest.approx(-0.27599415, abs=1e-8)
+    reads = []
+
+    def entry(i):
+        reads.append(i)
+        return op.diag(i)
+
+    def pair(i):
+        reads.append(i)
+        return -1.0, 2.5
+
+    watched = JacobiOperator(entry, entry, op.energy, op.limit_coeffs)
+    calls = [
+        lambda: tail_ratio(op, 3, tol=tol),
+        lambda: tail_ratio(watched, 3, tol=tol),
+        lambda: corrected_truncation(watched, 3, tol=tol),
+        lambda: eval_forward(ContinuedFraction(0.0, pair), tol, 100),
+        lambda: pincherle_ratio(Recurrence(pair, (-1.0, 2.5)), tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=r"tolerance tol must be in \(0, 1\)"):
+            call()
+    assert reads == []
+
+
 def test_green_submatrix_symmetry_and_rank_one_triangle():
     J = perturbed_laplacian(2.0 + 1.5j)
     G = green_submatrix(J, 7).entries
@@ -576,6 +610,7 @@ def _lanes_match_alone(lanes, n, **kwargs):
 
 
 def test_mixed_outcome_batch_matches_each_lane_alone():
+    from jgreens.jacobi import _bm_depths
     from jgreens.models import CoulombModel, coulomb_jacobi
 
     model = CoulombModel(Z=-1.0, l=0, D=3, b=1.0)
@@ -602,13 +637,20 @@ def test_mixed_outcome_batch_matches_each_lane_alone():
         _one_coefficient_operator(cmath.rect(1e250 * (1 - 1e-12), 0.7), 1.0),
         JacobiOperator(bound.diag, bound.offdiag, bound.energy,
                        (-1.0, complex(2.0, math.nan))),  # NaN limit
+        # nearly elliptic, depth 4 first: it runs out of its 40 terms, and
+        # depth 8 converges
+        coulomb_jacobi(model, 0.5 + 1e-6j),
     ]
+    assert [_bm_depths(op.limit_coeffs)[0][0]
+            for op in lanes[:2] + lanes[11:]] \
+        == [0, 8, 4]
     ratios, errors = _lanes_match_alone(lanes, 1, sheet=SheetSelector.AUTO,
                                         max_terms=40)
     assert [type(e) for e in errors] == [
         type(None), type(None), NotConverged, ZeroOffdiagonal, SingularRatio,
         ValueError, ValueError, NumericBreakdown, SingularRatio, type(None),
-        ValueError]
+        ValueError, type(None)]
+    assert ratios[11] != 0
     assert errors[3].index == 3
     assert str(errors[7]) == "non-finite approximant"
     assert str(errors[4]) == str(errors[8]) == (
@@ -833,6 +875,37 @@ def test_one_by_one_blocks():
             call()
 
 
+def test_plain_first_lane_takes_its_modifier_to_depth_4():
+    # just below threshold the plain fraction needs 113 terms: with 100 it
+    # runs out, and depth 4 converges with the limit's fixed point, the one
+    # an explicit bm_rounds=4 uses, in a batch or alone
+    from jgreens import jacobi
+    from jgreens.jacobi import _bm_depths
+    from jgreens.models import CoulombModel, coulomb_jacobi
+
+    model = CoulombModel(Z=-1.0, l=0, D=3, b=1.0)
+    op = coulomb_jacobi(model, -0.01)
+    assert _bm_depths(op.limit_coeffs)[0].tolist() == [0, 4, 2, -1]
+    depths = []
+    summed = jacobi._sum_fractions
+
+    def spy(read, b0, rounds, *args):
+        out = summed(read, b0, rounds, *args)
+        depths.append((rounds, out[2].tolist()))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jacobi, "_sum_fractions", spy)
+        ratio = tail_ratio(op, 1, max_terms=100)
+    assert depths == [(0, [False]), (4, [True])]
+    assert _hexes(ratio) == _hexes(tail_ratio(op, 1, bm_rounds=4,
+                                              max_terms=100))
+    assert abs(ratio - tail_ratio(op, 1)) <= 1e-12
+    lanes = [coulomb_jacobi(model, 0.5 + 0.1j), op, coulomb_jacobi(model, 2.0)]
+    _, errors = _lanes_match_alone(lanes, 1, max_terms=100)
+    assert errors == [None] * 3
+
+
 @pytest.mark.parametrize("d,plan,want", [
     (1.0, [4, 8, 2, 0], 0.5 - 0.8660254j),
     (1.0 + 0.3j, [8, 4, 2, 0], 0.4150637 - 0.7330143j),
@@ -846,7 +919,7 @@ def test_degenerate_depths_move_on_to_depth_zero(d, plan, want):
     from jgreens.models import CoulombModel, coulomb_jacobi
 
     op = JacobiOperator(lambda i: d, lambda i: -1.0, 0.0, (-1.0, d))
-    assert _bm_depths(np.array([op.limit_coeffs]))[0].tolist() == plan
+    assert _bm_depths(np.array([op.limit_coeffs]))[0][0].tolist() == plan
     depths = []
     summed = jacobi._sum_fractions
 

@@ -615,16 +615,19 @@ def test_g00_free_particle_closed_form():
 
 
 def _oracle_ratios(model, E, ns):
-    # G_{0,n}/G_{0,n-1} on the physical sheet (E + i0, k > 0) at 60 digits,
-    # from the model's float parameters: g00 in the hypergeometric form of
-    # coulomb_g00_analytic, G_{0,1} = (1 - J00 g00)/J01 from row 0 of
-    # J G = 1, and the higher G_{0,n} from the rows after it
+    # G_{0,n}/G_{0,n-1} on the physical sheet (Im k > 0; on the axis E + i0,
+    # k > 0) at 60 digits, from the model's float parameters and a real or
+    # complex E: g00 in the hypergeometric form of coulomb_g00_analytic,
+    # G_{0,1} = (1 - J00 g00)/J01 from row 0 of J G = 1, and the higher
+    # G_{0,n} from the rows after it
     with mpmath.workdps(60):
         mpf = mpmath.mpf
         m, hbar, b = mpf(model.m), mpf(model.hbar), mpf(model.b)
-        ze2, E = mpf(model.Z) * mpf(model.e2), mpf(E)
+        ze2, E = mpf(model.Z) * mpf(model.e2), mpmath.mpmathify(E)
         l, D = model.l, model.D
         k = mpmath.sqrt(2 * m * E) / hbar
+        if mpmath.im(k) < 0:  # below the axis: the root with Im k > 0
+            k = -k
         gam = ze2 * m / (hbar**2 * k)
         z = ((b + 1j * k) / (b - 1j * k)) ** 2
         a = -l - mpf(D - 3) / 2 + 1j * gam
@@ -661,6 +664,37 @@ def test_real_axis_tail_ratio_matches_60_digit_oracle():
             for n, want in zip((1, 41), _oracle_ratios(model, E, (1, 41))):
                 got = tail_ratio(op, n, SheetSelector.PHYSICAL)
                 assert abs(got - want) <= 1e-10 * abs(want), (l, n, E)
+
+
+def test_near_axis_tail_ratio_matches_60_digit_oracle(monkeypatch):
+    # just below the cut on the physical sheet, where the limit is nearly
+    # elliptic: each lane meets the oracle as on the axis, in at most 1023
+    # terms over all the depths it tries. The last energy is an l=0
+    # resonance polish iterate.
+    from jgreens import jacobi
+
+    summed = jacobi._sum_fractions
+    terms = []
+
+    def counted(*args):
+        out = summed(*args)
+        terms.append(int(out[1].sum()))
+        return out
+
+    monkeypatch.setattr(jacobi, "_sum_fractions", counted)
+    mass = 1.0 / (2.0 * 10.375)
+    energies = [complex(x, y) for x in (0.0919720204, 0.3)
+                for y in (-1e-8, -1e-6, -1e-4)] \
+        + [complex(0.091972029, -2.28786e-06)]
+    for l in (0, 2):
+        model = CoulombModel(Z=4, l=l, b=4.0, m=mass, e2=1.44)
+        for E in energies:
+            op = coulomb_jacobi(model, E)
+            for n, want in zip((1, 41), _oracle_ratios(model, E, (1, 41))):
+                terms.clear()
+                got = tail_ratio(op, n, SheetSelector.PHYSICAL)
+                assert abs(got - want) <= 1e-10 * abs(want), (l, n, E)
+                assert sum(terms) <= 1023, (l, n, E, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1696,7 +1730,7 @@ def test_depth_plan_reads_the_limit(monkeypatch):
     from jgreens.jacobi import _bm_depths, _corner_ratios, _op_lanes
 
     def start(op):
-        return int(_bm_depths(op.limit_coeffs)[0])
+        return int(_bm_depths(op.limit_coeffs)[0][0])
 
     # the Coulomb-like limits d = 2(X - 1)/(X + 1) have |d| > 2 exactly
     # where Re X < 0: below threshold, as the sign of Re E said before. On
@@ -1711,7 +1745,7 @@ def test_depth_plan_reads_the_limit(monkeypatch):
     for build, model in ((coulomb_jacobi, coulomb),
                          (gencoulomb_jacobi, gencoulomb)):
         for E in grid:
-            plan = tuple(_bm_depths(build(model, E).limit_coeffs))
+            plan = tuple(_bm_depths(build(model, E).limit_coeffs)[0])
             assert plan == ((0, 4, 2, -1) if E.real < 0 else
                             (4, 8, 2, 0) if E.imag == 0 else (8, 4, 2, 0))
     # the oscillator's limit is hyperbolic and does not depend on E
